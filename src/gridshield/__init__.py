@@ -20,6 +20,7 @@ from gridshield.codec import (
 from gridshield.delay import DelayComponents, DelayReport, measure, total
 from gridshield.ids import (
     Alert,
+    Evidence,
     Inconclusive,
     LocalizationVerdict,
     ObservationRecord,
@@ -55,6 +56,7 @@ from gridshield.sdn import (
     apply_flow_mod,
     match_frame,
 )
+from gridshield.util import frame_digest
 
 __version__ = "0.1.0"
 
@@ -63,6 +65,7 @@ __all__ = [
     "DelayComponents",
     "DelayReport",
     "EventLog",
+    "Evidence",
     "FlowEntry",
     "FlowMod",
     "FlowTable",
@@ -90,6 +93,7 @@ __all__ = [
     "decode_sv",
     "encode_goose",
     "encode_sv",
+    "frame_digest",
     "inspect",
     "load_scenario",
     "localize",

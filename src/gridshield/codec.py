@@ -21,14 +21,12 @@ otherwise the sequence number counts retransmissions.
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 GOOSE_ETHERTYPE = 0x88B8
 SV_ETHERTYPE = 0x88BA
-
-# Conventional multicast prefix used for GOOSE destination addresses.
-GOOSE_MULTICAST_BASE = "01:0C:CD:01:00:00"
 
 ETH_HEADER_LEN = 14
 FRAME_HEADER_LEN = 18  # ethernet header + app id + body length
@@ -93,11 +91,6 @@ class MacAddress:
             return cls(bytes(int(p, 16) for p in parts))
         except ValueError as exc:
             raise InvariantViolation(f"bad MAC string {text!r}") from exc
-
-    @property
-    def is_multicast(self) -> bool:
-        # Group addresses carry the low bit of the first octet.
-        return bool(self.octets[0] & 0x01)
 
     def __str__(self) -> str:
         return ":".join(f"{b:02X}" for b in self.octets)
@@ -172,9 +165,17 @@ class SvFrame:
 
 @dataclass(frozen=True)
 class RawFrame:
-    """An encoded frame as it travels the simulated wire."""
+    """An encoded frame as it travels the simulated wire.
+
+    ``digest`` is a stable short digest of the bytes, used to track copies
+    in the log; it is computed once, when the frame is made.
+    """
 
     data: bytes
+    digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", hashlib.blake2b(self.data, digest_size=8).hexdigest())
 
     def __len__(self) -> int:
         return len(self.data)

@@ -35,7 +35,6 @@ from gridshield.codec import (
 )
 from gridshield.ids import Origin
 from gridshield.netsim import Network, PortRef, SimTime
-from gridshield.util import frame_digest
 
 
 @dataclass(frozen=True)
@@ -166,13 +165,11 @@ class PiedDevice:
     # -- reception -----------------------------------------------------------
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
-        if port != self.sv_port:
+        if port != self.sv_port or self.latched:
             return
         try:
             sv = decode_sv(raw)
         except CodecError:
-            return
-        if self.latched:
             return
         if any(abs(i) >= self.config.pickup_current_ma for i in sv.currents):
             self.latched = True
@@ -180,7 +177,7 @@ class PiedDevice:
                 state_changed=True,
                 trip=True,
                 at=at + self.config.protection_delay_us,
-                note=f"trip trigger={frame_digest(raw)}",
+                note=f"trip trigger={raw.digest}",
             )
 
     def reset_latch(self) -> None:
@@ -267,26 +264,25 @@ class OmicronDevice:
         net.register(node_id, self)
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
+        if self.breaker.position == "Open" or self._trip_pending:
+            return
+        digest = raw.digest
+        if not self.act_on_flagged and digest in self.flagged_digests:
+            return
         try:
             frame = decode_goose(raw)
         except CodecError:
             return
         if not frame.trip:
             return
-        digest = frame_digest(raw)
-        if not self.act_on_flagged and digest in self.flagged_digests:
-            return
-        if self.breaker.position == "Open" or self._trip_pending:
-            return
         self._trip_pending = True
+        self.net.call(at + self.internal_delay_us, self._open_breaker, digest)
 
-        def open_breaker() -> None:
-            self.breaker.position = "Open"
-            self.breaker.last_trip_time = self.net.now
-            self._trip_pending = False
-            self.net.log_event("BreakerTrip", self.node_id, None, digest, note="breaker=open")
-
-        self.net.call(at + self.internal_delay_us, open_breaker)
+    def _open_breaker(self, digest: str) -> None:
+        self.breaker.position = "Open"
+        self.breaker.last_trip_time = self.net.now
+        self._trip_pending = False
+        self.net.log_event("BreakerTrip", self.node_id, None, digest, note="breaker=open")
 
 
 @dataclass(frozen=True)

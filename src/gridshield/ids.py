@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
+from gridshield import substation as sub
 from gridshield.codec import (
     CodecError,
     GOOSE_ETHERTYPE,
@@ -46,7 +47,6 @@ from gridshield.codec import (
 )
 from gridshield.netsim import Network, PortRef, SimTime
 from gridshield.sdn import FlowTable, Forward, PortMod, SwitchNode, match_frame
-from gridshield.util import frame_digest
 
 
 class Origin(enum.Enum):
@@ -191,10 +191,16 @@ def inspect(
     state: SubscriptionState,
     rules: RuleSet,
     at: SimTime,
+    digest: str | None = None,
 ) -> tuple[SubscriptionState, list[Alert]]:
-    """Run every rule over one decoded frame; update state; return alerts."""
-    # encoding is canonical, so re-encoding reproduces the wire digest
-    digest = frame_digest(encode_goose(frame))
+    """Run every rule over one decoded frame; update state; return alerts.
+
+    ``digest`` is the wire digest of the frame's bytes; when absent it is
+    recomputed by re-encoding, which reproduces the wire bytes because the
+    encoding is canonical.
+    """
+    if digest is None:
+        digest = encode_goose(frame).digest
     alerts: list[Alert] = []
 
     def alert(rule_id: str) -> None:
@@ -281,47 +287,63 @@ def bind_origin(frame: GooseFrame, whitelist: dict[str, MacAddress]) -> Origin:
     return Origin.STATION_BUS_SWITCH
 
 
+class Evidence:
+    """Running facts of the two-row decision table, fed in time order.
+
+    Each observation updates the set of digests that name the switch, so
+    a decision costs no rescan of the observations so far.
+    """
+
+    def __init__(self) -> None:
+        self.observations: list[ObservationRecord] = []
+        self.switch_digests: set[str] = set()
+
+    def add(self, o: ObservationRecord) -> None:
+        """Record one observation; times must not decrease."""
+        if self.observations and o.time < self.observations[-1].time:
+            raise ValueError("observations must be added in time order")
+        self.observations.append(o)
+        if (o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop) or (
+            o.origin_hypothesis is Origin.STATION_BUS_SWITCH
+        ):
+            self.switch_digests.add(o.digest)
+
+    def decide(self) -> LocalizationVerdict:
+        """Apply the decision table to the observations added so far.
+
+        Digest groups are settled as a whole: a non-echo loop-return
+        sighting convicts the switch for every copy of that digest. Raises
+        ``Inconclusive`` when neither row holds; never guesses.
+        """
+        obs = self.observations
+        if not obs:
+            raise ValueError("localization needs at least one abnormal observation")
+        if self.switch_digests:
+            evidence = tuple(
+                replace(o, origin_hypothesis=Origin.STATION_BUS_SWITCH)
+                if o.digest in self.switch_digests
+                else o
+                for o in obs
+            )
+            return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
+        # Row (a) failing means every sighting carries the relay's identity
+        # and every loop-return sighting is an echo, so of row (b) only
+        # where the abnormal traffic was first seen is left to check.
+        if obs[0].ingress_port == sub.IDS_MAIN_FEED:
+            return LocalizationVerdict(Origin.PIED, tuple(obs), obs[-1].time)
+        raise Inconclusive(tuple(obs))
+
+
 def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
     """Apply the two-row decision table to the abnormal observations.
 
-    Digest groups are settled as a whole: a non-echo loop-return sighting
-    convicts the switch for every copy of that digest. Raises
-    ``Inconclusive`` when neither row holds; never guesses.
+    The observations are taken in time order (ties keep their given
+    order) and decided by :meth:`Evidence.decide`.
     """
-    obs = tuple(sorted(observations, key=lambda o: o.time))
-    if not obs:
-        raise ValueError("localization needs at least one abnormal observation")
-
-    from gridshield import substation as sub
-
-    switch_digests = {
-        o.digest
-        for o in obs
-        if (o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop)
-        or o.origin_hypothesis is Origin.STATION_BUS_SWITCH
-    }
-
-    if switch_digests:
-        evidence = tuple(
-            replace(o, origin_hypothesis=Origin.STATION_BUS_SWITCH)
-            if o.digest in switch_digests
-            else o
-            for o in obs
-        )
-        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
-
-    first = obs[0]
-    main_feed_pied = any(
-        o.ingress_port == sub.IDS_MAIN_FEED and o.origin_hypothesis is Origin.PIED
-        for o in obs
-    )
-    loop_returns_all_echo = all(
-        o.loop for o in obs if o.ingress_port == sub.IDS_LOOP_RETURN
-    )
-    if first.ingress_port == sub.IDS_MAIN_FEED and main_feed_pied and loop_returns_all_echo:
-        return LocalizationVerdict(Origin.PIED, obs, obs[-1].time)
-
-    raise Inconclusive(obs)
+    evidence = Evidence()
+    for o in sorted(observations, key=lambda o: o.time):
+        evidence.add(o)
+    return evidence.decide()
 
 
 def mitigate(verdict: LocalizationVerdict) -> list[PortMod]:
@@ -332,8 +354,6 @@ def mitigate(verdict: LocalizationVerdict) -> list[PortMod]:
     the relay's direct feed, which keep protection traffic alive. A
     compromised relay is cut off at the two switch ports facing it.
     """
-    from gridshield import substation as sub
-
     if verdict.culprit is Origin.STATION_BUS_SWITCH:
         return [
             PortMod(sub.IDS, port, enable=False)
@@ -389,7 +409,7 @@ class IdsNode(SwitchNode):
         self.monitored_ports = monitored_ports
         self.loop_out_port = loop_out_port
         self.loop_return_port = loop_return_port
-        self.observations: list[ObservationRecord] = []
+        self.evidence = Evidence()
         self.alerts: list[Alert] = []
         self.alerted_digests: set[str] = set()
         self.verdict: LocalizationVerdict | None = None
@@ -403,7 +423,7 @@ class IdsNode(SwitchNode):
     # -- inspection ----------------------------------------------------------
 
     def _inspect_arrival(self, port: int, raw: RawFrame, at: SimTime) -> None:
-        digest = frame_digest(raw)
+        digest = raw.digest
         try:
             frame = decode_goose(raw)
         except CodecError:
@@ -413,7 +433,7 @@ class IdsNode(SwitchNode):
             self._observe(Origin.STATION_BUS_SWITCH, port, digest, loop=False, at=at)
             return
         loop = port == self.loop_return_port and self.loops.is_loop(digest, at)
-        _, alerts = inspect(frame, port, self.state, self.rules, at)
+        _, alerts = inspect(frame, port, self.state, self.rules, at, digest)
         if not alerts:
             return
         self._raise_alerts(alerts)
@@ -436,7 +456,7 @@ class IdsNode(SwitchNode):
             )
 
     def _observe(self, origin: Origin, port: int, digest: str, loop: bool, at: SimTime) -> None:
-        self.observations.append(ObservationRecord(origin, port, digest, loop, at))
+        self.evidence.add(ObservationRecord(origin, port, digest, loop, at))
         if not self._decision_armed and self.verdict is None:
             self._decision_armed = True
             self.net.call(at + self.decision_window_us, self._decide)
@@ -450,11 +470,11 @@ class IdsNode(SwitchNode):
             if isinstance(action, Forward):
                 departure = at + self.processing_delay
                 if action.port == self.loop_out_port:
-                    self.loops.tag_loop(frame_digest(raw), departure)
+                    self.loops.tag_loop(raw.digest, departure)
                 self.net.send(PortRef(self.node_id, action.port), raw, departure)
                 emitted = True
         if not emitted:
-            self.net.log_event("Drop", self.node_id, ingress, frame_digest(raw), "no_forwarding_entry")
+            self.net.log_event("Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry")
 
     # -- decision ------------------------------------------------------------
 
@@ -464,11 +484,11 @@ class IdsNode(SwitchNode):
             return
         at = self.net.now
         try:
-            verdict = localize(self.observations)
-        except Inconclusive:
+            verdict = self.evidence.decide()
+        except Inconclusive as exc:
             self.net.log_event(
                 "ControlMsg", self.node_id, None, None,
-                note=f"localization_inconclusive observations={len(self.observations)}",
+                note=f"localization_inconclusive observations={len(exc.observations)}",
             )
             return
         self.verdict = verdict

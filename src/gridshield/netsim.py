@@ -21,10 +21,10 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Protocol
 
 from gridshield.codec import RawFrame
-from gridshield.util import frame_digest
 
 SimTime = int  # microseconds
 
@@ -73,7 +73,16 @@ class PortRef:
         return f"{self.node}/p{self.port}"
 
 
-@dataclass(frozen=True)
+# One events.jsonl line: the compact ``json.dumps`` form of the event's
+# fields in this key order, with ASCII-only string escapes.
+_LINE = '{"t":%d,"seq":%d,"kind":%s,"node":%s,"port":%s,"digest":%s,"note":%s}'
+
+
+def _json_opt_str(value: str | None) -> str:
+    return "null" if value is None else _json_str(value)
+
+
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     """One observable simulation event, ordered by (time, seq)."""
 
@@ -86,23 +95,22 @@ class SimEvent:
     note: str | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.time,
-                "seq": self.seq,
-                "kind": self.kind,
-                "node": self.node,
-                "port": self.port,
-                "digest": self.digest,
-                "note": self.note,
-            },
-            separators=(",", ":"),
+        return _LINE % (
+            self.time,
+            self.seq,
+            _json_str(self.kind),
+            _json_str(self.node),
+            "null" if self.port is None else "%d" % self.port,
+            _json_opt_str(self.digest),
+            _json_opt_str(self.note),
         )
 
     @classmethod
     def from_json(cls, line: str) -> SimEvent:
         obj = json.loads(line)
-        return cls(
+        if type(obj) is not dict:
+            raise ValueError(f"event line is not a JSON object: {line.strip()[:120]}")
+        ev = cls(
             time=obj["t"],
             seq=obj["seq"],
             kind=obj["kind"],
@@ -111,6 +119,19 @@ class SimEvent:
             digest=obj["digest"],
             note=obj["note"],
         )
+        # to_json writes exactly these types back; anything else, such as a
+        # float time or a boolean port, is not an event line
+        if not (
+            type(ev.time) is int
+            and type(ev.seq) is int
+            and type(ev.kind) is str
+            and type(ev.node) is str
+            and (ev.port is None or type(ev.port) is int)
+            and (ev.digest is None or type(ev.digest) is str)
+            and (ev.note is None or type(ev.note) is str)
+        ):
+            raise ValueError(f"event field of the wrong type: {line.strip()[:120]}")
+        return ev
 
 
 class EventLog(list):
@@ -148,7 +169,7 @@ class Network:
         self.handlers: dict[str, NodeHandler] = {}
         self.links: dict[PortRef, tuple[PortRef, SimTime]] = {}
         self._disabled: set[PortRef] = set()
-        self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
+        self._heap: list[tuple[SimTime, int, Callable[..., None], tuple]] = []
         self._sched = 0
         self._log_seq = 0
         self.now: SimTime = 0
@@ -201,18 +222,17 @@ class Network:
     def set_port_state(self, port: PortRef, enabled: bool, at: SimTime) -> None:
         """Schedule a port enable/disable; effective once processed."""
         self._check_port(port)
+        self._schedule(at, self._apply_port_state, (port, enabled))
 
-        def apply() -> None:
-            if enabled:
-                self._disabled.discard(port)
-            else:
-                self._disabled.add(port)
-            self.log_event(
-                "PortStateChange", port.node, port.port,
-                note="enabled" if enabled else "disabled",
-            )
-
-        self._schedule(at, apply)
+    def _apply_port_state(self, port: PortRef, enabled: bool) -> None:
+        if enabled:
+            self._disabled.discard(port)
+        else:
+            self._disabled.add(port)
+        self.log_event(
+            "PortStateChange", port.node, port.port,
+            note="enabled" if enabled else "disabled",
+        )
 
     # -- frame movement ----------------------------------------------------
 
@@ -226,20 +246,19 @@ class Network:
         self._check_port(from_port)
         if from_port not in self.links:
             raise UnlinkedPort(f"{from_port} has no link")
+        self._schedule(at, self._depart, (from_port, raw, note))
 
-        def depart() -> None:
-            digest = frame_digest(raw)
-            self.log_event("FrameDeparture", from_port.node, from_port.port, digest, note)
-            far, latency = self.links[from_port]
-            if not self.port_enabled(from_port):
-                self.log_event("Drop", from_port.node, from_port.port, digest, "tx_port_disabled")
-                return
-            if not self.port_enabled(far):
-                self.log_event("Drop", far.node, far.port, digest, "rx_port_disabled")
-                return
-            self._schedule(self.now + latency, lambda: self._arrive(far, raw, None))
-
-        self._schedule(at, depart)
+    def _depart(self, from_port: PortRef, raw: RawFrame, note: str | None) -> None:
+        digest = raw.digest
+        self.log_event("FrameDeparture", from_port.node, from_port.port, digest, note)
+        far, latency = self.links[from_port]
+        if not self.port_enabled(from_port):
+            self.log_event("Drop", from_port.node, from_port.port, digest, "tx_port_disabled")
+            return
+        if not self.port_enabled(far):
+            self.log_event("Drop", far.node, far.port, digest, "rx_port_disabled")
+            return
+        self._schedule(self.now + latency, self._arrive, (far, raw, None))
 
     def inject_ingress(self, port: PortRef, raw: RawFrame, at: SimTime, note: str = "injected") -> None:
         """Make a frame appear as ingress at a port, without a wire.
@@ -248,10 +267,10 @@ class Network:
         with the given note so detection can be scored against it.
         """
         self._check_port(port)
-        self._schedule(at, lambda: self._arrive(port, raw, note, check_enabled=True))
+        self._schedule(at, self._arrive, (port, raw, note, True))
 
     def _arrive(self, port: PortRef, raw: RawFrame, note: str | None, check_enabled: bool = False) -> None:
-        digest = frame_digest(raw)
+        digest = raw.digest
         if check_enabled and not self.port_enabled(port):
             self.log_event("Drop", port.node, port.port, digest, "ingress_port_disabled")
             return
@@ -262,15 +281,15 @@ class Network:
 
     # -- scheduling & logging ----------------------------------------------
 
-    def call(self, at: SimTime, fn: Callable[[], None]) -> None:
-        """Schedule an internal (unlogged) callback."""
-        self._schedule(at, fn)
+    def call(self, at: SimTime, fn: Callable[..., None], *args) -> None:
+        """Schedule an internal (unlogged) callback, ``fn(*args)`` at ``at``."""
+        self._schedule(at, fn, args)
 
-    def _schedule(self, at: SimTime, fn: Callable[[], None]) -> None:
+    def _schedule(self, at: SimTime, fn: Callable[..., None], args: tuple) -> None:
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before now={self.now}")
         self._sched += 1
-        heapq.heappush(self._heap, (at, self._sched, fn))
+        heapq.heappush(self._heap, (at, self._sched, fn, args))
 
     def log_event(
         self,
@@ -288,10 +307,11 @@ class Network:
 
     def run_until(self, t_end: SimTime) -> EventLog:
         """Process every queued item with time <= t_end, in (time, seq) order."""
-        while self._heap and self._heap[0][0] <= t_end:
-            at, _seq, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= t_end:
+            at, _seq, fn, args = heapq.heappop(heap)
             self.now = at
-            fn()
+            fn(*args)
         self.now = max(self.now, t_end)
         return self.log
 
@@ -317,10 +337,3 @@ def build_topology(spec: TopologySpec) -> Network:
 def events_of_kind(log: Iterable[SimEvent], kind: str) -> list[SimEvent]:
     return [ev for ev in log if ev.kind == kind]
 
-
-def arrivals_at(log: Iterable[SimEvent], node: str, port: int | None = None) -> list[SimEvent]:
-    return [
-        ev
-        for ev in log
-        if ev.kind == "FrameArrival" and ev.node == node and (port is None or ev.port == port)
-    ]

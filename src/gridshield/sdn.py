@@ -7,7 +7,7 @@ emission. This collect-all behavior is what lets one ingress frame be
 replicated to several monitor ports at once. Unmatched frames fall back
 to the table's default action.
 
-The controller channel is modeled in-simulation: PacketIn, FlowMod and
+The controller channel is modeled in-simulation: packet-ins, FlowMod and
 PortMod land in the event log as ControlMsg entries, so rule updates and
 port disables are timestamped alongside the traffic they affect.
 """
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 from gridshield.codec import GOOSE_ETHERTYPE, SV_ETHERTYPE, MacAddress, RawFrame
 from gridshield.netsim import Network, PortRef, SimTime, UnknownPort
-from gridshield.util import frame_digest
 
 
 class FlowTableError(Exception):
@@ -112,13 +111,6 @@ class FlowTable:
 
 
 @dataclass(frozen=True)
-class PacketIn:
-    switch: str
-    ingress_port: int
-    digest: str
-
-
-@dataclass(frozen=True)
 class FlowMod:
     switch: str
     add: bool  # False removes the entry
@@ -130,9 +122,6 @@ class PortMod:
     switch: str
     port: int
     enable: bool
-
-
-ControllerMsg = PacketIn | FlowMod | PortMod
 
 
 # -- operations ---------------------------------------------------------------
@@ -179,7 +168,7 @@ class SwitchNode:
     """A switch attached to the engine; forwards per its flow table.
 
     Each Forward action becomes a departure ``processing_delay`` after the
-    frame's arrival. ToController raises a PacketIn control message; a
+    frame's arrival. ToController logs a ``packet_in`` control message; a
     frame with no emission is logged as a Drop.
     """
 
@@ -212,12 +201,12 @@ class SwitchNode:
                 emitted = True
             elif isinstance(action, ToController):
                 self.net.log_event(
-                    "ControlMsg", self.node_id, ingress, frame_digest(raw),
+                    "ControlMsg", self.node_id, ingress, raw.digest,
                     note="packet_in",
                 )
         if not emitted:
             self.net.log_event(
-                "Drop", self.node_id, ingress, frame_digest(raw), "no_forwarding_entry"
+                "Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry"
             )
         return actions
 
@@ -225,27 +214,25 @@ class SwitchNode:
         """Schedule a table update; forwarding changes exactly at ``at``."""
         if mod.add:
             self._check_forward_ports(FlowTable(entries=(mod.entry,)))
+        self.net.call(at, self._apply_flow_mod, mod)
 
-        def apply() -> None:
-            self.net.log_event(
-                "ControlMsg", self.node_id, None, None,
-                note=f"flow_mod {'add' if mod.add else 'remove'} prio={mod.entry.priority}",
-            )
-            self.table = apply_flow_mod(self.table, mod)
-
-        self.net.call(at, apply)
+    def _apply_flow_mod(self, mod: FlowMod) -> None:
+        self.net.log_event(
+            "ControlMsg", self.node_id, None, None,
+            note=f"flow_mod {'add' if mod.add else 'remove'} prio={mod.entry.priority}",
+        )
+        self.table = apply_flow_mod(self.table, mod)
 
     def apply_port_mod(self, mod: PortMod, at: SimTime) -> None:
         """Log the control message and delegate to the engine's port state."""
         port = PortRef(self.node_id, mod.port)
         if not 1 <= mod.port <= self.net.nodes[self.node_id]:
             raise UnknownPort(f"{port} beyond the switch's port count")
-
-        def announce() -> None:
-            self.net.log_event(
-                "ControlMsg", self.node_id, mod.port, None,
-                note=f"port_mod {'enable' if mod.enable else 'disable'}",
-            )
-
-        self.net.call(at, announce)
+        self.net.call(at, self._announce_port_mod, mod)
         self.net.set_port_state(port, mod.enable, at)
+
+    def _announce_port_mod(self, mod: PortMod) -> None:
+        self.net.log_event(
+            "ControlMsg", self.node_id, mod.port, None,
+            note=f"port_mod {'enable' if mod.enable else 'disable'}",
+        )

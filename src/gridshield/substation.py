@@ -77,7 +77,6 @@ MU_PORT = 1
 # Device identities.
 PIED_MAC = MacAddress.parse("00:30:A7:00:00:01")
 MU_MAC = MacAddress.parse("00:30:A7:00:00:02")
-STATION_BUS_MAC = MacAddress.parse("00:30:A7:00:00:10")
 GOOSE_DST = MacAddress.parse("01:0C:CD:01:00:01")
 SV_DST = MacAddress.parse("01:0C:CD:04:00:01")
 

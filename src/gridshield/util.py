@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
-
 from gridshield.codec import RawFrame
 
 
 def frame_digest(raw: RawFrame) -> str:
-    """Stable short digest of frame bytes, used to track copies in the log."""
-    return hashlib.blake2b(raw.data, digest_size=8).hexdigest()
+    """Stable short digest of frame bytes, used to track copies in the log;
+    the value the frame carries as ``raw.digest``."""
+    return raw.digest

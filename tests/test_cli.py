@@ -102,5 +102,14 @@ class TestReplay:
         bad.write_text("this is not json\n")
         assert run_cli("replay", str(bad)) == 2
 
+    def test_mistyped_event_field_is_config_error(self, attack2_out, tmp_path):
+        lines = (attack2_out / "events.jsonl").read_text().splitlines(keepends=True)
+        event = json.loads(lines[1])
+        event["port"] = 1.0
+        lines[1] = json.dumps(event) + "\n"
+        bad = tmp_path / "mistyped.jsonl"
+        bad.write_text("".join(lines))
+        assert run_cli("replay", str(bad)) == 2
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "nope.jsonl")) == 2

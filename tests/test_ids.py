@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
+    Evidence,
     Inconclusive,
     LocalizationVerdict,
     LoopTracker,
@@ -269,6 +270,83 @@ class TestLocalize:
         assert bind_origin(pied_frame(gocb_ref=OTHER_GOCB), {GOCB_REF: PIED_MAC}) is (
             Origin.STATION_BUS_SWITCH
         )
+
+
+def localize_by_rescan(observations):
+    """Reference decision table: sort, then rescan every observation."""
+    obs = tuple(sorted(observations, key=lambda o: o.time))
+    switch_digests = {
+        o.digest
+        for o in obs
+        if (o.ingress_port == IDS_LOOP_RETURN and not o.loop)
+        or o.origin_hypothesis is Origin.STATION_BUS_SWITCH
+    }
+    if switch_digests:
+        evidence = tuple(
+            dataclasses.replace(o, origin_hypothesis=Origin.STATION_BUS_SWITCH)
+            if o.digest in switch_digests
+            else o
+            for o in obs
+        )
+        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
+    main_feed_pied = any(
+        o.ingress_port == IDS_MAIN_FEED and o.origin_hypothesis is Origin.PIED for o in obs
+    )
+    loop_returns_all_echo = all(o.loop for o in obs if o.ingress_port == IDS_LOOP_RETURN)
+    if obs[0].ingress_port == IDS_MAIN_FEED and main_feed_pied and loop_returns_all_echo:
+        return LocalizationVerdict(Origin.PIED, obs, obs[-1].time)
+    raise Inconclusive(obs)
+
+
+def decision(decide):
+    """A verdict, or the observations an ``Inconclusive`` carried."""
+    try:
+        return decide()
+    except Inconclusive as exc:
+        return ("inconclusive", exc.observations)
+
+
+observation_steps = st.lists(
+    st.tuples(
+        st.sampled_from(list(Origin)),
+        st.sampled_from([IDS_MAIN_FEED, IDS_PIED_FEED, IDS_LOOP_RETURN, 1, 8]),
+        st.sampled_from(["d0", "d1", "d2"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=3),  # time step; 0 gives ties
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestEvidence:
+    @settings(max_examples=300)
+    @given(observation_steps)
+    def test_running_decision_equals_localize_of_the_prefix(self, steps):
+        evidence = Evidence()
+        records = []
+        time = 0
+        for origin, port, digest, loop, step in steps:
+            time += step
+            record = obs(origin, port, digest, loop=loop, time=time)
+            records.append(record)
+            evidence.add(record)
+            got = decision(evidence.decide)
+            assert got == decision(lambda: localize(records))
+            assert got == decision(lambda: localize_by_rescan(records))
+
+    def test_localize_orders_by_time_before_deciding(self):
+        records = [
+            obs(Origin.PIED, IDS_LOOP_RETURN, "d3", loop=True, time=16),
+            obs(Origin.PIED, IDS_MAIN_FEED, "d3", time=10),
+        ]
+        assert localize(records).culprit is Origin.PIED
+
+    def test_out_of_order_add_is_rejected(self):
+        evidence = Evidence()
+        evidence.add(obs(Origin.PIED, IDS_MAIN_FEED, time=10))
+        with pytest.raises(ValueError):
+            evidence.add(obs(Origin.PIED, IDS_MAIN_FEED, time=9))
 
 
 class TestMitigate:

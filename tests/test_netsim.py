@@ -3,12 +3,17 @@ semantics, determinism, causality and conservation over the event log."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridshield.codec import RawFrame
 from gridshield.netsim import (
     DanglingPort,
     DuplicateLink,
+    EventLog,
     Network,
     PortRef,
     SimEvent,
@@ -20,6 +25,12 @@ from gridshield.netsim import (
     events_of_kind,
 )
 from gridshield.util import frame_digest
+
+# Arbitrary text plus the cases JSON escapes specially: quotes,
+# backslashes, control characters, non-ASCII and a lone surrogate.
+LOG_TEXT = st.text() | st.sampled_from(
+    ['q"uote', "back\\slash", "tab\there\n", "\x00\x1f\x7f", "é€😀", "\ud800"]
+)
 
 FRAME = RawFrame(b"\x00" * 20)
 FRAME2 = RawFrame(b"\x01" * 20)
@@ -206,8 +217,6 @@ class TestJsonl:
     def test_roundtrip(self):
         _, log = TestLogInvariants()._busy_log()
         text = log.to_jsonl()
-        from gridshield.netsim import EventLog
-
         again = EventLog.from_jsonl(text)
         assert list(again) == list(log)
         assert again.to_jsonl() == text
@@ -215,3 +224,46 @@ class TestJsonl:
     def test_event_json_field_order_is_stable(self):
         ev = SimEvent(1, 2, "Drop", "a", 1, "ab", None)
         assert ev.to_json() == '{"t":1,"seq":2,"kind":"Drop","node":"a","port":1,"digest":"ab","note":null}'
+
+    @given(
+        st.builds(
+            SimEvent,
+            time=st.integers(min_value=0, max_value=2**63),
+            seq=st.integers(min_value=0, max_value=2**63),
+            kind=LOG_TEXT,
+            node=LOG_TEXT,
+            port=st.none() | st.integers(),
+            digest=st.none() | LOG_TEXT,
+            note=st.none() | LOG_TEXT,
+        )
+    )
+    def test_template_line_equals_compact_json_dumps(self, ev):
+        reference = json.dumps(
+            {
+                "t": ev.time,
+                "seq": ev.seq,
+                "kind": ev.kind,
+                "node": ev.node,
+                "port": ev.port,
+                "digest": ev.digest,
+                "note": ev.note,
+            },
+            separators=(",", ":"),
+        )
+        assert ev.to_json() == reference
+        assert SimEvent.from_json(ev.to_json()) == ev
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", 1.5), ("seq", True), ("kind", 3), ("node", None), ("port", 1.0),
+         ("port", False), ("digest", 7), ("note", ["x"]), (None, [1, 2]), (None, "text")],
+    )
+    def test_line_that_is_not_an_event_is_rejected(self, field, value):
+        """A mistyped value, or a line that is not a JSON object at all."""
+        obj = json.loads(SimEvent(1, 2, "Drop", "a", 1, "ab", None).to_json())
+        if field is None:
+            obj = value
+        else:
+            obj[field] = value
+        with pytest.raises(ValueError):
+            EventLog.from_jsonl(json.dumps(obj))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gridshield import substation as sub
@@ -167,6 +169,21 @@ class TestDeterminismAndPurity:
 
     def test_scoring_twice_is_stable(self, attack1):
         assert score(attack1.log).to_json() == score(attack1.log).to_json()
+
+
+# sha256 of each shipped fixture's events.jsonl. A change that alters a log
+# on purpose updates these values and says why in CHANGES.md.
+GOLDEN_LOG_SHA256 = {
+    "baseline": "6f4b458f8e6d74044efff897b317d34276ae617bb09a0dcc8e5fbd0356d7828b",
+    "attack1": "e686d7212816e764f2307e4f3bc3a8ee754302896ca40192454f5144390f57d9",
+    "attack2": "c0886ff736e1dd6fda03f609d7c37273ce2ca19ddde3bf16d12747de1c454643",
+}
+
+
+@pytest.mark.parametrize("sid", sorted(GOLDEN_LOG_SHA256))
+def test_fixture_log_matches_golden_digest(sid, request):
+    text = request.getfixturevalue(sid).log.to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LOG_SHA256[sid]
 
 
 class TestLoading:
