@@ -7,9 +7,11 @@ switch (t_sp), relay protection computation (t_pied), station-bus switch
 the inspection module is active, its routing/processing term (t_ids).
 
 ``measure`` reconstructs every component from an event log alone by
-walking the recorded hops of the tripping frame and its triggering
-sample, so the reported total is exactly the breaker-trip time minus the
-fault sample time, and additivity holds to the microsecond.
+walking ``substation.TRIP_PATH`` with ``walk_hops``: its last six hops
+follow the tripping GOOSE frame, and its first four the sampled-value
+frame that triggered it. The reported total is exactly the breaker-trip
+time minus the fault sample time, and additivity holds to the
+microsecond.
 
 The default split is one admissible decomposition of the configured
 aggregates (any split with the same sums would do); it is pinned here and
@@ -99,11 +101,34 @@ class DelayReport:
         )
 
 
-def _find_hop(events: list[SimEvent], node: str, port: int, kind: str, digest: str) -> SimEvent:
+_HOP_KINDS = {"in": "FrameArrival", "out": "FrameDeparture"}
+
+
+def walk_hops(
+    events: Iterable[SimEvent], digest: str, hops: Iterable[tuple[str, int, str]]
+) -> list[SimEvent] | None:
+    """Match ``(node, port, "in"|"out")`` hops of one frame, in order.
+
+    Each hop takes the first arrival or departure of ``digest`` at its
+    node and port that comes after the previous hop's match. Returns the
+    matched events, or None if some hop has no such event.
+    """
+    want = iter(hops)
+    hop = next(want, None)
+    found: list[SimEvent] = []
     for ev in events:
-        if ev.node == node and ev.port == port and ev.kind == kind and ev.digest == digest:
-            return ev
-    raise IncompleteTrace(f"no {kind} of {digest} at {node}/p{port} in the log")
+        if hop is None:
+            break
+        node, port, direction = hop
+        if (
+            ev.digest == digest
+            and ev.node == node
+            and ev.port == port
+            and ev.kind == _HOP_KINDS[direction]
+        ):
+            found.append(ev)
+            hop = next(want, None)
+    return found if hop is None else None
 
 
 def _note_field(note: str | None, key: str) -> str | None:
@@ -115,19 +140,12 @@ def _note_field(note: str | None, key: str) -> str | None:
     return None
 
 
-def measure(
-    log: EventLog | Iterable[SimEvent],
-    *,
-    baseline_target_us: SimTime = BASELINE_TOTAL_US,
-    with_ids_cap_us: SimTime = WITH_IDS_CAP_US,
-    ids_added_cap_us: SimTime = IDS_ADDED_CAP_US,
-    quarter_cycle_us: SimTime = QUARTER_CYCLE_60HZ_US,
-) -> DelayReport:
+def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport:
     """Attribute every hop and processing interval of the trip chain.
 
-    Requires a log holding exactly one breaker trip. Raises NoTripFound
-    otherwise, and IncompleteTrace if the chain's hops are missing. The
-    budget thresholds of the report's checks are keyword-configurable.
+    Requires a log holding a breaker trip; the first one is measured.
+    Raises NoTripFound otherwise, and IncompleteTrace if the chain's hops
+    are missing.
     """
     events = list(log)
     trips = [ev for ev in events if ev.kind == "BreakerTrip"]
@@ -141,26 +159,20 @@ def measure(
     # Lazy import; the wiring module depends on DelayComponents above.
     from gridshield import substation as sub
 
-    def hop(node: str, port: int, direction: str, digest: str) -> SimEvent:
-        kind = "FrameArrival" if direction == "in" else "FrameDeparture"
-        return _find_hop(events, node, port, kind, digest)
-
     # GOOSE side of the chain.
-    pied_dep = hop(sub.PIED, sub.PIED_STATION, "out", trip_digest)
-    sbs_arr = hop(sub.STATION_BUS, sub.SBS_PIED, "in", trip_digest)
-    sbs_dep = hop(sub.STATION_BUS, sub.SBS_TO_IDS, "out", trip_digest)
-    ids_arr = hop(sub.IDS, sub.IDS_MAIN_FEED, "in", trip_digest)
-    ids_dep = hop(sub.IDS, sub.IDS_DELIVERY, "out", trip_digest)
-    omicron_arr = hop(sub.OMICRON, sub.OMICRON_PORT, "in", trip_digest)
+    goose_hops = walk_hops(events, trip_digest, sub.TRIP_PATH[4:])
+    if goose_hops is None:
+        raise IncompleteTrace(f"the log misses a GOOSE hop of trip frame {trip_digest}")
+    pied_dep, sbs_arr, sbs_dep, ids_arr, ids_dep, omicron_arr = goose_hops
 
     # Sampled-value side: the trip departure names its triggering sample.
     trigger_digest = _note_field(pied_dep.note, "trigger")
     if trigger_digest is None:
         raise IncompleteTrace("trip departure names no triggering sample")
-    mu_dep = hop(sub.MU, sub.MU_PORT, "out", trigger_digest)
-    pbs_arr = hop(sub.PROCESS_BUS, sub.PBS_FROM_MU, "in", trigger_digest)
-    pbs_dep = hop(sub.PROCESS_BUS, sub.PBS_PIED, "out", trigger_digest)
-    pied_sv_arr = hop(sub.PIED, sub.PIED_SV_IN, "in", trigger_digest)
+    sv_hops = walk_hops(events, trigger_digest, sub.TRIP_PATH[:4])
+    if sv_hops is None:
+        raise IncompleteTrace(f"the log misses a hop of triggering sample {trigger_digest}")
+    mu_dep, pbs_arr, pbs_dep, pied_sv_arr = sv_hops
 
     tick_text = _note_field(mu_dep.note, "tick_us")
     if tick_text is None:
@@ -183,10 +195,10 @@ def measure(
     with_ids = components["t_ids"] > 0
     checks = {
         "additivity_exact": sum(components.values()) == total_us,
-        "baseline_is_23ms": (not with_ids) and total_us == baseline_target_us,
-        "with_ids_leq_27ms": total_us <= with_ids_cap_us,
-        "ids_added_leq_4ms": components["t_ids"] <= ids_added_cap_us,
-        "ids_added_leq_quarter_cycle": components["t_ids"] <= quarter_cycle_us,
+        "baseline_is_23ms": (not with_ids) and total_us == BASELINE_TOTAL_US,
+        "with_ids_leq_27ms": total_us <= WITH_IDS_CAP_US,
+        "ids_added_leq_4ms": components["t_ids"] <= IDS_ADDED_CAP_US,
+        "ids_added_leq_quarter_cycle": components["t_ids"] <= QUARTER_CYCLE_60HZ_US,
     }
     return DelayReport(
         components=components,

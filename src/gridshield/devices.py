@@ -19,8 +19,9 @@ compromised relay transmitting on its interface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from gridshield import substation as sub
 from gridshield.codec import (
     CodecError,
     GooseFrame,
@@ -57,9 +58,9 @@ class Waveform:
 class MuConfig:
     samples_per_second: int = 1_000
     internal_delay_us: SimTime = 3_000  # t_mu
-    sv_id: str = "MU01"
-    src: MacAddress = field(default_factory=lambda: MacAddress.parse("00:30:A7:00:00:02"))
-    dst: MacAddress = field(default_factory=lambda: MacAddress.parse("01:0C:CD:04:00:01"))
+    sv_id: str = sub.SV_ID
+    src: MacAddress = sub.MU_MAC
+    dst: MacAddress = sub.SV_DST
 
     def __post_init__(self) -> None:
         if self.samples_per_second <= 0:
@@ -107,11 +108,11 @@ class PiedConfig:
     pickup_current_ma: int = 2_000
     publish_interval_us: SimTime = 1_000_000
     protection_delay_us: SimTime = 10_000  # t_pied
-    gocb_ref: str = "PIED/LLN0$GO$gcb1"
-    dataset_ref: str = "PIED/LLN0$dataset1"
-    app_id: int = 0x0001
-    src: MacAddress = field(default_factory=lambda: MacAddress.parse("00:30:A7:00:00:01"))
-    dst: MacAddress = field(default_factory=lambda: MacAddress.parse("01:0C:CD:01:00:01"))
+    gocb_ref: str = sub.GOCB_REF
+    dataset_ref: str = sub.DATASET_REF
+    app_id: int = sub.PIED_APP_ID
+    src: MacAddress = sub.PIED_MAC
+    dst: MacAddress = sub.GOOSE_DST
     ttl_ms: int = 2_000
     # benign data change (supervision point toggles) giving the stream a
     # second state number; None disables it

@@ -46,7 +46,7 @@ from gridshield.codec import (
     encode_goose,
 )
 from gridshield.netsim import Network, PortRef, SimTime
-from gridshield.sdn import FlowTable, Forward, PortMod, SwitchNode, match_frame
+from gridshield.sdn import FlowTable, Forward, PortMod, SwitchNode
 
 
 class Origin(enum.Enum):
@@ -374,13 +374,17 @@ def mitigate(verdict: LocalizationVerdict) -> list[PortMod]:
 class IdsNode(SwitchNode):
     """The IDS-integrated SDN device: a switch that also inspects.
 
-    Monitored GOOSE arrivals are inspected before forwarding; abnormal
-    ones accumulate as observations. The first abnormal observation arms
-    a decision timer (long enough for the loop echo and any in-flight
-    forwards to land); when it fires, the decision table either names a
-    culprit, which is logged and mitigated through the controller channel,
-    or the evidence is logged as inconclusive and the timer re-arms on the
-    next abnormal sighting.
+    It is the ``sub.IDS`` node, and its monitored, loop-out and
+    loop-return ports are the ``substation.py`` panel constants that
+    ``Evidence`` and ``mitigate`` read too. Monitored GOOSE arrivals are
+    inspected, then forwarded by the ordinary switch path; a frame
+    forwarded to the loop-out port is remembered so its echo on the loop
+    return is recognised. Abnormal arrivals accumulate as observations.
+    The first abnormal observation arms a decision timer (long enough for
+    the loop echo and any in-flight forwards to land); when it fires, the
+    decision table either names a culprit, which is logged and mitigated
+    through the controller channel, or the evidence is logged as
+    inconclusive and the timer re-arms on the next abnormal sighting.
     """
 
     def __init__(
@@ -389,26 +393,17 @@ class IdsNode(SwitchNode):
         table: FlowTable,
         rules: RuleSet,
         *,
-        with_ids: bool = True,
         processing_delay: SimTime = 4_000,
         loop_window_us: SimTime = 10_000,
         decision_window_us: SimTime = 15_000,
         controller_latency_us: SimTime = 1_000,
-        node_id: str = "ids",
-        monitored_ports: tuple[int, ...] = (3, 6, 7),
-        loop_out_port: int = 4,
-        loop_return_port: int = 7,
     ):
-        super().__init__(net, node_id, table, processing_delay if with_ids else 0)
+        super().__init__(net, sub.IDS, table, processing_delay)
         self.rules = rules
-        self.with_ids = with_ids
         self.state = SubscriptionState()
         self.loops = LoopTracker(loop_window_us)
         self.decision_window_us = decision_window_us
         self.controller_latency_us = controller_latency_us
-        self.monitored_ports = monitored_ports
-        self.loop_out_port = loop_out_port
-        self.loop_return_port = loop_return_port
         self.evidence = Evidence()
         self.alerts: list[Alert] = []
         self.alerted_digests: set[str] = set()
@@ -416,9 +411,10 @@ class IdsNode(SwitchNode):
         self._decision_armed = False
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
-        if self.with_ids and port in self.monitored_ports and raw.ethertype == GOOSE_ETHERTYPE:
+        if port in sub.IDS_MONITORED and raw.ethertype == GOOSE_ETHERTYPE:
             self._inspect_arrival(port, raw, at)
-        self._forward(raw, port, at)
+        if Forward(sub.IDS_LOOP_OUT) in self.process_frame(raw, port, at):
+            self.loops.tag_loop(raw.digest, at + self.processing_delay)
 
     # -- inspection ----------------------------------------------------------
 
@@ -432,12 +428,12 @@ class IdsNode(SwitchNode):
             # undecodable frames cannot bind to the relay's identity
             self._observe(Origin.STATION_BUS_SWITCH, port, digest, loop=False, at=at)
             return
-        loop = port == self.loop_return_port and self.loops.is_loop(digest, at)
+        loop = port == sub.IDS_LOOP_RETURN and self.loops.is_loop(digest, at)
         _, alerts = inspect(frame, port, self.state, self.rules, at, digest)
         if not alerts:
             return
         self._raise_alerts(alerts)
-        if port == self.loop_return_port and not loop:
+        if port == sub.IDS_LOOP_RETURN and not loop:
             origin = Origin.STATION_BUS_SWITCH
         else:
             origin = bind_origin(frame, self.rules.whitelist)
@@ -460,21 +456,6 @@ class IdsNode(SwitchNode):
         if not self._decision_armed and self.verdict is None:
             self._decision_armed = True
             self.net.call(at + self.decision_window_us, self._decide)
-
-    # -- forwarding ----------------------------------------------------------
-
-    def _forward(self, raw: RawFrame, ingress: int, at: SimTime) -> None:
-        actions = match_frame(self.table, raw, ingress)
-        emitted = False
-        for action in actions:
-            if isinstance(action, Forward):
-                departure = at + self.processing_delay
-                if action.port == self.loop_out_port:
-                    self.loops.tag_loop(raw.digest, departure)
-                self.net.send(PortRef(self.node_id, action.port), raw, departure)
-                emitted = True
-        if not emitted:
-            self.net.log_event("Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry")
 
     # -- decision ------------------------------------------------------------
 

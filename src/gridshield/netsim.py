@@ -212,13 +212,6 @@ class Network:
     def port_enabled(self, port: PortRef) -> bool:
         return port not in self._disabled
 
-    def enabled_ports(self, node: str) -> set[int]:
-        return {
-            p
-            for p in range(1, self.nodes[node] + 1)
-            if PortRef(node, p) not in self._disabled
-        }
-
     def set_port_state(self, port: PortRef, enabled: bool, at: SimTime) -> None:
         """Schedule a port enable/disable; effective once processed."""
         self._check_port(port)

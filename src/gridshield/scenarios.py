@@ -42,12 +42,11 @@ from gridshield.delay import (
     BASELINE_TOTAL_US,
     DelayComponents,
     DelayReport,
-    IDS_ADDED_CAP_US,
+    IncompleteTrace,
     NoTripFound,
-    QUARTER_CYCLE_60HZ_US,
-    WITH_IDS_CAP_US,
     measure,
     total,
+    walk_hops,
 )
 from gridshield.devices import (
     InjectionPlan,
@@ -305,7 +304,7 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             fault_phase_a_ma=int(wave_tree.get("fault_phase_a_ma", 5000)),
         )
         injection = _injection_from_tree(tree.get("injection"), pied)
-        return ScenarioSpec(
+        spec = ScenarioSpec(
             id=sid,
             duration_us=_ms(tree["duration_ms"]),
             with_ids=bool(tree["with_ids"]),
@@ -323,6 +322,8 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             explicit_flow_tables=_flow_tables_from_tree(tree.get("flow_tables")),
             explicit_rules=_rules_from_tree(tree.get("rules"), tree.get("publishers")),
         )
+        spec.topology()  # a delay split may leave no room for the fixed legs
+        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
 
@@ -459,14 +460,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             net,
             spec.flow_table(sub.IDS),
             spec.rules(),
-            with_ids=True,
             processing_delay=spec.delays.t_ids * spec.inspection_passes,
             loop_window_us=spec.loop_window_us,
             decision_window_us=spec.decision_window_us,
             controller_latency_us=spec.controller_latency_us,
-            monitored_ports=sub.IDS_MONITORED,
-            loop_out_port=sub.IDS_LOOP_OUT,
-            loop_return_port=sub.IDS_LOOP_RETURN,
         )
         flagged = ids_node.alerted_digests
     else:
@@ -513,13 +510,16 @@ class _Banner:
 def _parse_banner(log: EventLog) -> _Banner:
     if not log or log[0].kind != "ControlMsg" or not (log[0].note or "").startswith("run "):
         raise ScenarioError("log carries no run banner")
-    fields = dict(part.split("=", 1) for part in log[0].note.split()[1:])
-    return _Banner(
-        scenario=fields["scenario"],
-        with_ids=fields["with_ids"] == "1",
-        expected_total_us=int(fields["expected_total_us"]),
-        settle_us=int(fields["settle_us"]),
-    )
+    try:
+        fields = dict(part.split("=", 1) for part in log[0].note.split()[1:])
+        return _Banner(
+            scenario=fields["scenario"],
+            with_ids=fields["with_ids"] == "1",
+            expected_total_us=int(fields["expected_total_us"]),
+            settle_us=int(fields["settle_us"]),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ScenarioError(f"malformed run banner {log[0].note!r}: {exc!r}") from exc
 
 
 def check_complete(log: EventLog) -> bool:
@@ -589,18 +589,18 @@ def score(log: EventLog) -> ScenarioResult:
 
     try:
         delay_report = measure(log)
-    except NoTripFound:
+    except (NoTripFound, IncompleteTrace):
         delay_report = None
 
     trace_ok: bool | None = None
     if banner.scenario == "attack1":
-        trace_ok = _trace_ok(log, ATTACK1_TRACE)
+        trace_ok = verify_forwarding_trace(log, ATTACK1_TRACE)
         _score_attack1(
             log, reasons, injected, injected_alerted, culprit, evidence_ports,
             enabled_ids, alerted_digests, cutoff, trace_ok,
         )
     elif banner.scenario == "attack2":
-        trace_ok = _trace_ok(log, ATTACK2_TRACE)
+        trace_ok = verify_forwarding_trace(log, ATTACK2_TRACE)
         _score_attack2(
             log, reasons, injected, injected_alerted, culprit, evidence_ports,
             states, cutoff, trace_ok,
@@ -639,14 +639,15 @@ def _score_baseline(reasons, alerts, trips, delay_report, banner) -> None:
             f"trip latency {delay_report.total_us}us != configured "
             f"{banner.expected_total_us}us"
         )
-    if not delay_report.checks["additivity_exact"]:
+    checks = delay_report.checks
+    if not checks["additivity_exact"]:
         reasons.append("component sum does not equal end-to-end latency")
     if banner.with_ids:
-        if delay_report.total_us > WITH_IDS_CAP_US:
+        if not checks["with_ids_leq_27ms"]:
             reasons.append(f"with-module latency {delay_report.total_us}us above cap")
-        if delay_report.components["t_ids"] > IDS_ADDED_CAP_US:
+        if not checks["ids_added_leq_4ms"]:
             reasons.append("inspection delay above 4ms cap")
-        if delay_report.components["t_ids"] > QUARTER_CYCLE_60HZ_US:
+        if not checks["ids_added_leq_quarter_cycle"]:
             reasons.append("inspection delay above a quarter cycle at 60Hz")
     elif delay_report.total_us != BASELINE_TOTAL_US:
         reasons.append(f"baseline latency {delay_report.total_us}us != 23ms")
@@ -752,31 +753,11 @@ def _score_attack2(
 # ---------------------------------------------------------------------------
 
 
-def _trace_ok(log: EventLog, expected: tuple[tuple[str, int, str], ...]) -> bool:
+def verify_forwarding_trace(log: EventLog, expected: tuple[tuple[str, int, str], ...]) -> bool:
+    """True iff the log contains the hop sequence, in order, for the
+    scenario's tracked (first injected) frame digest."""
     injected = _injected_events(log)
     if not injected:
         return False
-    digest = injected[0].digest
     start = log.index(injected[0])
-    return _is_subsequence(log[start:], digest, expected)
-
-
-def _is_subsequence(events, digest, expected) -> bool:
-    want = iter(expected)
-    current = next(want, None)
-    for ev in events:
-        if current is None:
-            return True
-        node, port, direction = current
-        kind = "FrameArrival" if direction == "in" else "FrameDeparture"
-        if ev.kind == kind and ev.node == node and ev.port == port and ev.digest == digest:
-            current = next(want, None)
-    return current is None
-
-
-def verify_forwarding_trace(
-    result: ScenarioResult, expected: tuple[tuple[str, int, str], ...]
-) -> bool:
-    """True iff the log contains the hop sequence, in order, for the
-    scenario's tracked (first injected) frame digest."""
-    return _trace_ok(result.log, expected)
+    return walk_hops(log[start:], injected[0].digest, expected) is not None

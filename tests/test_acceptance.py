@@ -116,8 +116,8 @@ def test_criterion_2_scenario2_reproduction(attack2):
 
 
 def test_criterion_3_forwarding_traces(attack1, attack2):
-    ok1 = verify_forwarding_trace(attack1[0], ATTACK1_TRACE)
-    ok2 = verify_forwarding_trace(attack2[0], ATTACK2_TRACE)
+    ok1 = verify_forwarding_trace(attack1[0].log, ATTACK1_TRACE)
+    ok2 = verify_forwarding_trace(attack2[0].log, ATTACK2_TRACE)
     _report(3, ok1 and ok2, "both attack logs contain the expected hop sequences in order")
 
 

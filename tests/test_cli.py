@@ -3,15 +3,38 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gridshield
 from gridshield.cli import main
+from gridshield.netsim import EventLog, SimEvent
+
+SRC = Path(gridshield.__file__).resolve().parents[1]
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def run_cli_process(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI as a child process, as a user would."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "gridshield.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_one_line_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestRun:
@@ -69,6 +92,13 @@ class TestRun:
         result = json.loads((out / "result.json").read_text())
         assert result["verdict"]["culprit"] is None
 
+    def test_delay_split_below_the_fixed_legs_is_config_error(self, tmp_path):
+        proc = run_cli_process(
+            "run", "--scenario", "baseline", "--override", "t_sv=0.5",
+            "--out", str(tmp_path / "o"),
+        )
+        assert_one_line_error(proc)
+
 
 class TestReplay:
     @pytest.fixture()
@@ -113,3 +143,41 @@ class TestReplay:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "nope.jsonl")) == 2
+
+    @pytest.mark.parametrize(
+        "banner",
+        [
+            "run scenario=attack1 with_ids=1 expected_total_us=abc settle_us=1",
+            "run scenario=attack1 with_ids",
+        ],
+    )
+    def test_malformed_banner_is_config_error(self, tmp_path, banner):
+        log = EventLog([
+            SimEvent(0, 0, "ControlMsg", "ids", None, None, banner),
+            SimEvent(0, 1, "ControlMsg", "ids", None, None, "run_complete events=2"),
+        ])
+        bad = tmp_path / "banner.jsonl"
+        bad.write_text(log.to_jsonl())
+        assert_one_line_error(run_cli_process("replay", str(bad)))
+
+    def test_missing_trip_hop_fails_without_traceback(self, tmp_path):
+        live = tmp_path / "live"
+        assert run_cli("run", "--scenario", "baseline", "--out", str(live)) == 0
+        log = EventLog.from_jsonl((live / "events.jsonl").read_text())
+        trip = next(ev for ev in log if ev.kind == "BreakerTrip")
+        kept = EventLog(
+            ev for ev in log[:-1]
+            if not (ev.kind == "FrameArrival" and ev.node == "omicron" and ev.digest == trip.digest)
+        )
+        assert len(kept) < len(log) - 1
+        last = log[-1]
+        kept.append(SimEvent(
+            last.time, last.seq, last.kind, last.node, last.port, last.digest,
+            f"run_complete events={len(kept) + 1}",
+        ))
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text(kept.to_jsonl())
+        proc = run_cli_process("replay", str(cut))
+        assert proc.returncode == 1
+        assert "reason: no measurable fault-to-trip chain" in proc.stdout
+        assert "Traceback" not in proc.stderr

@@ -6,8 +6,8 @@ import dataclasses
 
 import pytest
 
-from gridshield.delay import DelayComponents, NoTripFound, measure, total
-from gridshield.netsim import EventLog
+from gridshield.delay import DelayComponents, NoTripFound, measure, total, walk_hops
+from gridshield.netsim import EventLog, SimEvent
 from gridshield.scenarios import load_scenario, run_scenario
 
 
@@ -93,3 +93,37 @@ class TestMeasure:
         a = measure(baseline_result.log).to_json()
         b = measure(baseline_result.log).to_json()
         assert a == b and '"total_us": 23000' in a
+
+
+def hop_event(seq, node, port, kind, digest="d1"):
+    return SimEvent(seq * 100, seq, kind, node, port, digest, None)
+
+
+HOPS = (("a", 1, "out"), ("b", 2, "in"), ("b", 3, "out"))
+
+
+class TestWalkHops:
+    def test_in_order_match_returns_the_events(self):
+        events = [
+            hop_event(0, "a", 1, "FrameDeparture"),
+            hop_event(1, "b", 2, "FrameArrival", digest="other"),
+            hop_event(2, "b", 2, "FrameArrival"),
+            hop_event(3, "b", 2, "FrameArrival"),
+            hop_event(4, "b", 3, "FrameDeparture"),
+        ]
+        assert walk_hops(events, "d1", HOPS) == [events[0], events[2], events[4]]
+
+    def test_missing_hop_returns_none(self):
+        events = [
+            hop_event(0, "a", 1, "FrameDeparture"),
+            hop_event(1, "b", 3, "FrameDeparture"),
+        ]
+        assert walk_hops(events, "d1", HOPS) is None
+
+    def test_hop_seen_only_before_its_predecessor_is_not_matched(self):
+        events = [
+            hop_event(0, "b", 2, "FrameArrival"),
+            hop_event(1, "a", 1, "FrameDeparture"),
+            hop_event(2, "b", 3, "FrameDeparture"),
+        ]
+        assert walk_hops(events, "d1", HOPS) is None

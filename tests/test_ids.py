@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
     Evidence,
+    IdsNode,
     Inconclusive,
     LocalizationVerdict,
     LoopTracker,
@@ -31,7 +32,8 @@ from gridshield.ids import (
     localize,
     mitigate,
 )
-from gridshield.sdn import PortMod
+from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
+from gridshield.sdn import FlowEntry, FlowTable, MatchFields, PortMod, ToController
 from gridshield.substation import (
     IDS,
     IDS_MAIN_FEED,
@@ -380,3 +382,16 @@ class TestInspectDigest:
         frame = pied_frame(time_allowed_to_live=999_999)
         _, alerts = inspect(frame, IDS_MAIN_FEED, SubscriptionState(), rules_for_pied(), 0)
         assert alerts and alerts[0].digest == frame_digest(encode_goose(frame))
+
+
+class TestIdsNode:
+    def test_to_controller_entry_logs_packet_in(self):
+        net = build_topology(TopologySpec(nodes={IDS: 8}, links=()))
+        table = FlowTable(
+            entries=(FlowEntry(100, MatchFields(ingress_port=IDS_MAIN_FEED), (ToController(),)),)
+        )
+        IdsNode(net, table, rules_for_pied())
+        net.inject_ingress(PortRef(IDS, IDS_MAIN_FEED), encode_goose(pied_frame()), at=0)
+        log = net.run_until(100_000)
+        packet_ins = [ev for ev in events_of_kind(log, "ControlMsg") if ev.note == "packet_in"]
+        assert [(ev.node, ev.port) for ev in packet_ins] == [(IDS, IDS_MAIN_FEED)]

@@ -79,7 +79,7 @@ class TestAttack1:
         assert clean
 
     def test_forwarding_trace(self, attack1):
-        assert verify_forwarding_trace(attack1, ATTACK1_TRACE)
+        assert verify_forwarding_trace(attack1.log, ATTACK1_TRACE)
 
     def test_permuted_trace_rejected(self):
         # one injection only, so hops cannot be borrowed across instances
@@ -90,9 +90,9 @@ class TestAttack1:
             spec, injection=dataclasses.replace(spec.injection, times_us=(2_300_000,))
         )
         result = run_scenario(spec)
-        assert verify_forwarding_trace(result, ATTACK1_TRACE)
+        assert verify_forwarding_trace(result.log, ATTACK1_TRACE)
         permuted = (ATTACK1_TRACE[1], ATTACK1_TRACE[0]) + ATTACK1_TRACE[2:]
-        assert not verify_forwarding_trace(result, permuted)
+        assert not verify_forwarding_trace(result.log, permuted)
 
 
 class TestAttack2:
@@ -139,7 +139,7 @@ class TestAttack2:
         assert attack2.injected == 5 and attack2.injected_alerted == 5
 
     def test_forwarding_trace(self, attack2):
-        assert verify_forwarding_trace(attack2, ATTACK2_TRACE)
+        assert verify_forwarding_trace(attack2.log, ATTACK2_TRACE)
 
 
 class TestBaseline:
