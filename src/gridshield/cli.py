@@ -2,8 +2,12 @@
 
 ``gridshield run`` executes one or more scenario fixtures and writes, per
 scenario, the JSON-lines event log (``events.jsonl``), the scored result
-(``result.json``) and the delay report (``delay_report.json``). ``gridshield
-replay`` re-scores a saved log and must reproduce the live result.
+(``result.json``) and the delay report (``delay_report.json``). With
+``--jobs N`` the scenarios run in up to N worker processes, never more than
+there are scenarios; each worker writes its scenario's files and returns
+only the scored result, and every output byte is the same as with
+``--jobs 1``. ``gridshield replay`` re-scores a saved log and must
+reproduce the live result.
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors. Stdout is
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import os
@@ -100,6 +105,12 @@ def _run_one(name: str, overrides: dict, out_root: Path, nested: bool) -> Scenar
     return result
 
 
+def _run_in_worker(name: str, overrides: dict, out_root: Path, nested: bool) -> ScenarioResult:
+    """``_run_one`` in a pool worker: the outputs are written there, so only
+    the scored result travels back, without its event log."""
+    return dataclasses.replace(_run_one(name, overrides, out_root, nested), log=EventLog())
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         overrides = dict(_parse_override(o) for o in args.override or [])
@@ -116,9 +127,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         results: list[ScenarioResult] = []
         if args.jobs > 1 and len(names) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            # fork starts all max_workers at the first submit: one per scenario at most
+            workers = min(args.jobs, len(names))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_run_one, name, overrides, out_root, nested) for name in names
+                    pool.submit(_run_in_worker, name, overrides, out_root, nested)
+                    for name in names
                 ]
                 results = [f.result() for f in futures]
         else:
@@ -172,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable (e.g. t_ids=0, with_ids=true)")
-    run_p.add_argument("--jobs", type=int, default=1, help="run scenarios concurrently")
+    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="run scenarios in up to N worker processes, at most one per "
+                       "scenario; outputs are byte-identical to --jobs 1")
     run_p.set_defaults(func=cmd_run)
 
     replay_p = sub.add_parser("replay", help="re-score a saved events.jsonl")

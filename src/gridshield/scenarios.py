@@ -528,8 +528,11 @@ def check_complete(log: EventLog) -> bool:
     last = log[-1]
     if last.kind != "ControlMsg" or not (last.note or "").startswith("run_complete"):
         return False
-    declared = int(last.note.split("events=")[1])
-    return declared == len(log)
+    _, _, declared = last.note.partition("events=")
+    try:
+        return int(declared) == len(log)
+    except ValueError:
+        return False
 
 
 def _final_port_states(log: EventLog) -> dict[tuple[str, int], bool]:
@@ -543,9 +546,12 @@ def _final_port_states(log: EventLog) -> dict[tuple[str, int], bool]:
 def _verdict_from_log(log: EventLog) -> tuple[str | None, tuple[int, ...], int | None]:
     for ev in log:
         if ev.kind == "VerdictReached":
-            fields = dict(part.split("=", 1) for part in ev.note.split())
-            ports = tuple(int(p) for p in fields.get("ports", "").split(",") if p)
-            return fields["culprit"], ports, ev.time
+            try:
+                fields = dict(part.split("=", 1) for part in (ev.note or "").split())
+                ports = tuple(int(p) for p in fields.get("ports", "").split(",") if p)
+                return fields["culprit"], ports, ev.time
+            except (KeyError, ValueError) as exc:
+                raise ScenarioError(f"malformed verdict record {ev.note!r}: {exc!r}") from exc
     return None, (), None
 
 

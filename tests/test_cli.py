@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gridshield
+from gridshield import cli
 from gridshield.cli import main
 from gridshield.netsim import EventLog, SimEvent
 
@@ -100,6 +103,62 @@ class TestRun:
         assert_one_line_error(proc)
 
 
+class TestJobs:
+    def test_pool_is_capped_at_the_number_of_scenarios(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlineExecutor(concurrent.futures.Executor):
+            """Records its size and runs each call inline, starting no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", "all", "--jobs", "64", "--out", str(out)) == 0
+        assert sizes == [3]
+
+    def test_outputs_and_stdout_do_not_depend_on_jobs(self, tmp_path):
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            proc = run_cli_process("run", "--scenario", "all", "--jobs", jobs, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((proc.stdout, files))
+        assert len(runs[0][1]) == 9
+        assert runs[0] == runs[1]
+
+    def test_config_error_in_a_worker_is_one_line(self, tmp_path):
+        proc = run_cli_process(
+            "run", "--scenario", "baseline,nope", "--jobs", "2", "--out", str(tmp_path / "o"),
+        )
+        assert_one_line_error(proc)
+
+    def test_worker_returns_the_result_without_its_log(self, tmp_path):
+        result = cli._run_in_worker("attack1", {}, tmp_path, False)
+        assert result.passed and not result.log
+        assert (tmp_path / "events.jsonl").stat().st_size > 1 << 20
+        assert len(pickle.dumps(result)) < 64 * 1024
+
+    def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
+        code = (
+            "import gridshield.cli, sys; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestReplay:
     @pytest.fixture()
     def attack2_out(self, tmp_path) -> Path:
@@ -181,3 +240,24 @@ class TestReplay:
         assert proc.returncode == 1
         assert "reason: no measurable fault-to-trip chain" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [("ControlMsg", "run_complete events=abc")],
+            [("ControlMsg", "run_complete")],
+            [("VerdictReached", "culprit"), ("ControlMsg", "run_complete events=3")],
+            [("VerdictReached", None), ("ControlMsg", "run_complete events=3")],
+            [("VerdictReached", "culprit=PIED ports=1,x"), ("ControlMsg", "run_complete events=3")],
+        ],
+        ids=["count_not_a_number", "count_missing", "verdict_field_without_value",
+             "verdict_without_note", "verdict_port_not_a_number"],
+    )
+    def test_malformed_completion_or_verdict_is_config_error(self, tmp_path, records):
+        banner = "run scenario=attack1 with_ids=1 expected_total_us=27000 settle_us=100"
+        log = EventLog([SimEvent(0, 0, "ControlMsg", "ids", None, None, banner)])
+        for seq, (kind, note) in enumerate(records, start=1):
+            log.append(SimEvent(seq, seq, kind, "ids", None, None, note))
+        bad = tmp_path / "hostile.jsonl"
+        bad.write_text(log.to_jsonl())
+        assert_one_line_error(run_cli_process("replay", str(bad)))
