@@ -7,7 +7,8 @@ scenario, the JSON-lines event log (``events.jsonl``), the scored result
 there are scenarios; each worker writes its scenario's files and returns
 only the scored result, and every output byte is the same as with
 ``--jobs 1``. ``gridshield replay`` re-scores a saved log and must
-reproduce the live result.
+reproduce the live result; with ``--out`` it writes the log text it read
+back as ``events.jsonl``.
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors. Stdout is
@@ -31,6 +32,7 @@ from gridshield.scenarios import (
     SCENARIO_IDS,
     ScenarioError,
     ScenarioResult,
+    ScenarioSpec,
     check_complete,
     load_scenario,
     run_scenario,
@@ -62,9 +64,9 @@ def _parse_override(text: str):
     return key, parsed
 
 
-def _write_outputs(result: ScenarioResult, out_dir: Path) -> None:
+def _write_outputs(result: ScenarioResult, log_text: str, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "events.jsonl").write_text(result.log.to_jsonl())
+    (out_dir / "events.jsonl").write_text(log_text)
     (out_dir / "result.json").write_text(result.to_json() + "\n")
     if result.delay is not None:
         delay_text = result.delay.to_json() + "\n"
@@ -97,18 +99,17 @@ def _summarize(result: ScenarioResult) -> str:
     return "\n".join(lines)
 
 
-def _run_one(name: str, overrides: dict, out_root: Path, nested: bool) -> ScenarioResult:
-    spec = load_scenario(name, overrides)
+def _run_one(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
     result = run_scenario(spec)
     out_dir = out_root / spec.id if nested else out_root
-    _write_outputs(result, out_dir)
+    _write_outputs(result, result.log.to_jsonl(), out_dir)
     return result
 
 
-def _run_in_worker(name: str, overrides: dict, out_root: Path, nested: bool) -> ScenarioResult:
+def _run_in_worker(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
     """``_run_one`` in a pool worker: the outputs are written there, so only
     the scored result travels back, without its event log."""
-    return dataclasses.replace(_run_one(name, overrides, out_root, nested), log=EventLog())
+    return dataclasses.replace(_run_one(spec, out_root, nested), log=EventLog())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -122,21 +123,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             names = [s.strip() for s in args.scenario.split(",") if s.strip()]
         else:
             raise ScenarioError("nothing to run; pass --scenario or --config")
+        # every spec loads before any scenario runs, so a config error writes nothing
+        specs = [load_scenario(name, overrides) for name in names]
         out_root = Path(args.out)
-        nested = len(names) > 1
+        nested = len(specs) > 1
 
         results: list[ScenarioResult] = []
-        if args.jobs > 1 and len(names) > 1:
+        if args.jobs > 1 and len(specs) > 1:
             # fork starts all max_workers at the first submit: one per scenario at most
-            workers = min(args.jobs, len(names))
+            workers = min(args.jobs, len(specs))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_in_worker, name, overrides, out_root, nested)
-                    for name in names
-                ]
+                futures = [pool.submit(_run_in_worker, spec, out_root, nested) for spec in specs]
                 results = [f.result() for f in futures]
         else:
-            results = [_run_one(name, overrides, out_root, nested) for name in names]
+            results = [_run_one(spec, out_root, nested) for spec in specs]
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -149,13 +149,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.log)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        # bytes, so no newline is translated: the text is written back as read
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         event_log = EventLog.from_jsonl(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: malformed log: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if not check_complete(event_log):
@@ -167,7 +168,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if args.out:
-        _write_outputs(result, Path(args.out))
+        _write_outputs(result, text, Path(args.out))
     print(_summarize(result))
     return EXIT_OK if result.passed else EXIT_SCENARIO_FAILED
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from gridshield.codec import RawFrame
 
@@ -77,13 +78,36 @@ class PortRef:
 # fields in this key order, with ASCII-only string escapes.
 _LINE = '{"t":%d,"seq":%d,"kind":%s,"node":%s,"port":%s,"digest":%s,"note":%s}'
 
+# The same layout as a pattern, and the only one read back. A string is
+# printable ASCII other than '"' and '\', or a backslash and the printable
+# character after it; strings with escapes are decoded by json and must
+# re-encode to the same bytes.
+_INT = r"(0|-?[1-9][0-9]*+)"  # no "-0": json.dumps never writes it
+_STR = r'([ !#-\[\]-~]*+(?:\\[ -~][ !#-\[\]-~]*+)*+)'  # possessive: nothing to backtrack into
+_LINE_RE = re.compile(
+    rf'\{{"t":{_INT},"seq":{_INT},"kind":"{_STR}","node":"{_STR}",'
+    rf'"port":(?:null|{_INT}),"digest":(?:null|"{_STR}"),"note":(?:null|"{_STR}")\}}'
+)
+
+
+_new_tuple = tuple.__new__  # skips the generated __new__'s argument binding
+
 
 def _json_opt_str(value: str | None) -> str:
     return "null" if value is None else _json_str(value)
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
+def _unescape(body: str | None) -> str | None:
+    if body is None or "\\" not in body:
+        return body
+    quoted = '"' + body + '"'
+    value = json.loads(quoted)
+    if _json_str(value) != quoted:
+        raise ValueError(f"non-canonical string escape: {quoted[:120]}")
+    return value
+
+
+class SimEvent(NamedTuple):
     """One observable simulation event, ordered by (time, seq)."""
 
     time: SimTime
@@ -107,31 +131,15 @@ class SimEvent:
 
     @classmethod
     def from_json(cls, line: str) -> SimEvent:
-        obj = json.loads(line)
-        if type(obj) is not dict:
-            raise ValueError(f"event line is not a JSON object: {line.strip()[:120]}")
-        ev = cls(
-            time=obj["t"],
-            seq=obj["seq"],
-            kind=obj["kind"],
-            node=obj["node"],
-            port=obj["port"],
-            digest=obj["digest"],
-            note=obj["note"],
-        )
-        # to_json writes exactly these types back; anything else, such as a
-        # float time or a boolean port, is not an event line
-        if not (
-            type(ev.time) is int
-            and type(ev.seq) is int
-            and type(ev.kind) is str
-            and type(ev.node) is str
-            and (ev.port is None or type(ev.port) is int)
-            and (ev.digest is None or type(ev.digest) is str)
-            and (ev.note is None or type(ev.note) is str)
-        ):
-            raise ValueError(f"event field of the wrong type: {line.strip()[:120]}")
-        return ev
+        """Parse one line in exactly the layout ``to_json`` writes."""
+        m = _LINE_RE.fullmatch(line)
+        if m is None:
+            raise ValueError(f"not an events.jsonl line: {line[:120]!r}")
+        t, seq, kind, node, port, digest, note = m.groups()
+        port = None if port is None else int(port)
+        if "\\" in line:
+            kind, node, digest, note = map(_unescape, (kind, node, digest, note))
+        return _new_tuple(cls, (int(t), int(seq), kind, node, port, digest, note))
 
 
 class EventLog(list):
@@ -142,11 +150,12 @@ class EventLog(list):
 
     @classmethod
     def from_jsonl(cls, text: str) -> EventLog:
-        log = cls()
-        for line in text.splitlines():
-            if line.strip():
-                log.append(SimEvent.from_json(line))
-        return log
+        """Parse ``to_jsonl`` output: one line per event, each ending in a
+        newline, no blank lines; ``from_jsonl(text).to_jsonl() == text``."""
+        lines = text.split("\n")
+        if lines.pop():
+            raise ValueError("log does not end with a newline")
+        return cls(map(SimEvent.from_json, lines))
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from gridshield import substation as sub
 from gridshield.codec import GooseFrame, MacAddress
 from gridshield.delay import (
@@ -208,6 +206,8 @@ def load_scenario(name_or_path: str, overrides: dict | None = None) -> ScenarioS
         if not path.is_file():
             raise ScenarioError(f"unknown scenario {name_or_path!r}")
         text = path.read_text()
+    import yaml  # here, not at module level: replay never parses YAML
+
     try:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:

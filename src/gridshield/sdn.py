@@ -98,13 +98,17 @@ class FlowEntry:
 
 @dataclass(frozen=True)
 class FlowTable:
-    entries: tuple[FlowEntry, ...] = ()
+    entries: tuple[FlowEntry, ...] = ()  # insertion order
     default_action: Action = field(default_factory=Drop)
+    # highest priority first, equal priorities in insertion order
+    by_priority: tuple[FlowEntry, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         keys = [(e.priority, e.match) for e in self.entries]
         if len(keys) != len(set(keys)):
             raise DuplicateEntry("two entries share (priority, match)")
+        order = sorted(self.entries, key=lambda e: -e.priority)  # stable
+        object.__setattr__(self, "by_priority", tuple(order))
 
 
 # -- controller messages -----------------------------------------------------
@@ -133,10 +137,9 @@ def match_frame(table: FlowTable, raw: RawFrame, ingress: int) -> list[Action]:
     Actions are ordered by entry priority (highest first, then insertion
     order); forwards to the same port appear once.
     """
-    matching = [e for e in table.entries if e.match.matches(raw, ingress)]
+    matching = [e for e in table.by_priority if e.match.matches(raw, ingress)]
     if not matching:
         return [table.default_action]
-    matching.sort(key=lambda e: -e.priority)
     out: list[Action] = []
     seen_ports: set[int] = set()
     for entry in matching:

@@ -16,6 +16,7 @@ import gridshield
 from gridshield import cli
 from gridshield.cli import main
 from gridshield.netsim import EventLog, SimEvent
+from gridshield.scenarios import load_scenario
 
 SRC = Path(gridshield.__file__).resolve().parents[1]
 
@@ -134,14 +135,15 @@ class TestJobs:
         assert len(runs[0][1]) == 9
         assert runs[0] == runs[1]
 
-    def test_config_error_in_a_worker_is_one_line(self, tmp_path):
-        proc = run_cli_process(
-            "run", "--scenario", "baseline,nope", "--jobs", "2", "--out", str(tmp_path / "o"),
-        )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unknown_name_in_a_list_runs_nothing(self, tmp_path, jobs):
+        out = tmp_path / "o"
+        proc = run_cli_process("run", "--scenario", "baseline,nope", "--jobs", jobs, "--out", str(out))
         assert_one_line_error(proc)
+        assert not out.exists() or not any(out.rglob("*"))
 
     def test_worker_returns_the_result_without_its_log(self, tmp_path):
-        result = cli._run_in_worker("attack1", {}, tmp_path, False)
+        result = cli._run_in_worker(load_scenario("attack1"), tmp_path, False)
         assert result.passed and not result.log
         assert (tmp_path / "events.jsonl").stat().st_size > 1 << 20
         assert len(pickle.dumps(result)) < 64 * 1024
@@ -158,6 +160,16 @@ class TestJobs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_importing_the_cli_leaves_the_yaml_parser_unloaded(self):
+        """``replay`` reads no YAML; ``load_scenario`` imports the parser."""
+        code = "import gridshield.cli, sys; print('yaml' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestReplay:
     @pytest.fixture()
@@ -173,6 +185,9 @@ class TestReplay:
         live = (attack2_out / "result.json").read_text()
         again = (replay_out / "result.json").read_text()
         assert live == again
+        # the log is written back as it was read
+        log = (attack2_out / "events.jsonl").read_bytes()
+        assert (replay_out / "events.jsonl").read_bytes() == log
 
     def test_replay_twice_byte_identical(self, attack2_out, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -195,13 +210,18 @@ class TestReplay:
         lines = (attack2_out / "events.jsonl").read_text().splitlines(keepends=True)
         event = json.loads(lines[1])
         event["port"] = 1.0
-        lines[1] = json.dumps(event) + "\n"
+        lines[1] = json.dumps(event, separators=(",", ":")) + "\n"
         bad = tmp_path / "mistyped.jsonl"
         bad.write_text("".join(lines))
         assert run_cli("replay", str(bad)) == 2
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "nope.jsonl")) == 2
+
+    def test_undecodable_log_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'\xff\xfe{"t":0}\n')
+        assert_one_line_error(run_cli_process("replay", str(bad)))
 
     @pytest.mark.parametrize(
         "banner",

@@ -4,6 +4,7 @@ semantics, determinism, causality and conservation over the event log."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,65 @@ from gridshield.util import frame_digest
 LOG_TEXT = st.text() | st.sampled_from(
     ['q"uote', "back\\slash", "tab\there\n", "\x00\x1f\x7f", "é€😀", "\ud800"]
 )
+
+EVENTS = st.builds(
+    SimEvent,
+    time=st.integers(min_value=0, max_value=2**63),
+    seq=st.integers(min_value=0, max_value=2**63),
+    kind=LOG_TEXT,
+    node=LOG_TEXT,
+    port=st.none() | st.integers(),
+    digest=st.none() | LOG_TEXT,
+    note=st.none() | LOG_TEXT,
+)
+LOGS = st.lists(EVENTS, min_size=1, max_size=5).map(EventLog)
+
+
+def compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def json_reference_reader(text: str) -> list[SimEvent]:
+    """The events of a canonical log, read by ``json.loads``."""
+    keys = ("t", "seq", "kind", "node", "port", "digest", "note")
+    return [SimEvent(*(json.loads(line)[k] for k in keys)) for line in text.split("\n")[:-1]]
+
+
+def _on_line(edit):
+    """A mutation that applies ``edit`` to one line of a log text."""
+
+    def mutate(text: str, where: int) -> str:
+        lines = text.split("\n")
+        i = where % (len(lines) - 1)
+        lines[i] = edit(lines[i])
+        return "\n".join(lines)
+
+    return mutate
+
+
+def _blank_line(text: str, where: int) -> str:
+    lines = text.split("\n")
+    lines.insert(where % len(lines), "")
+    return "\n".join(lines)
+
+
+# Edits of a canonical log into other JSON layouts of the same values, or
+# into other JSON values. A key's first occurrence in a line is the key:
+# the integers before it hold no quote, and a quote inside a string is
+# escaped.
+MUTATIONS = {
+    "space_after_colon": _on_line(lambda line: line.replace('"seq":', '"seq": ', 1)),
+    "space_after_comma": _on_line(lambda line: line.replace(',"seq":', ', "seq":', 1)),
+    "blank_line": _blank_line,
+    "no_final_newline": lambda text, where: text[:-1],
+    "raw_non_ascii": _on_line(lambda line: line.replace('"kind":"', '"kind":"\u00e9', 1)),
+    "escaped_solidus": _on_line(lambda line: line.replace('"kind":"', '"kind":"\\/', 1)),
+    "escaped_letter": _on_line(lambda line: line.replace('"kind":"', '"kind":"\\u0041', 1)),
+    "leading_zero": _on_line(lambda line: line.replace('{"t":', '{"t":0', 1)),
+    "negative_zero": _on_line(lambda line: re.sub(r'"seq":-?[0-9]+', '"seq":-0', line, count=1)),
+    "float": _on_line(lambda line: re.sub(r'^\{"t":-?[0-9]+', r"\g<0>.0", line)),
+    "boolean": _on_line(lambda line: re.sub(r'"port":(null|-?[0-9]+)', '"port":true', line, count=1)),
+}
 
 FRAME = RawFrame(b"\x00" * 20)
 FRAME2 = RawFrame(b"\x01" * 20)
@@ -225,18 +285,7 @@ class TestJsonl:
         ev = SimEvent(1, 2, "Drop", "a", 1, "ab", None)
         assert ev.to_json() == '{"t":1,"seq":2,"kind":"Drop","node":"a","port":1,"digest":"ab","note":null}'
 
-    @given(
-        st.builds(
-            SimEvent,
-            time=st.integers(min_value=0, max_value=2**63),
-            seq=st.integers(min_value=0, max_value=2**63),
-            kind=LOG_TEXT,
-            node=LOG_TEXT,
-            port=st.none() | st.integers(),
-            digest=st.none() | LOG_TEXT,
-            note=st.none() | LOG_TEXT,
-        )
-    )
+    @given(EVENTS)
     def test_template_line_equals_compact_json_dumps(self, ev):
         reference = json.dumps(
             {
@@ -259,11 +308,32 @@ class TestJsonl:
          ("port", False), ("digest", 7), ("note", ["x"]), (None, [1, 2]), (None, "text")],
     )
     def test_line_that_is_not_an_event_is_rejected(self, field, value):
-        """A mistyped value, or a line that is not a JSON object at all."""
-        obj = json.loads(SimEvent(1, 2, "Drop", "a", 1, "ab", None).to_json())
+        """A mistyped value, or a line that is not a JSON object at all, in
+        the compact layout that a well-typed line is accepted in."""
+        line = SimEvent(1, 2, "Drop", "a", 1, "ab", None).to_json()
+        assert compact(json.loads(line)) == line
+        obj = json.loads(line)
         if field is None:
             obj = value
         else:
             obj[field] = value
         with pytest.raises(ValueError):
-            EventLog.from_jsonl(json.dumps(obj))
+            EventLog.from_jsonl(compact(obj) + "\n")
+
+    @given(LOGS)
+    def test_reader_agrees_with_json_loads(self, log):
+        text = log.to_jsonl()
+        parsed = EventLog.from_jsonl(text)
+        assert parsed == json_reference_reader(text)
+        assert parsed.to_jsonl() == text
+
+    @given(LOGS, st.sampled_from(sorted(MUTATIONS)), st.integers(min_value=0))
+    def test_other_layouts_are_rejected_or_exact(self, log, mutation, where):
+        """Whatever the reader accepts, it writes back byte for byte."""
+        text = MUTATIONS[mutation](log.to_jsonl(), where)
+        assert text != log.to_jsonl()
+        try:
+            parsed = EventLog.from_jsonl(text)
+        except ValueError:
+            return
+        assert parsed.to_jsonl() == text

@@ -73,6 +73,19 @@ class TestMatchFrame:
         )
         assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(2), Forward(1)]
 
+    def test_equal_priorities_keep_insertion_order_after_a_flow_mod(self):
+        table = FlowTable(
+            entries=(
+                entry(50, [Forward(3)], ingress_port=6),
+                entry(50, [Forward(1)], ethertype=GOOSE_ETHERTYPE),
+            )
+        )
+        assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(3), Forward(1)]
+        urgent = entry(60, [Forward(2)], ingress_port=6, ethertype=GOOSE_ETHERTYPE)
+        added = apply_flow_mod(table, FlowMod("s", True, urgent))
+        assert added.entries[-1] == urgent
+        assert match_frame(added, GOOSE_RAW, ingress=6) == [Forward(2), Forward(3), Forward(1)]
+
     def test_src_mac_and_app_id_fields(self):
         table = FlowTable(
             entries=(
