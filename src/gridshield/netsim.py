@@ -82,8 +82,8 @@ _LINE = '{"t":%d,"seq":%d,"kind":%s,"node":%s,"port":%s,"digest":%s,"note":%s}'
 # printable ASCII other than '"' and '\', or a backslash and the printable
 # character after it; strings with escapes are decoded by json and must
 # re-encode to the same bytes.
-_INT = r"(0|-?[1-9][0-9]*+)"  # no "-0": json.dumps never writes it
-_STR = r'([ !#-\[\]-~]*+(?:\\[ -~][ !#-\[\]-~]*+)*+)'  # possessive: nothing to backtrack into
+_INT = r"(0|-?[1-9][0-9]*)"  # no "-0": json.dumps never writes it
+_STR = r'([ !#-\[\]-~]*(?:\\[ -~][ !#-\[\]-~]*)*)'
 _LINE_RE = re.compile(
     rf'\{{"t":{_INT},"seq":{_INT},"kind":"{_STR}","node":"{_STR}",'
     rf'"port":(?:null|{_INT}),"digest":(?:null|"{_STR}"),"note":(?:null|"{_STR}")\}}'

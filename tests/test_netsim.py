@@ -22,6 +22,7 @@ from gridshield.netsim import (
     UnknownNode,
     UnknownPort,
     UnlinkedPort,
+    _LINE_RE,
     build_topology,
     events_of_kind,
 )
@@ -284,6 +285,11 @@ class TestJsonl:
     def test_event_json_field_order_is_stable(self):
         ev = SimEvent(1, 2, "Drop", "a", 1, "ab", None)
         assert ev.to_json() == '{"t":1,"seq":2,"kind":"Drop","node":"a","port":1,"digest":"ab","note":null}'
+
+    def test_line_pattern_has_no_python_3_11_syntax(self):
+        """The package supports Python 3.10, whose ``re`` has no possessive
+        quantifiers or atomic groups."""
+        assert not re.search(r"[*+?}]\+|\(\?>", _LINE_RE.pattern)
 
     @given(EVENTS)
     def test_template_line_equals_compact_json_dumps(self, ev):
