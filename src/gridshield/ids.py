@@ -346,15 +346,16 @@ def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
     return evidence.decide()
 
 
-def mitigate(verdict: LocalizationVerdict) -> list[PortMod]:
+def mitigate(culprit: Origin) -> list[PortMod]:
     """Port-disable plan for the convicted device.
 
     A compromised station-bus switch loses every link to the inspection
     device: all inspection ports are disabled except the delivery port and
     the relay's direct feed, which keep protection traffic alive. A
-    compromised relay is cut off at the two switch ports facing it.
+    compromised relay is cut off at the two switch ports facing it. The
+    scorer checks a run's disabled ports against this same plan.
     """
-    if verdict.culprit is Origin.STATION_BUS_SWITCH:
+    if culprit is Origin.STATION_BUS_SWITCH:
         return [
             PortMod(sub.IDS, port, enable=False)
             for port in sub.IDS_PORTS
@@ -479,7 +480,7 @@ class IdsNode(SwitchNode):
             note=f"culprit={verdict.culprit.value} evidence={len(verdict.evidence)} "
             f"ports={','.join(str(p) for p in ports)}",
         )
-        for mod in mitigate(verdict):
+        for mod in mitigate(verdict.culprit):
             self.net.log_event(
                 "ControlMsg", mod.switch, mod.port, None,
                 note=f"port_mod {'enable' if mod.enable else 'disable'}",

@@ -32,10 +32,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 from gridshield import substation as sub
-from gridshield.codec import GooseFrame, MacAddress
+from gridshield.codec import CodecError, GooseFrame, MacAddress
 from gridshield.delay import (
     BASELINE_TOTAL_US,
     DelayComponents,
@@ -56,27 +57,32 @@ from gridshield.devices import (
     Waveform,
     inject,
 )
-from gridshield.ids import IdsNode, Origin, Rule, RuleKind, RuleSet, default_rules
-from gridshield.netsim import EventLog, PortRef, SimEvent, TopologySpec, build_topology
+from gridshield.ids import IdsNode, Origin, Rule, RuleKind, RuleSet, default_rules, mitigate
+from gridshield.netsim import (
+    EventLog,
+    Network,
+    PortRef,
+    SimEvent,
+    TopologyError,
+    TopologySpec,
+    build_topology,
+)
 from gridshield.sdn import Drop, FlowEntry, FlowTable, Forward, MatchFields, SwitchNode, ToController
 
 MS = 1_000
 
 SCENARIO_IDS = ("baseline", "attack1", "attack2")
 
-# The externally observable hop sequences of the two attacks, as
-# (node, port, direction) triples matched in order against the log.
-ATTACK1_TRACE = (
-    (sub.STATION_BUS, sub.SBS_INJECT, "in"),
-    (sub.IDS, sub.IDS_MAIN_FEED, "in"),
-    (sub.IDS, sub.IDS_LOOP_OUT, "out"),
-    (sub.STATION_BUS, sub.SBS_LOOP_IN, "in"),
-    (sub.STATION_BUS, sub.SBS_LOOP_OUT, "out"),
-    (sub.IDS, sub.IDS_LOOP_RETURN, "in"),
-)
-ATTACK2_TRACE = ATTACK1_TRACE[1:]
-
 RECALL_WINDOW_US = 50 * MS
+
+# The device an attack must be pinned on, by the node where its first
+# injected frame entered the network, and the monitor ports its
+# conviction must cite.
+_CULPRIT_AT = {sub.STATION_BUS: Origin.STATION_BUS_SWITCH, sub.PIED: Origin.PIED}
+_EVIDENCE_PORTS = {
+    Origin.STATION_BUS_SWITCH: (sub.IDS_MAIN_FEED, sub.IDS_LOOP_RETURN),
+    Origin.PIED: (sub.IDS_MAIN_FEED,),
+}
 
 
 class ScenarioError(Exception):
@@ -139,7 +145,7 @@ class ScenarioSpec:
         return total(dataclasses.replace(self.delays, with_ids=self.with_ids))
 
     def settle_us(self) -> int:
-        return max(lat for *_ignored, lat in self.topology().links)
+        return max((lat for *_ignored, lat in self.topology().links), default=0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,10 @@ def load_scenario(name_or_path: str, overrides: dict | None = None) -> ScenarioS
         path = Path(name_or_path)
         if not path.is_file():
             raise ScenarioError(f"unknown scenario {name_or_path!r}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read {path}: {exc}") from exc
     import yaml  # here, not at module level: replay never parses YAML
 
     try:
@@ -261,6 +270,8 @@ def _ms(value) -> int:
 def _spec_from_tree(tree: dict) -> ScenarioSpec:
     try:
         sid = tree["scenario"]
+        if sid not in SCENARIO_IDS:
+            raise ScenarioError(f"unknown scenario id {sid!r}")
         delays_ms = tree["delays_ms"]
         delays = DelayComponents(
             t_mu=_ms(delays_ms["t_mu"]),
@@ -322,9 +333,10 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             explicit_flow_tables=_flow_tables_from_tree(tree.get("flow_tables")),
             explicit_rules=_rules_from_tree(tree.get("rules"), tree.get("publishers")),
         )
-        spec.topology()  # a delay split may leave no room for the fixed legs
+        # wiring, ports and schedules fail here, before anything runs or is written
+        _build(spec)
         return spec
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, TopologyError, CodecError) as exc:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
 
 
@@ -438,8 +450,16 @@ def _injection_from_tree(tree: dict | None, pied: PiedConfig) -> InjectionPlan |
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Build the network, run the traffic, and score the log."""
-    if spec.id not in SCENARIO_IDS:
-        raise ScenarioError(f"unknown scenario id {spec.id!r}")
+    net = _build(spec)
+    net.run_until(spec.duration_us)
+    net.log_event(
+        "ControlMsg", sub.IDS, None, None, note=f"run_complete events={len(net.log) + 1}"
+    )
+    return score(net.log)
+
+
+def _build(spec: ScenarioSpec) -> Network:
+    """Wire the network, its devices and the injections, ready to run."""
     net = build_topology(spec.topology())
     net.log_event(
         "ControlMsg",
@@ -486,12 +506,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     )
     if spec.injection is not None:
         inject(net, spec.injection)
-
-    net.run_until(spec.duration_us)
-    net.log_event(
-        "ControlMsg", sub.IDS, None, None, note=f"run_complete events={len(net.log) + 1}"
-    )
-    return score(net.log)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -535,63 +550,65 @@ def check_complete(log: EventLog) -> bool:
         return False
 
 
-def _final_port_states(log: EventLog) -> dict[tuple[str, int], bool]:
-    states: dict[tuple[str, int], bool] = {}
-    for ev in log:
-        if ev.kind == "PortStateChange":
-            states[(ev.node, ev.port)] = ev.note == "enabled"
-    return states
-
-
-def _verdict_from_log(log: EventLog) -> tuple[str | None, tuple[int, ...], int | None]:
+def _verdict_from_log(log: EventLog) -> tuple[str | None, tuple[int, ...]]:
     for ev in log:
         if ev.kind == "VerdictReached":
             try:
                 fields = dict(part.split("=", 1) for part in (ev.note or "").split())
                 ports = tuple(int(p) for p in fields.get("ports", "").split(",") if p)
-                return fields["culprit"], ports, ev.time
+                return fields["culprit"], ports
             except (KeyError, ValueError) as exc:
                 raise ScenarioError(f"malformed verdict record {ev.note!r}: {exc!r}") from exc
-    return None, (), None
+    return None, ()
 
 
-def _mitigation_cutoff(log: EventLog, settle_us: int) -> int | None:
-    changes = [ev.time for ev in log if ev.kind == "PortStateChange" and ev.note == "disabled"]
-    return (max(changes) + settle_us) if changes else None
-
-
-def _injected_events(log: EventLog) -> list[SimEvent]:
-    return [ev for ev in log if ev.note == "injected"]
+def _by_node(ports) -> dict[str, tuple[int, ...]]:
+    """``(node, port)`` pairs as sorted port tuples keyed by node."""
+    out: dict[str, tuple[int, ...]] = {}
+    for node, port in sorted(ports):
+        out[node] = out.get(node, ()) + (port,)
+    return out
 
 
 def score(log: EventLog) -> ScenarioResult:
-    """Re-derive the scenario outcome purely from an event log."""
+    """Re-derive the scenario outcome purely from an event log.
+
+    The log's ground truth picks the checks: a log with injected frames is
+    scored as an attack by the device where the first of them entered, any
+    other log as a fault-only run. The banner's scenario id is reported,
+    never consulted.
+    """
     banner = _parse_banner(log)
     reasons: list[str] = []
 
-    alerts = [ev for ev in log if ev.kind == "AlertRaised"]
-    alerted_digests = {ev.digest for ev in alerts}
-    injected = _injected_events(log)
+    alert_times: dict[str, list[int]] = {}
+    injected: list[SimEvent] = []
+    first_injected = 0
+    states: dict[tuple[str, int], bool] = {}
+    disabled_at: list[int] = []
+    trips = 0
+    for i, ev in enumerate(log):
+        if ev.kind == "AlertRaised":
+            alert_times.setdefault(ev.digest, []).append(ev.time)
+        elif ev.kind == "PortStateChange":
+            states[(ev.node, ev.port)] = ev.note == "enabled"
+            if ev.note == "disabled":
+                disabled_at.append(ev.time)
+        elif ev.kind == "BreakerTrip":
+            trips += 1
+        if ev.note == "injected":
+            if not injected:
+                first_injected = i
+            injected.append(ev)
+    alerts = sum(map(len, alert_times.values()))
     injected_alerted = sum(
-        1
+        any(inj.time <= t <= inj.time + RECALL_WINDOW_US for t in alert_times.get(inj.digest, ()))
         for inj in injected
-        if any(
-            a.digest == inj.digest and inj.time <= a.time <= inj.time + RECALL_WINDOW_US
-            for a in alerts
-        )
     )
-    culprit, evidence_ports, _verdict_time = _verdict_from_log(log)
-    states = _final_port_states(log)
-    enabled_ids = tuple(
-        p for p in sub.IDS_PORTS if states.get((sub.IDS, p), True)
-    )
-    disabled_ports = {}
-    for (node, port), enabled in sorted(states.items()):
-        if not enabled:
-            disabled_ports.setdefault(node, []).append(port)
-    disabled_ports = {k: tuple(v) for k, v in disabled_ports.items()}
-    trips = [ev for ev in log if ev.kind == "BreakerTrip"]
-    cutoff = _mitigation_cutoff(log, banner.settle_us)
+    culprit, evidence_ports = _verdict_from_log(log)
+    enabled_ids = tuple(p for p in sub.IDS_PORTS if states.get((sub.IDS, p), True))
+    disabled_ports = _by_node(ref for ref, enabled in states.items() if not enabled)
+    cutoff = max(disabled_at) + banner.settle_us if disabled_at else None
 
     try:
         delay_report = measure(log)
@@ -599,18 +616,16 @@ def score(log: EventLog) -> ScenarioResult:
         delay_report = None
 
     trace_ok: bool | None = None
-    if banner.scenario == "attack1":
-        trace_ok = verify_forwarding_trace(log, ATTACK1_TRACE)
-        _score_attack1(
-            log, reasons, injected, injected_alerted, culprit, evidence_ports,
-            enabled_ids, alerted_digests, cutoff, trace_ok,
-        )
-    elif banner.scenario == "attack2":
-        trace_ok = verify_forwarding_trace(log, ATTACK2_TRACE)
-        _score_attack2(
-            log, reasons, injected, injected_alerted, culprit, evidence_ports,
-            states, cutoff, trace_ok,
-        )
+    if injected:
+        trace_ok = _trace_from(log, first_injected, sub.MONITOR_LOOP)
+        host = _CULPRIT_AT.get(injected[0].node)
+        if host is None:
+            reasons.append(f"injection at {injected[0].node!r}, which is no candidate culprit")
+        else:
+            _score_attack(
+                log, reasons, host, injected, injected_alerted, culprit, evidence_ports,
+                disabled_ports, set(alert_times), cutoff, trace_ok,
+            )
     else:
         _score_baseline(reasons, alerts, trips, delay_report, banner)
 
@@ -620,12 +635,12 @@ def score(log: EventLog) -> ScenarioResult:
         reasons=tuple(reasons),
         verdict_culprit=culprit,
         verdict_evidence_ports=evidence_ports,
-        alerts=len(alerts),
+        alerts=alerts,
         injected=len(injected),
         injected_alerted=injected_alerted,
         enabled_ids_ports=enabled_ids,
         disabled_ports=disabled_ports,
-        breaker_trips=len(trips),
+        breaker_trips=trips,
         trace_ok=trace_ok,
         delay=delay_report,
         log=log,
@@ -634,9 +649,9 @@ def score(log: EventLog) -> ScenarioResult:
 
 def _score_baseline(reasons, alerts, trips, delay_report, banner) -> None:
     if alerts:
-        reasons.append(f"{len(alerts)} alerts on legal-only traffic")
-    if len(trips) != 1:
-        reasons.append(f"expected exactly one breaker trip, saw {len(trips)}")
+        reasons.append(f"{alerts} alerts on legal-only traffic")
+    if trips != 1:
+        reasons.append(f"expected exactly one breaker trip, saw {trips}")
     if delay_report is None:
         reasons.append("no measurable fault-to-trip chain")
         return
@@ -659,97 +674,42 @@ def _score_baseline(reasons, alerts, trips, delay_report, banner) -> None:
         reasons.append(f"baseline latency {delay_report.total_us}us != 23ms")
 
 
-def _score_attack1(
-    log, reasons, injected, injected_alerted, culprit, evidence_ports,
-    enabled_ids, alerted_digests, cutoff, trace_ok,
+def _score_attack(
+    log, reasons, host, injected, injected_alerted, culprit, evidence_ports,
+    disabled_ports, alerted_digests, cutoff, trace_ok,
 ) -> None:
-    if not injected:
-        reasons.append("no injected frames in the log")
-        return
     if injected_alerted != len(injected):
         reasons.append(f"only {injected_alerted}/{len(injected)} injected frames alerted")
-    if culprit != Origin.STATION_BUS_SWITCH.value:
-        reasons.append(f"verdict {culprit!r}, expected the station-bus switch")
-    if not {sub.IDS_MAIN_FEED, sub.IDS_LOOP_RETURN} <= set(evidence_ports):
-        reasons.append(f"evidence ports {evidence_ports} miss the main/loop feeds")
-    if set(enabled_ids) != set(sub.IDS_KEEP_ENABLED):
-        reasons.append(f"enabled inspection ports {enabled_ids} != {sub.IDS_KEEP_ENABLED}")
+    if culprit != host.value:
+        reasons.append(f"verdict {culprit!r}, expected {host.value!r}")
+    if not set(_EVIDENCE_PORTS[host]) <= set(evidence_ports):
+        reasons.append(f"evidence ports {evidence_ports} miss {_EVIDENCE_PORTS[host]}")
+    planned = _by_node((mod.switch, mod.port) for mod in mitigate(host) if not mod.enable)
+    if disabled_ports != planned:
+        reasons.append(f"disabled ports {disabled_ports} != planned {planned}")
     if cutoff is None:
         reasons.append("no mitigation in the log")
         return
-    late_abnormal = [
-        ev
-        for ev in log
-        if ev.kind == "FrameArrival"
-        and ev.node == sub.OMICRON
-        and ev.digest in alerted_digests
-        and ev.time > cutoff
-    ]
-    if late_abnormal:
-        reasons.append(f"{len(late_abnormal)} abnormal frames reached the breaker after mitigation")
-    clean_delivery = [
-        ev
-        for ev in log
-        if ev.kind == "FrameArrival"
-        and ev.node == sub.OMICRON
-        and ev.digest not in alerted_digests
-        and ev.time > cutoff
-    ]
-    if not clean_delivery:
+    late = [ev for ev in log if ev.kind == "FrameArrival" and ev.time > cutoff]
+    at_breaker = [ev for ev in late if ev.node == sub.OMICRON]
+    abnormal = sum(ev.digest in alerted_digests for ev in at_breaker)
+    if abnormal:
+        reasons.append(f"{abnormal} abnormal frames reached the breaker after mitigation")
+    if host is Origin.STATION_BUS_SWITCH and abnormal == len(at_breaker):
         reasons.append("no legitimate delivery to the breaker after mitigation")
-    if not trace_ok:
-        reasons.append("forwarding trace does not match the expected hop sequence")
-
-
-def _score_attack2(
-    log, reasons, injected, injected_alerted, culprit, evidence_ports,
-    states, cutoff, trace_ok,
-) -> None:
-    if not injected:
-        reasons.append("no injected frames in the log")
-        return
-    if injected_alerted != len(injected):
-        reasons.append(f"only {injected_alerted}/{len(injected)} injected frames alerted")
-    if culprit != Origin.PIED.value:
-        reasons.append(f"verdict {culprit!r}, expected the relay")
-    if sub.IDS_MAIN_FEED not in evidence_ports:
-        reasons.append(f"evidence ports {evidence_ports} miss the main feed")
-    if states.get((sub.STATION_BUS, sub.SBS_PIED), True):
-        reasons.append("station-bus port facing the relay is still enabled")
-    if states.get((sub.PROCESS_BUS, sub.PBS_PIED), True):
-        reasons.append("process-bus port facing the relay is still enabled")
-    if cutoff is None:
-        reasons.append("no mitigation in the log")
-        return
-    to_relay = [
-        ev for ev in log
-        if ev.kind == "FrameArrival" and ev.node == sub.PIED and ev.time > cutoff
-    ]
-    from_relay = [
-        ev
-        for ev in log
-        if ev.kind == "FrameArrival"
-        and ev.time > cutoff
-        and (
-            (ev.node == sub.STATION_BUS and ev.port == sub.SBS_PIED)
-            or (ev.node == sub.IDS and ev.port == sub.IDS_PIED_FEED)
+    if host is Origin.PIED:
+        to_relay = sum(ev.node == sub.PIED for ev in late)
+        from_relay = sum(
+            (ev.node, ev.port) in ((sub.STATION_BUS, sub.SBS_PIED), (sub.IDS, sub.IDS_PIED_FEED))
+            for ev in late
         )
-    ]
-    if to_relay or from_relay:
-        reasons.append(
-            f"relay not isolated: {len(to_relay)} arrivals at it, "
-            f"{len(from_relay)} first-hop arrivals from it after mitigation"
-        )
-    liveness = [
-        ev
-        for ev in log
-        if ev.kind == "FrameArrival"
-        and ev.node == sub.IDS
-        and ev.port == sub.IDS_SV_TAP
-        and ev.time > cutoff
-    ]
-    if not liveness:
-        reasons.append("healthy-device traffic no longer delivered after mitigation")
+        if to_relay or from_relay:
+            reasons.append(
+                f"relay not isolated: {to_relay} arrivals at it, "
+                f"{from_relay} first-hop arrivals from it after mitigation"
+            )
+        if not any((ev.node, ev.port) == (sub.IDS, sub.IDS_SV_TAP) for ev in late):
+            reasons.append("healthy-device traffic no longer delivered after mitigation")
     if not trace_ok:
         reasons.append("forwarding trace does not match the expected hop sequence")
 
@@ -760,10 +720,11 @@ def _score_attack2(
 
 
 def verify_forwarding_trace(log: EventLog, expected: tuple[tuple[str, int, str], ...]) -> bool:
-    """True iff the log contains the hop sequence, in order, for the
-    scenario's tracked (first injected) frame digest."""
-    injected = _injected_events(log)
-    if not injected:
-        return False
-    start = log.index(injected[0])
-    return walk_hops(log[start:], injected[0].digest, expected) is not None
+    """True iff the log contains the hop sequence, in order, for the first
+    injected frame, from its injection on."""
+    start = next((i for i, ev in enumerate(log) if ev.note == "injected"), None)
+    return start is not None and _trace_from(log, start, expected)
+
+
+def _trace_from(log: EventLog, start: int, expected: tuple[tuple[str, int, str], ...]) -> bool:
+    return walk_hops(islice(log, start, None), log[start].digest, expected) is not None

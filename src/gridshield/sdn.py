@@ -178,10 +178,10 @@ class SwitchNode:
     def __init__(self, net: Network, node_id: str, table: FlowTable, processing_delay: SimTime):
         self.net = net
         self.node_id = node_id
+        net.register(node_id, self)
         self._check_forward_ports(table)
         self.table = table
         self.processing_delay = processing_delay
-        net.register(node_id, self)
 
     def _check_forward_ports(self, table: FlowTable) -> None:
         port_count = self.net.nodes[self.node_id]

@@ -193,3 +193,13 @@ TRIP_PATH = (
     (IDS, IDS_DELIVERY, "out"),
     (OMICRON, OMICRON_PORT, "in"),
 )
+
+# Hops of a main-feed GOOSE frame around the inspection loop: in on the
+# main feed, out to the station-bus switch, and back on the loop return.
+MONITOR_LOOP = (
+    (IDS, IDS_MAIN_FEED, "in"),
+    (IDS, IDS_LOOP_OUT, "out"),
+    (STATION_BUS, SBS_LOOP_IN, "in"),
+    (STATION_BUS, SBS_LOOP_OUT, "out"),
+    (IDS, IDS_LOOP_RETURN, "in"),
+)

@@ -103,6 +103,38 @@ class TestRun:
         )
         assert_one_line_error(proc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("attack1", "scenario: attack1", "scenario: \udcff"),
+            ("attack1", "node: station_bus_switch", "node: nosuch"),
+            ("attack2", "port: 2 ", "port: 9 "),
+            ("attack1", "times_ms: [2300, 2302, 2304, 2306, 2308]", "times_ms: [-5]"),
+            ("attack1", "    st_num: 1\n", "    st_num: 1\n    src_mac: zz\n"),
+            ("attack1", "with_ids: true\n", "with_ids: true\ntopology: {nodes: {mu: 1}, links: []}\n"),
+            (
+                "attack1",
+                "with_ids: true\n",
+                "with_ids: true\nflow_tables:\n  station_bus_switch:\n    entries:\n"
+                "      - {priority: 50, match: {ingress: 4}, actions: [{forward: 99}]}\n",
+            ),
+        ],
+        ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
+             "bad_source_mac", "topology_without_links", "forward_beyond_the_switch"],
+    )
+    def test_hostile_config_is_config_error(self, tmp_path, edit):
+        """Each edit of a shipped config is reported at load time, so nothing is written."""
+        from gridshield.scenarios import _builtin_config_text
+
+        sid, old, new = edit
+        text = _builtin_config_text(sid)
+        assert text.count(old) == 1
+        cfg = tmp_path / "hostile.yaml"
+        cfg.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))
+        out = tmp_path / "o"
+        assert_one_line_error(run_cli_process("run", "--config", str(cfg), "--out", str(out)))
+        assert not out.exists()
+
 
 class TestJobs:
     def test_pool_is_capped_at_the_number_of_scenarios(self, tmp_path, monkeypatch):
@@ -137,10 +169,18 @@ class TestJobs:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unknown_name_in_a_list_runs_nothing(self, tmp_path, jobs):
-        out = tmp_path / "o"
-        proc = run_cli_process("run", "--scenario", "baseline,nope", "--jobs", jobs, "--out", str(out))
-        assert_one_line_error(proc)
-        assert not out.exists() or not any(out.rglob("*"))
+        from gridshield.scenarios import _builtin_config_text
+
+        # a file that loads but declares an unknown scenario id counts too
+        foo = tmp_path / "foo.yaml"
+        foo.write_text(_builtin_config_text("attack1").replace("scenario: attack1", "scenario: foo"))
+        for second in ("nope", str(foo)):
+            out = tmp_path / "o"
+            proc = run_cli_process(
+                "run", "--scenario", f"baseline,{second}", "--jobs", jobs, "--out", str(out)
+            )
+            assert_one_line_error(proc)
+            assert not out.exists() or not any(out.rglob("*"))
 
     def test_worker_returns_the_result_without_its_log(self, tmp_path):
         result = cli._run_in_worker(load_scenario("attack1"), tmp_path, False)

@@ -352,19 +352,14 @@ class TestEvidence:
 
 
 class TestMitigate:
-    def _verdict(self, culprit):
-        return LocalizationVerdict(
-            culprit, (obs(culprit, IDS_MAIN_FEED, time=1),), decided_at=1
-        )
-
     def test_switch_culprit_keeps_only_delivery_and_relay_feed(self):
-        mods = mitigate(self._verdict(Origin.STATION_BUS_SWITCH))
+        mods = mitigate(Origin.STATION_BUS_SWITCH)
         assert all(m.switch == IDS and not m.enable for m in mods)
         disabled = {m.port for m in mods}
         assert disabled == {1, 2, 3, 4, 7, 8}
 
     def test_relay_culprit_disables_both_facing_switch_ports(self):
-        mods = mitigate(self._verdict(Origin.PIED))
+        mods = mitigate(Origin.PIED)
         assert {(m.switch, m.port) for m in mods} == {
             (STATION_BUS, SBS_PIED),
             (PROCESS_BUS, PBS_PIED),
@@ -372,8 +367,8 @@ class TestMitigate:
         assert all(not m.enable for m in mods)
 
     def test_mitigation_is_idempotent_as_port_state(self):
-        mods = mitigate(self._verdict(Origin.STATION_BUS_SWITCH))
-        assert mods == mitigate(self._verdict(Origin.STATION_BUS_SWITCH))
+        mods = mitigate(Origin.STATION_BUS_SWITCH)
+        assert mods == mitigate(Origin.STATION_BUS_SWITCH)
         assert all(isinstance(m, PortMod) for m in mods)
 
 

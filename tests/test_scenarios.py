@@ -9,8 +9,6 @@ import pytest
 from gridshield import substation as sub
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
-    ATTACK1_TRACE,
-    ATTACK2_TRACE,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -79,7 +77,7 @@ class TestAttack1:
         assert clean
 
     def test_forwarding_trace(self, attack1):
-        assert verify_forwarding_trace(attack1.log, ATTACK1_TRACE)
+        assert verify_forwarding_trace(attack1.log, sub.MONITOR_LOOP)
 
     def test_permuted_trace_rejected(self):
         # one injection only, so hops cannot be borrowed across instances
@@ -90,8 +88,8 @@ class TestAttack1:
             spec, injection=dataclasses.replace(spec.injection, times_us=(2_300_000,))
         )
         result = run_scenario(spec)
-        assert verify_forwarding_trace(result.log, ATTACK1_TRACE)
-        permuted = (ATTACK1_TRACE[1], ATTACK1_TRACE[0]) + ATTACK1_TRACE[2:]
+        assert verify_forwarding_trace(result.log, sub.MONITOR_LOOP)
+        permuted = (sub.MONITOR_LOOP[1], sub.MONITOR_LOOP[0]) + sub.MONITOR_LOOP[2:]
         assert not verify_forwarding_trace(result.log, permuted)
 
 
@@ -139,7 +137,76 @@ class TestAttack2:
         assert attack2.injected == 5 and attack2.injected_alerted == 5
 
     def test_forwarding_trace(self, attack2):
-        assert verify_forwarding_trace(attack2.log, ATTACK2_TRACE)
+        assert verify_forwarding_trace(attack2.log, sub.MONITOR_LOOP)
+
+
+class TestOracle:
+    """The checks follow the log's injection, not the scenario's name."""
+
+    @pytest.mark.parametrize(
+        ("config", "name", "culprit"),
+        [("attack2", "attack1", "PIED"), ("attack1", "attack2", "StationBusSwitch")],
+    )
+    def test_a_renamed_attack_is_scored_by_its_injection(self, tmp_path, config, name, culprit):
+        from gridshield.scenarios import _builtin_config_text
+
+        path = tmp_path / "renamed.yaml"
+        path.write_text(
+            _builtin_config_text(config).replace(f"scenario: {config}", f"scenario: {name}")
+        )
+        result = run_scenario(load_scenario(str(path)))
+        assert result.scenario == name
+        assert result.passed, result.reasons
+        assert result.verdict_culprit == culprit
+
+    @staticmethod
+    def _edited(log, drop=lambda ev: False, replace=lambda ev: ev, extra=()):
+        kept = [replace(ev) for ev in log if not drop(ev)]
+        return score(EventLog(kept[:-1] + list(extra) + kept[-1:]))
+
+    def test_dropped_port_state_changes_leave_no_mitigation(self, attack1):
+        result = self._edited(attack1.log, drop=lambda ev: ev.kind == "PortStateChange")
+        assert "no mitigation in the log" in result.reasons
+        assert any(r.startswith("disabled ports {} != planned") for r in result.reasons)
+
+    def test_an_extra_disabled_port_is_not_the_plan(self, attack1):
+        extra = attack1.log[-1]._replace(
+            kind="PortStateChange", node=sub.PROCESS_BUS, port=3, note="disabled"
+        )
+        result = self._edited(attack1.log, extra=[extra])
+        assert [r for r in result.reasons if r.startswith("disabled ports ")] == [
+            f"disabled ports {{'ids': (1, 2, 3, 4, 7, 8), 'process_bus_switch': (3,)}} "
+            f"!= planned {{'ids': (1, 2, 3, 4, 7, 8)}}"
+        ]
+
+    def test_a_verdict_on_the_other_device_is_wrong(self, attack1):
+        result = self._edited(
+            attack1.log,
+            replace=lambda ev: ev._replace(note=ev.note.replace("StationBusSwitch", "PIED"))
+            if ev.kind == "VerdictReached"
+            else ev,
+        )
+        assert "verdict 'PIED', expected 'StationBusSwitch'" in result.reasons
+
+    @pytest.mark.parametrize("hop", range(len(sub.MONITOR_LOOP)))
+    def test_a_missing_monitor_loop_hop_breaks_the_trace(self, attack1, hop):
+        digest = next(ev for ev in attack1.log if ev.note == "injected").digest
+        node, port, direction = sub.MONITOR_LOOP[hop]
+        kind = "FrameArrival" if direction == "in" else "FrameDeparture"
+        result = self._edited(
+            attack1.log,
+            drop=lambda ev: (ev.kind, ev.node, ev.port, ev.digest) == (kind, node, port, digest),
+        )
+        assert result.trace_ok is False
+        assert "forwarding trace does not match the expected hop sequence" in result.reasons
+
+    def test_an_injection_elsewhere_names_no_culprit(self, attack1):
+        result = self._edited(
+            attack1.log,
+            replace=lambda ev: ev._replace(node=sub.MU) if ev.note == "injected" else ev,
+        )
+        assert not result.passed
+        assert result.reasons[0] == "injection at 'mu', which is no candidate culprit"
 
 
 class TestBaseline:
