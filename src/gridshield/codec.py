@@ -14,6 +14,11 @@ produce distinct bytes, and every valid byte string decodes back to exactly
 one frame. Sampled-value frames use the same envelope with their own
 ethertype and tag set.
 
+Decoding is a pure function of a frame's immutable bytes: it reads them in
+one pass, and the decoded frame is kept on the ``RawFrame``, so the copies
+of one publication that reach several subscribers share one parse. A
+malformed frame keeps nothing and raises the same error on every decode.
+
 ``next_publication`` implements standard GOOSE publisher sequencing: the
 state number increments (and the sequence number resets) on a data change,
 otherwise the sequence number counts retransmissions.
@@ -168,11 +173,15 @@ class RawFrame:
     """An encoded frame as it travels the simulated wire.
 
     ``digest`` is a stable short digest of the bytes, used to track copies
-    in the log; it is computed once, when the frame is made.
+    in the log; it is computed once, when the frame is made. The bytes never
+    change, so ``decode_goose`` or ``decode_sv`` keeps the frame it decodes
+    on the RawFrame, and every later decode of it (each copy the network
+    delivers) returns that same frame.
     """
 
     data: bytes
     digest: str = field(init=False, repr=False, compare=False)
+    _decoded = None  # not a field: set once by a successful decode
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digest", hashlib.blake2b(self.data, digest_size=8).hexdigest())
@@ -182,9 +191,10 @@ class RawFrame:
 
     @property
     def ethertype(self) -> int | None:
-        if len(self.data) < ETH_HEADER_LEN:
+        data = self.data
+        if len(data) < ETH_HEADER_LEN:
             return None
-        return struct.unpack_from(">H", self.data, 12)[0]
+        return data[12] << 8 | data[13]
 
     @property
     def src_mac(self) -> MacAddress | None:
@@ -194,20 +204,46 @@ class RawFrame:
 
     @property
     def app_id(self) -> int | None:
-        if len(self.data) < FRAME_HEADER_LEN - 2:
+        data = self.data
+        if len(data) < FRAME_HEADER_LEN - 2:
             return None
-        return struct.unpack_from(">H", self.data, 14)[0]
+        return data[14] << 8 | data[15]
 
 
 # ---------------------------------------------------------------------------
-# TLV primitives
+# Wire layout
 # ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct(">6s6sHHH")  # dst, src, ethertype, app id, body length
+_TLV_HEAD = struct.Struct(">BH")
+# The runs of fixed-width TLVs, packed in one go: GOOSE ttl to timestamp,
+# SV sample count to voltages.
+_GOOSE_FIXED = struct.Struct(">BHI BHI BHI BHB BHQ")
+_SV_FIXED = struct.Struct(">BHH BH3i BH3i")
+_I32X3 = struct.Struct(">3i")
+
+# How each TLV value of a body is read: a positive kind is the width of a
+# big-endian unsigned integer, _STR is ASCII text and _BOOL one 0x00/0x01
+# byte, all checked as they are read; _BYTES are checked by the decoder once
+# the whole body has been read, as the layout's order of checks requires.
+_STR, _BOOL, _BYTES = 0, -1, -2
+_GOOSE_BODY = (
+    (_TAG_GOCB_REF, _STR),
+    (_TAG_TTL, 4),
+    (_TAG_ST_NUM, 4),
+    (_TAG_SQ_NUM, 4),
+    (_TAG_TEST, _BOOL),
+    (_TAG_TIMESTAMP, 8),
+    (_TAG_DATASET_REF, _STR),
+    (_TAG_ALL_DATA, _BYTES),
+)
+_SV_BODY = ((_TAG_SV_ID, _STR), (_TAG_SMP_CNT, 2), (_TAG_CURRENTS, _BYTES), (_TAG_VOLTAGES, _BYTES))
 
 
 def _tlv(tag: int, value: bytes) -> bytes:
     if len(value) > _MAX_U16:
         raise InvariantViolation(f"TLV value too long ({len(value)} bytes)")
-    return struct.pack(">BH", tag, len(value)) + value
+    return _TLV_HEAD.pack(tag, len(value)) + value
 
 
 def _encode_str(value: str) -> bytes:
@@ -217,72 +253,65 @@ def _encode_str(value: str) -> bytes:
         raise InvariantViolation(f"string field not ascii: {value!r}") from exc
 
 
-class _TlvReader:
-    """Sequential reader enforcing the fixed tag order of a body."""
-
-    def __init__(self, body: bytes):
-        self.body = body
-        self.offset = 0
-
-    def expect(self, tag: int) -> bytes:
-        if self.offset + 3 > len(self.body):
-            raise Truncated(f"body ends inside TLV header at offset {self.offset}")
-        got, length = struct.unpack_from(">BH", self.body, self.offset)
-        if got != tag:
-            raise MalformedField(f"expected tag 0x{tag:02X}, found 0x{got:02X}")
-        self.offset += 3
-        if self.offset + length > len(self.body):
-            raise Truncated(f"tag 0x{tag:02X} declares {length} bytes beyond body end")
-        value = self.body[self.offset : self.offset + length]
-        self.offset += length
-        return value
-
-    def finish(self) -> None:
-        if self.offset != len(self.body):
-            raise MalformedField(f"{len(self.body) - self.offset} trailing bytes in body")
-
-
-def _read_uint(value: bytes, size: int, tag: int) -> int:
-    if len(value) != size:
-        raise MalformedField(f"tag 0x{tag:02X} needs {size} bytes, got {len(value)}")
-    return int.from_bytes(value, "big")
-
-
-def _read_bool(value: bytes, tag: int) -> bool:
-    if len(value) != 1 or value[0] not in (0, 1):
-        raise MalformedField(f"tag 0x{tag:02X} must be a single 0x00/0x01 byte")
-    return value[0] == 1
-
-
-def _read_str(value: bytes, tag: int) -> str:
-    try:
-        return value.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedField(f"tag 0x{tag:02X} is not ascii") from exc
-
-
-def _frame_header(dst: MacAddress, src: MacAddress, ethertype: int, app_id: int, body: bytes) -> bytes:
+def _frame(dst: MacAddress, src: MacAddress, ethertype: int, app_id: int, body: bytes) -> RawFrame:
     if len(body) > _MAX_U16:
         raise InvariantViolation(f"body too long ({len(body)} bytes)")
-    return dst.octets + src.octets + struct.pack(">HHH", ethertype, app_id, len(body)) + body
+    return RawFrame(_HEADER.pack(dst.octets, src.octets, ethertype, app_id, len(body)) + body)
 
 
-def _split_frame(raw: RawFrame, want_ethertype: int) -> tuple[MacAddress, MacAddress, int, bytes]:
+def _checked_ethertype(raw: RawFrame, want: int) -> bytes:
+    """The frame's bytes, once they carry the wanted ethertype."""
     data = raw.data
     if len(data) < ETH_HEADER_LEN:
         raise Truncated(f"frame is {len(data)} bytes, below the 14-byte Ethernet header")
-    ethertype = struct.unpack_from(">H", data, 12)[0]
-    if ethertype != want_ethertype:
-        raise WrongEthertype(f"ethertype 0x{ethertype:04X}, wanted 0x{want_ethertype:04X}")
-    if len(data) < FRAME_HEADER_LEN:
+    ethertype = data[12] << 8 | data[13]
+    if ethertype != want:
+        raise WrongEthertype(f"ethertype 0x{ethertype:04X}, wanted 0x{want:04X}")
+    return data
+
+
+def _read_body(data: bytes, layout: tuple[tuple[int, int], ...]) -> list:
+    """Read the body length word and then every TLV of ``layout`` in one
+    pass, checking each value as it is read; the body must end with the
+    last TLV. Offsets in messages count from the start of the body."""
+    end = len(data)
+    if end < FRAME_HEADER_LEN:
         raise Truncated("frame ends inside the app id / body length words")
-    app_id, body_len = struct.unpack_from(">HH", data, 14)
-    body = data[FRAME_HEADER_LEN:]
-    if len(body) < body_len:
-        raise Truncated(f"body declares {body_len} bytes but only {len(body)} follow")
-    if len(body) > body_len:
-        raise MalformedField(f"{len(body) - body_len} bytes beyond declared body")
-    return MacAddress(data[0:6]), MacAddress(data[6:12]), app_id, body
+    declared = data[16] << 8 | data[17]
+    present = end - FRAME_HEADER_LEN
+    if present < declared:
+        raise Truncated(f"body declares {declared} bytes but only {present} follow")
+    if present > declared:
+        raise MalformedField(f"{present - declared} bytes beyond declared body")
+    values = []
+    off = FRAME_HEADER_LEN
+    for tag, kind in layout:
+        if off + 3 > end:
+            raise Truncated(f"body ends inside TLV header at offset {off - FRAME_HEADER_LEN}")
+        if data[off] != tag:
+            raise MalformedField(f"expected tag 0x{tag:02X}, found 0x{data[off]:02X}")
+        start = off + 3
+        off = start + (data[off + 1] << 8 | data[off + 2])
+        if off > end:
+            raise Truncated(f"tag 0x{tag:02X} declares {off - start} bytes beyond body end")
+        value = data[start:off]
+        if kind > 0:
+            if off - start != kind:
+                raise MalformedField(f"tag 0x{tag:02X} needs {kind} bytes, got {off - start}")
+            value = int.from_bytes(value, "big")
+        elif kind == _STR:
+            try:
+                value = value.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise MalformedField(f"tag 0x{tag:02X} is not ascii") from exc
+        elif kind == _BOOL:
+            if value != b"\x00" and value != b"\x01":
+                raise MalformedField(f"tag 0x{tag:02X} must be a single 0x00/0x01 byte")
+            value = value == b"\x01"
+        values.append(value)
+    if off != end:
+        raise MalformedField(f"{end - off} trailing bytes in body")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -295,36 +324,34 @@ def encode_goose(frame: GooseFrame) -> RawFrame:
     body = b"".join(
         (
             _tlv(_TAG_GOCB_REF, _encode_str(frame.gocb_ref)),
-            _tlv(_TAG_TTL, struct.pack(">I", frame.time_allowed_to_live)),
-            _tlv(_TAG_ST_NUM, struct.pack(">I", frame.st_num)),
-            _tlv(_TAG_SQ_NUM, struct.pack(">I", frame.sq_num)),
-            _tlv(_TAG_TEST, b"\x01" if frame.test else b"\x00"),
-            _tlv(_TAG_TIMESTAMP, struct.pack(">Q", frame.timestamp)),
+            _GOOSE_FIXED.pack(
+                _TAG_TTL, 4, frame.time_allowed_to_live,
+                _TAG_ST_NUM, 4, frame.st_num,
+                _TAG_SQ_NUM, 4, frame.sq_num,
+                _TAG_TEST, 1, 1 if frame.test else 0,
+                _TAG_TIMESTAMP, 8, frame.timestamp,
+            ),
             _tlv(_TAG_DATASET_REF, _encode_str(frame.dataset_ref)),
             _tlv(_TAG_ALL_DATA, bytes(1 if p else 0 for p in frame.all_data)),
         )
     )
-    return RawFrame(_frame_header(frame.dst, frame.src, GOOSE_ETHERTYPE, frame.app_id, body))
+    return _frame(frame.dst, frame.src, GOOSE_ETHERTYPE, frame.app_id, body)
 
 
 def decode_goose(raw: RawFrame) -> GooseFrame:
-    dst, src, app_id, body = _split_frame(raw, GOOSE_ETHERTYPE)
-    r = _TlvReader(body)
-    gocb_ref = _read_str(r.expect(_TAG_GOCB_REF), _TAG_GOCB_REF)
-    ttl = _read_uint(r.expect(_TAG_TTL), 4, _TAG_TTL)
-    st_num = _read_uint(r.expect(_TAG_ST_NUM), 4, _TAG_ST_NUM)
-    sq_num = _read_uint(r.expect(_TAG_SQ_NUM), 4, _TAG_SQ_NUM)
-    test = _read_bool(r.expect(_TAG_TEST), _TAG_TEST)
-    timestamp = _read_uint(r.expect(_TAG_TIMESTAMP), 8, _TAG_TIMESTAMP)
-    dataset_ref = _read_str(r.expect(_TAG_DATASET_REF), _TAG_DATASET_REF)
-    points_raw = r.expect(_TAG_ALL_DATA)
-    r.finish()
-    if any(b not in (0, 1) for b in points_raw):
+    data = _checked_ethertype(raw, GOOSE_ETHERTYPE)
+    # only this decoder gets past the ethertype, so the memo is its frame
+    if raw._decoded is not None:
+        return raw._decoded
+    gocb_ref, ttl, st_num, sq_num, test, timestamp, dataset_ref, points = _read_body(
+        data, _GOOSE_BODY
+    )
+    if any(b > 1 for b in points):
         raise MalformedField("all_data bytes must be 0x00/0x01")
     frame = GooseFrame(
-        dst=dst,
-        src=src,
-        app_id=app_id,
+        dst=MacAddress(data[0:6]),
+        src=MacAddress(data[6:12]),
+        app_id=data[14] << 8 | data[15],
         gocb_ref=gocb_ref,
         time_allowed_to_live=ttl,
         st_num=st_num,
@@ -332,9 +359,10 @@ def decode_goose(raw: RawFrame) -> GooseFrame:
         test=test,
         timestamp=timestamp,
         dataset_ref=dataset_ref,
-        all_data=tuple(b == 1 for b in points_raw),
+        all_data=tuple(b == 1 for b in points),
     )
     frame.validate()
+    object.__setattr__(raw, "_decoded", frame)
     return frame
 
 
@@ -345,37 +373,32 @@ def decode_goose(raw: RawFrame) -> GooseFrame:
 
 def encode_sv(frame: SvFrame, smp_cnt_modulus: int | None = None) -> RawFrame:
     frame.validate(smp_cnt_modulus)
-    body = b"".join(
-        (
-            _tlv(_TAG_SV_ID, _encode_str(frame.sv_id)),
-            _tlv(_TAG_SMP_CNT, struct.pack(">H", frame.smp_cnt)),
-            _tlv(_TAG_CURRENTS, struct.pack(">3i", *frame.currents)),
-            _tlv(_TAG_VOLTAGES, struct.pack(">3i", *frame.voltages)),
-        )
+    body = _tlv(_TAG_SV_ID, _encode_str(frame.sv_id)) + _SV_FIXED.pack(
+        _TAG_SMP_CNT, 2, frame.smp_cnt,
+        _TAG_CURRENTS, 12, *frame.currents,
+        _TAG_VOLTAGES, 12, *frame.voltages,
     )
     # app id is unused by the SV envelope; keep the header shape uniform.
-    return RawFrame(_frame_header(frame.dst, frame.src, SV_ETHERTYPE, 0, body))
+    return _frame(frame.dst, frame.src, SV_ETHERTYPE, 0, body)
 
 
 def decode_sv(raw: RawFrame) -> SvFrame:
-    dst, src, _app_id, body = _split_frame(raw, SV_ETHERTYPE)
-    r = _TlvReader(body)
-    sv_id = _read_str(r.expect(_TAG_SV_ID), _TAG_SV_ID)
-    smp_cnt = _read_uint(r.expect(_TAG_SMP_CNT), 2, _TAG_SMP_CNT)
-    currents_raw = r.expect(_TAG_CURRENTS)
-    voltages_raw = r.expect(_TAG_VOLTAGES)
-    r.finish()
-    if len(currents_raw) != 12 or len(voltages_raw) != 12:
+    data = _checked_ethertype(raw, SV_ETHERTYPE)
+    if raw._decoded is not None:
+        return raw._decoded
+    sv_id, smp_cnt, currents, voltages = _read_body(data, _SV_BODY)
+    if len(currents) != 12 or len(voltages) != 12:
         raise MalformedField("current/voltage TLVs must carry three i32 values")
     frame = SvFrame(
-        dst=dst,
-        src=src,
+        dst=MacAddress(data[0:6]),
+        src=MacAddress(data[6:12]),
         sv_id=sv_id,
         smp_cnt=smp_cnt,
-        currents=struct.unpack(">3i", currents_raw),
-        voltages=struct.unpack(">3i", voltages_raw),
+        currents=_I32X3.unpack(currents),
+        voltages=_I32X3.unpack(voltages),
     )
-    frame.validate()
+    # no validate(): a u16 count and i32 phases are in range by their width
+    object.__setattr__(raw, "_decoded", frame)
     return frame
 
 

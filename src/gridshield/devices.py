@@ -34,7 +34,6 @@ from gridshield.codec import (
     encode_sv,
     next_publication,
 )
-from gridshield.ids import Origin
 from gridshield.netsim import Network, PortRef, SimTime
 
 
@@ -290,7 +289,6 @@ class OmicronDevice:
 class InjectionPlan:
     """Ground-truth attack schedule for one scenario."""
 
-    host: Origin
     port: PortRef
     mode: str  # "ingress" into a switch pipeline, "egress" from a device port
     template: GooseFrame

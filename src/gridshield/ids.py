@@ -46,7 +46,7 @@ from gridshield.codec import (
     encode_goose,
 )
 from gridshield.netsim import Network, PortRef, SimTime
-from gridshield.sdn import FlowTable, Forward, PortMod, SwitchNode
+from gridshield.sdn import FlowTable, PortMod, SwitchNode
 
 
 class Origin(enum.Enum):
@@ -406,15 +406,15 @@ class IdsNode(SwitchNode):
         self.decision_window_us = decision_window_us
         self.controller_latency_us = controller_latency_us
         self.evidence = Evidence()
-        self.alerts: list[Alert] = []
         self.alerted_digests: set[str] = set()
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
+        self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         if port in sub.IDS_MONITORED and raw.ethertype == GOOSE_ETHERTYPE:
             self._inspect_arrival(port, raw, at)
-        if Forward(sub.IDS_LOOP_OUT) in self.process_frame(raw, port, at):
+        if self._loop_out in self.process_frame(raw, port, at):
             self.loops.tag_loop(raw.digest, at + self.processing_delay)
 
     # -- inspection ----------------------------------------------------------
@@ -442,7 +442,6 @@ class IdsNode(SwitchNode):
 
     def _raise_alerts(self, alerts: list[Alert]) -> None:
         for alert in alerts:
-            self.alerts.append(alert)
             self.alerted_digests.add(alert.digest)
             self.net.log_event(
                 "AlertRaised",

@@ -65,8 +65,9 @@ class UnlinkedPort(TopologyError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class PortRef:
+class PortRef(NamedTuple):
+    """One numbered port of a node; a plain tuple, so hashing is cheap."""
+
     node: str
     port: int
 
@@ -245,8 +246,8 @@ class Network:
         makes it onto the wire is delivered even if a port is disabled
         while it is in flight.
         """
-        self._check_port(from_port)
         if from_port not in self.links:
+            self._check_port(from_port)
             raise UnlinkedPort(f"{from_port} has no link")
         self._schedule(at, self._depart, (from_port, raw, note))
 

@@ -434,9 +434,12 @@ def _injection_from_tree(tree: dict | None, pied: PiedConfig) -> InjectionPlan |
         dataset_ref=pied.dataset_ref,
         all_data=(bool(template_tree.get("trip", False)), False),
     )
+    node = tree["node"]
+    host = Origin(tree["host"])
+    if _CULPRIT_AT.get(node) is not host:
+        raise ScenarioError(f"injection host {host.value} is not the device at node {node!r}")
     return InjectionPlan(
-        host=Origin(tree["host"]),
-        port=PortRef(tree["node"], int(tree["port"])),
+        port=PortRef(node, int(tree["port"])),
         mode=tree["mode"],
         template=template,
         times_us=tuple(_ms(t) for t in tree["times_ms"]),
@@ -451,7 +454,11 @@ def _injection_from_tree(tree: dict | None, pied: PiedConfig) -> InjectionPlan |
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Build the network, run the traffic, and score the log."""
     net = _build(spec)
-    net.run_until(spec.duration_us)
+    try:
+        net.run_until(spec.duration_us)
+    except TopologyError as exc:
+        # wiring the load-time build cannot see, such as a forward to an unlinked port
+        raise ScenarioError(f"scenario {spec.id} cannot run: {exc}") from exc
     net.log_event(
         "ControlMsg", sub.IDS, None, None, note=f"run_complete events={len(net.log) + 1}"
     )

@@ -10,6 +10,14 @@ to the table's default action.
 The controller channel is modeled in-simulation: packet-ins, FlowMod and
 PortMod land in the event log as ControlMsg entries, so rule updates and
 port disables are timestamped alongside the traffic they affect.
+
+A :class:`SwitchNode` decides each flow once, as an OpenFlow switch's flow
+cache does. A decision depends only on the ingress port, the first 16
+header bytes and the current table: those bytes hold every field a
+:class:`MatchFields` reads (a shorter frame's shorter key records its
+length, which decides which fields it has), so the node caches the
+egress ports and packet-in flag of ``match_frame`` under that key and
+drops the cache whenever its table is replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +26,10 @@ from dataclasses import dataclass, field, replace
 
 from gridshield.codec import GOOSE_ETHERTYPE, SV_ETHERTYPE, MacAddress, RawFrame
 from gridshield.netsim import Network, PortRef, SimTime, UnknownPort
+
+
+# dst MAC, src MAC, ethertype and app id: every header field a match reads
+FLOW_KEY_LEN = 16
 
 
 class FlowTableError(Exception):
@@ -182,6 +194,8 @@ class SwitchNode:
         self._check_forward_ports(table)
         self.table = table
         self.processing_delay = processing_delay
+        # (ingress, header) -> (egress ports, packet-in), for the current table
+        self._decisions: dict[tuple[int, bytes], tuple[tuple[PortRef, ...], bool]] = {}
 
     def _check_forward_ports(self, table: FlowTable) -> None:
         port_count = self.net.nodes[self.node_id]
@@ -195,23 +209,28 @@ class SwitchNode:
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         self.process_frame(raw, port, at)
 
-    def process_frame(self, raw: RawFrame, ingress: int, at: SimTime) -> list[Action]:
-        actions = match_frame(self.table, raw, ingress)
-        emitted = False
-        for action in actions:
-            if isinstance(action, Forward):
-                self.net.send(PortRef(self.node_id, action.port), raw, at + self.processing_delay)
-                emitted = True
-            elif isinstance(action, ToController):
-                self.net.log_event(
-                    "ControlMsg", self.node_id, ingress, raw.digest,
-                    note="packet_in",
-                )
-        if not emitted:
+    def process_frame(self, raw: RawFrame, ingress: int, at: SimTime) -> tuple[PortRef, ...]:
+        """Apply the flow's decision to one frame; return its egress ports."""
+        key = (ingress, raw.data[:FLOW_KEY_LEN])
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = self._decide_flow(raw, ingress)
+        egress, packet_in = decision
+        if packet_in:
+            self.net.log_event("ControlMsg", self.node_id, ingress, raw.digest, note="packet_in")
+        if not egress:
             self.net.log_event(
                 "Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry"
             )
-        return actions
+        depart = at + self.processing_delay
+        for port in egress:
+            self.net.send(port, raw, depart)
+        return egress
+
+    def _decide_flow(self, raw: RawFrame, ingress: int) -> tuple[tuple[PortRef, ...], bool]:
+        actions = match_frame(self.table, raw, ingress)
+        egress = tuple(PortRef(self.node_id, a.port) for a in actions if isinstance(a, Forward))
+        return egress, any(isinstance(a, ToController) for a in actions)
 
     def apply_flow_mod(self, mod: FlowMod, at: SimTime) -> None:
         """Schedule a table update; forwarding changes exactly at ``at``."""
@@ -225,6 +244,7 @@ class SwitchNode:
             note=f"flow_mod {'add' if mod.add else 'remove'} prio={mod.entry.priority}",
         )
         self.table = apply_flow_mod(self.table, mod)
+        self._decisions.clear()
 
     def apply_port_mod(self, mod: PortMod, at: SimTime) -> None:
         """Log the control message and delegate to the engine's port state."""

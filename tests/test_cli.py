@@ -118,9 +118,11 @@ class TestRun:
                 "with_ids: true\nflow_tables:\n  station_bus_switch:\n    entries:\n"
                 "      - {priority: 50, match: {ingress: 4}, actions: [{forward: 99}]}\n",
             ),
+            ("attack1", "host: StationBusSwitch", "host: PIED"),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
-             "bad_source_mac", "topology_without_links", "forward_beyond_the_switch"],
+             "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
+             "host_not_at_the_node"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -134,6 +136,26 @@ class TestRun:
         out = tmp_path / "o"
         assert_one_line_error(run_cli_process("run", "--config", str(cfg), "--out", str(out)))
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_forward_to_an_unlinked_port_is_config_error(self, tmp_path, jobs):
+        """The port exists, so the config loads; the first frame forwarded
+        to it stops the run, which is reported as one error line."""
+        from gridshield.scenarios import _builtin_config_text
+
+        cfg = tmp_path / "unlinked.yaml"
+        cfg.write_text(_builtin_config_text("attack1").replace(
+            "with_ids: true\n",
+            "with_ids: true\nflow_tables:\n  station_bus_switch:\n    entries:\n"
+            "      - {priority: 50, match: {ingress: 4}, actions: [{forward: 5}]}\n",
+        ))
+        load_scenario(str(cfg))
+        proc = run_cli_process(
+            "run", "--scenario", f"{cfg},baseline", "--jobs", jobs, "--out", str(tmp_path / "o")
+        )
+        assert_one_line_error(proc)
+        assert "station_bus_switch/p5 has no link" in proc.stderr
 
 
 class TestJobs:

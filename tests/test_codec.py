@@ -32,6 +32,7 @@ from gridshield.codec import (
     encode_sv,
     next_publication,
 )
+from tests import reference_codec
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -286,6 +287,140 @@ class TestRoundtripProperties:
             decode_goose(RawFrame(bytes(blob)))
         except CodecError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The one-pass decoder against the reference TLV reader
+# ---------------------------------------------------------------------------
+
+
+def outcome(decode, blob: bytes):
+    """The decoded frame, or the CodecError subclass the decode raised."""
+    try:
+        return decode(RawFrame(blob))
+    except CodecError as exc:
+        return type(exc)
+
+
+def envelope(ethertype: int, body: bytes, declared_delta: int = 0) -> bytes:
+    declared = max(0, min(0xFFFF, len(body) + declared_delta))
+    return bytes(12) + struct.pack(">HHH", ethertype, 1, declared) + body
+
+
+# Bodies of TLVs with known tags in any order, each declaring its value's
+# length, a little more or less, or far past the end of the body.
+tlv_bodies = st.lists(
+    st.tuples(
+        st.sampled_from([0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x90, 0x91, 0x92, 0x93]),
+        st.binary(max_size=13),
+        st.sampled_from([0, 0, 0, -1, 1, -2, 2, 300]),
+    ),
+    max_size=9,
+).map(lambda tlvs: b"".join(
+    bytes([tag]) + struct.pack(">H", max(0, len(v) + d)) + v for tag, v, d in tlvs
+))
+
+
+ascii_values = st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=6).map(str.encode)
+text_values = st.one_of(ascii_values, ascii_values, st.binary(max_size=6))
+
+
+def width_values(width):
+    """Mostly the right width, zeros included; sometimes any short bytes."""
+    exact = st.binary(min_size=width, max_size=width)
+    return st.one_of(st.just(bytes(width)), exact, exact, st.binary(max_size=9))
+
+
+GOOSE_FIELDS = (
+    (0x80, text_values),
+    (0x81, width_values(4)),
+    (0x82, width_values(4)),
+    (0x83, width_values(4)),
+    (0x84, st.one_of(st.sampled_from([b"\x00", b"\x01"]), st.binary(max_size=2))),
+    (0x85, width_values(8)),
+    (0x86, text_values),
+    (0x87, st.one_of(st.lists(st.sampled_from([b"\x00", b"\x01"]), max_size=3).map(b"".join),
+                     st.binary(max_size=4))),
+)
+SV_FIELDS = ((0x90, text_values), (0x91, width_values(2)), (0x92, width_values(12)),
+             (0x93, width_values(12)))
+
+
+def ordered_body(fields):
+    """Every TLV in its expected order, with values that reach the later
+    field and range checks."""
+    return st.tuples(*(values for _, values in fields)).map(lambda vs: b"".join(
+        bytes([tag]) + struct.pack(">H", len(v)) + v for (tag, _), v in zip(fields, vs)
+    ))
+
+
+@st.composite
+def damaged(draw, blobs):
+    """A valid encoding with bits flipped, bytes cut off, or both."""
+    blob = bytearray(draw(blobs))
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(blob[: draw(st.integers(0, len(blob)))])
+
+
+valid_goose = goose_frames.map(lambda f: encode_goose(f).data)
+valid_sv = sv_frames.map(lambda f: encode_sv(f).data)
+decoder_inputs = st.one_of(
+    valid_goose,
+    valid_sv,
+    st.binary(max_size=128),
+    damaged(valid_goose),
+    damaged(valid_sv),
+    st.builds(envelope, st.sampled_from([0x88B8, 0x88BA]), tlv_bodies, st.integers(-2, 2)),
+    st.builds(envelope, st.just(0x88B8), ordered_body(GOOSE_FIELDS)),
+    st.builds(envelope, st.just(0x88BA), ordered_body(SV_FIELDS)),
+)
+
+
+class TestDecoderEquivalence:
+    @settings(max_examples=1000)
+    @given(decoder_inputs)
+    def test_decoders_agree_with_the_reference(self, blob):
+        for decode, reference in (
+            (decode_goose, reference_codec.decode_goose),
+            (decode_sv, reference_codec.decode_sv),
+        ):
+            assert outcome(decode, blob) == outcome(reference, blob)
+
+    def test_golden_frames_agree_with_the_reference(self):
+        goose = hand_assembled_goose_bytes()
+        sv = hand_assembled_sv_bytes()
+        assert outcome(decode_goose, goose) == reference_codec.decode_goose(RawFrame(goose))
+        assert outcome(decode_sv, sv) == reference_codec.decode_sv(RawFrame(sv))
+
+
+class TestDecodeMemo:
+    def test_decoding_one_frame_twice_gives_equal_frames(self):
+        raw = encode_goose(golden_goose_frame())
+        first = decode_goose(raw)
+        assert decode_goose(raw) == first == decode_goose(RawFrame(raw.data))
+        sv = encode_sv(golden_sv_frame())
+        assert decode_sv(sv) == decode_sv(sv) == golden_sv_frame()
+
+    def test_the_memo_is_not_read_by_the_other_decoder(self):
+        raw = encode_goose(golden_goose_frame())
+        decode_goose(raw)
+        with pytest.raises(WrongEthertype):
+            decode_sv(raw)
+
+    @pytest.mark.parametrize(
+        "blob, error",
+        [
+            (hand_assembled_goose_bytes()[:-1], Truncated),
+            (hand_assembled_goose_bytes() + b"\x00", MalformedField),
+            (hand_assembled_goose_bytes()[:12], Truncated),
+        ],
+    )
+    def test_a_malformed_frame_raises_every_time(self, blob, error):
+        raw = RawFrame(blob)
+        for _ in range(2):
+            with pytest.raises(error):
+                decode_goose(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gridshield.devices import (
     Waveform,
     inject,
 )
-from gridshield.ids import Origin
 from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
 from tests.test_codec import golden_goose_frame
 from gridshield.codec import encode_goose
@@ -214,7 +213,6 @@ class TestInject:
         cap = _Capture()
         net.register("sw", cap)
         plan = InjectionPlan(
-            host=Origin.STATION_BUS_SWITCH,
             port=PortRef("sw", 6),
             mode="ingress",
             template=golden_goose_frame(),
@@ -233,7 +231,6 @@ class TestInject:
         cap = _Capture()
         net.register("sw", cap)
         plan = InjectionPlan(
-            host=Origin.PIED,
             port=PortRef("pied", 2),
             mode="egress",
             template=golden_goose_frame(),
@@ -251,7 +248,6 @@ class TestInject:
         net.register("sw", cap)
         net.set_port_state(PortRef("sw", 6), False, at=0)
         plan = InjectionPlan(
-            host=Origin.STATION_BUS_SWITCH,
             port=PortRef("sw", 6),
             mode="ingress",
             template=golden_goose_frame(),

@@ -3,8 +3,10 @@ FlowMod add/remove inverses, and switch timing."""
 
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshield.codec import (
@@ -301,3 +303,151 @@ class TestFlowProperties:
         except DuplicateEntry:
             return
         assert apply_flow_mod(added, FlowMod("s", False, e)) == table
+
+
+# ---------------------------------------------------------------------------
+# The flow cache against a decision per frame
+# ---------------------------------------------------------------------------
+
+
+class PerFrameSwitch(SwitchNode):
+    """A switch without its flow cache: ``match_frame`` on every frame."""
+
+    def process_frame(self, raw, ingress, at):
+        emitted = False
+        for action in match_frame(self.table, raw, ingress):
+            if isinstance(action, Forward):
+                self.net.send(PortRef(self.node_id, action.port), raw, at + self.processing_delay)
+                emitted = True
+            elif isinstance(action, ToController):
+                self.net.log_event("ControlMsg", self.node_id, ingress, raw.digest, note="packet_in")
+        if not emitted:
+            self.net.log_event("Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry")
+
+
+FLOW_MACS = (MacAddress.parse("00:30:A7:00:00:01"), OTHER_MAC)
+FLOW_ETHERTYPES = (GOOSE_ETHERTYPE, 0x88BA, 0x0800)
+
+# Mostly one set field, so that each field alone decides some flows.
+flow_matches = st.one_of(
+    st.builds(MatchFields, ingress_port=st.integers(1, 3)),
+    st.builds(MatchFields, ethertype=st.sampled_from(FLOW_ETHERTYPES)),
+    st.builds(MatchFields, src_mac=st.sampled_from(FLOW_MACS)),
+    st.builds(MatchFields, app_id=st.integers(1, 2)),
+    st.tuples(
+        st.none() | st.integers(1, 3),
+        st.none() | st.sampled_from(FLOW_ETHERTYPES),
+        st.none() | st.sampled_from(FLOW_MACS),
+        st.none() | st.integers(1, 2),
+    ).filter(lambda fields: any(f is not None for f in fields)).map(lambda f: MatchFields(*f)),
+)
+
+flow_entries = st.builds(
+    FlowEntry,
+    priority=st.integers(0, 3),
+    match=flow_matches,
+    actions=st.lists(
+        st.one_of(st.builds(Forward, st.integers(1, 8)), st.just(Drop()), st.just(ToController())),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+
+# A frame is its header fields, a body and the length it is cut to; the
+# cuts are every length that changes which fields a match can read, and
+# most frames are whole.
+frame_fields = st.fixed_dictionaries({
+    "src": st.sampled_from(FLOW_MACS),
+    "ethertype": st.sampled_from(FLOW_ETHERTYPES),
+    "app_id": st.integers(1, 2),
+    "body": st.binary(max_size=3),
+    "cut": st.sampled_from([0, 5, 13, 14, 15, 16, 20, 20, 20, 20, 20, 20]),
+})
+
+
+def flow_frame(f: dict) -> RawFrame:
+    header = bytes(6) + f["src"].octets + struct.pack(">HH", f["ethertype"], f["app_id"])
+    return RawFrame((header + f["body"])[: f["cut"]])
+
+
+@st.composite
+def switch_runs(draw):
+    """A table, a pool of frames, and the steps fed to the switch: a sweep
+    (every pool frame arrives on each of three ports, in a drawn order), or
+    a flow mod (an entry to add, or the index of a current entry to
+    remove)."""
+    entries = draw(st.lists(flow_entries, max_size=6))
+    table = FlowTable(
+        entries=tuple({(e.priority, e.match): e for e in entries}.values()),
+        default_action=draw(st.sampled_from([Drop(), ToController()])),
+    )
+    # a frame, the frames that differ from it in one header field, and any
+    # other frame
+    base = draw(frame_fields)
+    other_ethertype = st.sampled_from(FLOW_ETHERTYPES).filter(lambda e: e != base["ethertype"])
+    pool = [flow_frame(f) for f in (
+        base,
+        {**base, "app_id": 3 - base["app_id"]},
+        {**base, "src": FLOW_MACS[base["src"] == FLOW_MACS[0]]},
+        {**base, "ethertype": draw(other_ethertype)},
+        draw(frame_fields),
+    )]
+    arrivals = [(port, raw) for port in (1, 2, 3) for raw in pool]
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("sweep"), st.permutations(arrivals)),
+            st.tuples(st.just("add"), flow_entries),
+            st.tuples(st.just("remove"), st.integers(0, 7)),
+        ),
+        min_size=2,
+        max_size=12,
+    ))
+    return table, steps
+
+
+def run_switch(cls, table, steps):
+    nodes = {"sw": 8, **{f"h{p}": 1 for p in range(1, 9)}}
+    links = tuple(("sw", p, f"h{p}", 1, 10) for p in range(1, 9))
+    net = build_topology(TopologySpec(nodes=nodes, links=links))
+    sw = cls(net, "sw", table, 100)
+    current = table
+    for i, step in enumerate(steps):
+        at = i * 1_000
+        if step[0] == "sweep":
+            for j, (port, raw) in enumerate(step[1]):
+                net.inject_ingress(PortRef("sw", port), raw, at=at + j * 10)
+            continue
+        if step[0] == "add":
+            mod = FlowMod("sw", True, step[1])
+        elif current.entries:
+            mod = FlowMod("sw", False, current.entries[step[1] % len(current.entries)])
+        else:
+            continue
+        try:
+            current = apply_flow_mod(current, mod)
+        except DuplicateEntry:
+            continue
+        sw.apply_flow_mod(mod, at=at)
+    return net.run_until(len(steps) * 1_000 + 1_000)
+
+
+class TestFlowCache:
+    @settings(max_examples=200)
+    @given(switch_runs())
+    def test_cached_decisions_log_what_matching_every_frame_logs(self, run):
+        table, steps = run
+        assert run_switch(SwitchNode, table, steps) == run_switch(PerFrameSwitch, table, steps)
+
+    def test_a_flow_is_matched_once_until_the_table_changes(self, monkeypatch):
+        import gridshield.sdn as sdn
+
+        calls = []
+        monkeypatch.setattr(sdn, "match_frame", lambda *a: calls.append(a) or match_frame(*a))
+        net, sw = switch_net(FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),)))
+        for t in range(0, 5_000, 500):
+            net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=t)
+        sw.apply_flow_mod(FlowMod("sw", True, entry(90, [Forward(3)], ingress_port=6)), at=2_200)
+        net.run_until(50_000)
+        assert len(calls) == 2
+        departures = events_of_kind(net.log, "FrameDeparture")
+        assert sorted({d.port for d in departures if d.time > 3_000}) == [3, 5]
