@@ -19,7 +19,7 @@ compromised relay transmitting on its interface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from gridshield import substation as sub
 from gridshield.codec import (
@@ -71,15 +71,14 @@ class MuConfig:
 class MuDevice:
     """Samples the waveform and streams sampled-value frames."""
 
-    def __init__(self, net: Network, config: MuConfig, waveform: Waveform,
-                 node_id: str = "mu", port: int = 1):
+    def __init__(self, net: Network, config: MuConfig, waveform: Waveform):
         self.net = net
         self.config = config
         self.waveform = waveform
-        self.port = PortRef(node_id, port)
+        self.port = PortRef(sub.MU, sub.MU_PORT)
         self.smp_cnt = 0
         self.period_us = 1_000_000 // config.samples_per_second
-        net.register(node_id, self)
+        net.register(sub.MU, self)
         net.call(0, self._tick)
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
@@ -135,27 +134,20 @@ class PiedDevice:
 
     Publications carry two boolean points: point 0 is the trip command,
     point 1 a supervision flag used for benign state changes. Every
-    publication leaves all configured GOOSE ports at the same instant.
+    publication leaves both GOOSE ports, toward the station-bus switch and
+    the inspector's direct feed, at the same instant.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        config: PiedConfig,
-        node_id: str = "pied",
-        sv_port: int = 1,
-        goose_ports: tuple[int, ...] = (2, 3),
-    ):
+    GOOSE_PORTS = (PortRef(sub.PIED, sub.PIED_STATION), PortRef(sub.PIED, sub.PIED_IDS_DIRECT))
+
+    def __init__(self, net: Network, config: PiedConfig):
         self.net = net
         self.config = config
-        self.node_id = node_id
-        self.sv_port = sv_port
-        self.goose_ports = goose_ports
         self.latched = False
         self.current: GooseFrame | None = None
         self._next_pub_at: SimTime = 0
         self._silenced = False
-        net.register(node_id, self)
+        net.register(sub.PIED, self)
         net.call(0, self._pump)
         if config.toggle_point_at_us is not None:
             net.call(config.toggle_point_at_us, self._toggle_point)
@@ -165,7 +157,7 @@ class PiedDevice:
     # -- reception -----------------------------------------------------------
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
-        if port != self.sv_port or self.latched:
+        if port != sub.PIED_SV_IN or self.latched:
             return
         try:
             sv = decode_sv(raw)
@@ -211,16 +203,14 @@ class PiedDevice:
             frame = self._build_first(at)
         else:
             frame = next_publication(self.current, state_changed, now=at)
-        points = list(frame.all_data)
-        if trip:
-            points[0] = True
-        if toggle:
-            points[1] = not points[1]
-        frame = GooseFrame(**{**frame.__dict__, "all_data": tuple(points)})
+        trip_point, flag_point = frame.all_data
+        points = (trip_point or trip, flag_point != toggle)
+        if points != frame.all_data:
+            frame = replace(frame, all_data=points)
         self.current = frame
         raw = encode_goose(frame)
-        for port in self.goose_ports:
-            self.net.send(PortRef(self.node_id, port), raw, at, note=note)
+        for port in self.GOOSE_PORTS:
+            self.net.send(port, raw, at, note=note)
         # a publication restarts the retransmission timer
         self._next_pub_at = at + self.config.publish_interval_us
 
@@ -249,19 +239,17 @@ class OmicronDevice:
     def __init__(
         self,
         net: Network,
-        node_id: str = "omicron",
         internal_delay_us: SimTime = 4_000,  # t_oc
         act_on_flagged: bool = False,
         flagged_digests: set[str] | None = None,
     ):
         self.net = net
-        self.node_id = node_id
         self.internal_delay_us = internal_delay_us
         self.act_on_flagged = act_on_flagged
         self.flagged_digests = flagged_digests if flagged_digests is not None else set()
         self.breaker = BreakerState()
         self._trip_pending = False
-        net.register(node_id, self)
+        net.register(sub.OMICRON, self)
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         if self.breaker.position == "Open" or self._trip_pending:
@@ -282,7 +270,7 @@ class OmicronDevice:
         self.breaker.position = "Open"
         self.breaker.last_trip_time = self.net.now
         self._trip_pending = False
-        self.net.log_event("BreakerTrip", self.node_id, None, digest, note="breaker=open")
+        self.net.log_event("BreakerTrip", sub.OMICRON, None, digest, note="breaker=open")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from gridshield.netsim import (
     TopologySpec,
     build_topology,
 )
-from gridshield.sdn import Drop, FlowEntry, FlowTable, Forward, MatchFields, SwitchNode, ToController
+from gridshield.sdn import SwitchNode
 
 MS = 1_000
 
@@ -93,10 +93,10 @@ class ScenarioError(Exception):
 class ScenarioSpec:
     """Everything one run needs; shipped as YAML, overridable per key.
 
-    Topology, flow tables and rule set are taken from the config when the
-    corresponding section is present, and from the built-in substation
-    defaults otherwise (the shipped fixtures use the defaults so that the
-    wiring follows any delay-split override).
+    The wiring, flow tables and device identities always come from
+    ``substation.py``, with link latencies derived from the delay split.
+    A config may replace the inspector's rule list, never its whitelist
+    or ingress binding, which follow the relay.
     """
 
     id: str
@@ -111,32 +111,15 @@ class ScenarioSpec:
     pied: PiedConfig
     waveform: Waveform
     injection: InjectionPlan | None
+    rule_list: tuple[Rule, ...]
     act_on_flagged: bool = False
-    explicit_topology: TopologySpec | None = None
-    explicit_flow_tables: dict[str, FlowTable] | None = None
-    explicit_rules: RuleSet | None = None
 
     def topology(self) -> TopologySpec:
-        if self.explicit_topology is not None:
-            return self.explicit_topology
         return sub.default_topology(self.delays)
 
-    def flow_table(self, node: str) -> FlowTable:
-        if self.explicit_flow_tables and node in self.explicit_flow_tables:
-            return self.explicit_flow_tables[node]
-        if node == sub.PROCESS_BUS:
-            return sub.process_bus_flow_table()
-        if node == sub.STATION_BUS:
-            return sub.station_bus_flow_table()
-        if node == sub.IDS:
-            return sub.ids_flow_table(with_ids=self.with_ids)
-        raise ScenarioError(f"{node} has no flow table")
-
     def rules(self) -> RuleSet:
-        if self.explicit_rules is not None:
-            return self.explicit_rules
-        return dataclasses.replace(
-            default_rules(),
+        return RuleSet(
+            rules=self.rule_list,
             whitelist={self.pied.gocb_ref: self.pied.src},
             ingress_map={self.pied.gocb_ref: sub.IDS_MONITORED},
         )
@@ -145,7 +128,7 @@ class ScenarioSpec:
         return total(dataclasses.replace(self.delays, with_ids=self.with_ids))
 
     def settle_us(self) -> int:
-        return max((lat for *_ignored, lat in self.topology().links), default=0)
+        return max(lat for *_ignored, lat in self.topology().links)
 
 
 @dataclass(frozen=True)
@@ -257,9 +240,12 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
         if path is None:
             raise ScenarioError(f"unknown override {key!r}")
         node = tree
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
+        try:
+            for part in path[:-1]:
+                node = node.setdefault(part, {})
+            node[path[-1]] = value
+        except (AttributeError, TypeError) as exc:
+            raise ScenarioError(f"bad scenario config: cannot override {key!r}: {exc}") from exc
     return tree
 
 
@@ -267,8 +253,22 @@ def _ms(value) -> int:
     return int(round(float(value) * MS))
 
 
+# The top-level keys of a scenario config (docs/SCHEMAS.md); any other
+# key is an error, not a silently ignored section.
+_CONFIG_KEYS = frozenset({
+    "scenario", "duration_ms", "with_ids", "delays_ms", "inspection_passes",
+    "decision_window_ms", "loop_window_ms", "controller_latency_ms", "act_on_flagged",
+    "mu", "pied", "waveform", "injection", "rules",
+})
+
+
 def _spec_from_tree(tree: dict) -> ScenarioSpec:
     try:
+        if not isinstance(tree, dict):
+            raise ScenarioError("bad scenario config: not a mapping of keys")
+        unknown = sorted(set(tree) - _CONFIG_KEYS, key=str)
+        if unknown:
+            raise ScenarioError(f"unknown config keys {unknown}")
         sid = tree["scenario"]
         if sid not in SCENARIO_IDS:
             raise ScenarioError(f"unknown scenario id {sid!r}")
@@ -328,10 +328,8 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             pied=pied,
             waveform=waveform,
             injection=injection,
+            rule_list=_rules_from_tree(tree.get("rules")),
             act_on_flagged=bool(tree.get("act_on_flagged", False)),
-            explicit_topology=_topology_from_tree(tree.get("topology")),
-            explicit_flow_tables=_flow_tables_from_tree(tree.get("flow_tables")),
-            explicit_rules=_rules_from_tree(tree.get("rules"), tree.get("publishers")),
         )
         # wiring, ports and schedules fail here, before anything runs or is written
         _build(spec)
@@ -340,81 +338,17 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
 
 
-def _topology_from_tree(tree: dict | None) -> TopologySpec | None:
-    if not tree:
-        return None
-    links = tuple(
-        (str(a), int(pa), str(b), int(pb), _ms(lat))
-        for a, pa, b, pb, lat in tree["links"]
+def _rules_from_tree(tree: list | None) -> tuple[Rule, ...]:
+    if tree is None:
+        return default_rules().rules
+    return tuple(
+        Rule(
+            id=str(r["id"]),
+            kind=RuleKind(r["kind"]),
+            params={k: v for k, v in r.items() if k not in ("id", "kind")},
+        )
+        for r in tree
     )
-    return TopologySpec(nodes={str(n): int(p) for n, p in tree["nodes"].items()}, links=links)
-
-
-_ETHERTYPE_NAMES = {"goose": 0x88B8, "sv": 0x88BA}
-
-
-def _flow_tables_from_tree(tree: dict | None) -> dict[str, FlowTable] | None:
-    if not tree:
-        return None
-    out: dict[str, FlowTable] = {}
-    for node, table_tree in tree.items():
-        entries = []
-        for entry_tree in table_tree.get("entries", []):
-            match_tree = entry_tree["match"]
-            ethertype = match_tree.get("ethertype")
-            if isinstance(ethertype, str):
-                ethertype = _ETHERTYPE_NAMES.get(ethertype.lower(), None)
-            match = MatchFields(
-                ingress_port=match_tree.get("ingress"),
-                ethertype=ethertype,
-                src_mac=(
-                    MacAddress.parse(match_tree["src_mac"])
-                    if "src_mac" in match_tree
-                    else None
-                ),
-                app_id=match_tree.get("app_id"),
-            )
-            actions = tuple(_action_from_tree(a) for a in entry_tree["actions"])
-            entries.append(FlowEntry(int(entry_tree["priority"]), match, actions))
-        default = table_tree.get("default", "drop")
-        out[node] = FlowTable(
-            entries=tuple(entries),
-            default_action=Drop() if default == "drop" else ToController(),
-        )
-    return out
-
-
-def _action_from_tree(tree):
-    if isinstance(tree, dict) and "forward" in tree:
-        return Forward(int(tree["forward"]))
-    if tree == "drop":
-        return Drop()
-    if tree == "to_controller":
-        return ToController()
-    raise ScenarioError(f"unknown action {tree!r}")
-
-
-def _rules_from_tree(rules_tree: list | None, publishers_tree: dict | None) -> RuleSet | None:
-    if rules_tree is None and publishers_tree is None:
-        return None
-    if rules_tree is None:
-        rules = default_rules().rules
-    else:
-        rules = tuple(
-            Rule(
-                id=str(r["id"]),
-                kind=RuleKind(r["kind"]),
-                params={k: v for k, v in r.items() if k not in ("id", "kind")},
-            )
-            for r in rules_tree
-        )
-    whitelist: dict[str, MacAddress] = {}
-    ingress_map: dict[str, tuple[int, ...]] = {}
-    for gocb, pub in (publishers_tree or {}).items():
-        whitelist[gocb] = MacAddress.parse(pub["source_mac"])
-        if "ingress_ports" in pub:
-            ingress_map[gocb] = tuple(int(p) for p in pub["ingress_ports"])
-    return RuleSet(rules=rules, whitelist=whitelist, ingress_map=ingress_map)
 
 
 def _injection_from_tree(tree: dict | None, pied: PiedConfig) -> InjectionPlan | None:
@@ -479,13 +413,13 @@ def _build(spec: ScenarioSpec) -> Network:
         ),
     )
 
-    SwitchNode(net, sub.PROCESS_BUS, spec.flow_table(sub.PROCESS_BUS), spec.delays.t_sp)
-    SwitchNode(net, sub.STATION_BUS, spec.flow_table(sub.STATION_BUS), spec.delays.t_ss)
+    SwitchNode(net, sub.PROCESS_BUS, sub.process_bus_flow_table(), spec.delays.t_sp)
+    SwitchNode(net, sub.STATION_BUS, sub.station_bus_flow_table(), spec.delays.t_ss)
     flagged: set[str] = set()
     if spec.with_ids:
         ids_node = IdsNode(
             net,
-            spec.flow_table(sub.IDS),
+            sub.ids_flow_table(with_ids=True),
             spec.rules(),
             processing_delay=spec.delays.t_ids * spec.inspection_passes,
             loop_window_us=spec.loop_window_us,
@@ -494,19 +428,12 @@ def _build(spec: ScenarioSpec) -> Network:
         )
         flagged = ids_node.alerted_digests
     else:
-        SwitchNode(net, sub.IDS, spec.flow_table(sub.IDS), 0)
+        SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)
 
-    MuDevice(net, spec.mu, spec.waveform, node_id=sub.MU, port=sub.MU_PORT)
-    PiedDevice(
-        net,
-        spec.pied,
-        node_id=sub.PIED,
-        sv_port=sub.PIED_SV_IN,
-        goose_ports=(sub.PIED_STATION, sub.PIED_IDS_DIRECT),
-    )
+    MuDevice(net, spec.mu, spec.waveform)
+    PiedDevice(net, spec.pied)
     OmicronDevice(
         net,
-        node_id=sub.OMICRON,
         internal_delay_us=spec.delays.t_oc,
         act_on_flagged=spec.act_on_flagged,
         flagged_digests=flagged,

@@ -69,6 +69,16 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["", "just text\n", "pied: 5\n"],
+                             ids=["empty", "not_a_mapping", "section_not_a_mapping"])
+    def test_override_into_a_malformed_config_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        proc = run_cli_process(
+            "run", "--config", str(cfg), "--override", "pickup_ma=1", "--out", str(tmp_path / "o")
+        )
+        assert_one_line_error(proc)
+
     def test_all_scenarios_with_jobs(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", "--scenario", "all", "--jobs", "3", "--out", str(out)) == 0
@@ -119,10 +129,11 @@ class TestRun:
                 "      - {priority: 50, match: {ingress: 4}, actions: [{forward: 99}]}\n",
             ),
             ("attack1", "host: StationBusSwitch", "host: PIED"),
+            ("baseline", "with_ids: false\n", "with_ids: false\nwith_idz: true\n"),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
-             "host_not_at_the_node"],
+             "host_not_at_the_node", "misspelt_top_level_key"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -137,25 +148,29 @@ class TestRun:
         assert_one_line_error(run_cli_process("run", "--config", str(cfg), "--out", str(out)))
         assert not out.exists()
 
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_forward_to_an_unlinked_port_is_config_error(self, tmp_path, jobs):
-        """The port exists, so the config loads; the first frame forwarded
-        to it stops the run, which is reported as one error line."""
-        from gridshield.scenarios import _builtin_config_text
+    def test_forward_to_an_unlinked_port_is_config_error(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
+        """A station-bus table that forwards the relay's frames to port 5,
+        which exists but has no link, loads; the first frame forwarded there
+        stops the run, which is reported as one error line. Pool workers
+        are forked from this process, so they run the patched table too."""
+        from gridshield import substation as sub
+        from gridshield.sdn import FlowEntry, FlowTable, Forward, MatchFields
 
-        cfg = tmp_path / "unlinked.yaml"
-        cfg.write_text(_builtin_config_text("attack1").replace(
-            "with_ids: true\n",
-            "with_ids: true\nflow_tables:\n  station_bus_switch:\n    entries:\n"
-            "      - {priority: 50, match: {ingress: 4}, actions: [{forward: 5}]}\n",
-        ))
-        load_scenario(str(cfg))
-        proc = run_cli_process(
-            "run", "--scenario", f"{cfg},baseline", "--jobs", jobs, "--out", str(tmp_path / "o")
+        unlinked = FlowTable(
+            entries=(FlowEntry(50, MatchFields(ingress_port=sub.SBS_PIED), (Forward(5),)),)
         )
-        assert_one_line_error(proc)
-        assert "station_bus_switch/p5 has no link" in proc.stderr
+        monkeypatch.setattr(sub, "station_bus_flow_table", lambda: unlinked)
+        load_scenario("attack1")
+        code = run_cli(
+            "run", "--scenario", "attack1,baseline", "--jobs", jobs, "--out", str(tmp_path / "o")
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario attack1 cannot run: station_bus_switch/p5 has no link"
+        ]
 
 
 class TestJobs:

@@ -49,7 +49,7 @@ class TestMuDevice:
         net = mini_process_bus()
         cap = _Capture()
         net.register("pied", cap)
-        MuDevice(net, MuConfig(samples_per_second=1_000), Waveform(), port=1)
+        MuDevice(net, MuConfig(samples_per_second=1_000), Waveform())
         net.run_until(3_000_000)
         counts = [decode_sv(raw).smp_cnt for _, raw, _ in cap.frames]
         assert counts[:3] == [0, 1, 2]
@@ -86,7 +86,7 @@ class TestPiedDevice:
         cap = _Capture()
         net.register("sink", cap)
         MuDevice(net, MuConfig(), wave)
-        pied = PiedDevice(net, pied_cfg or PiedConfig(), goose_ports=(2, 3))
+        pied = PiedDevice(net, pied_cfg or PiedConfig())
         log = net.run_until(until)
         return net, cap, pied, log
 

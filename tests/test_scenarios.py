@@ -283,55 +283,12 @@ class TestLoading:
         spec = load_scenario(str(path))
         assert spec.id == "attack1"
 
-    def test_explicit_topology_section(self, tmp_path):
-        from gridshield.scenarios import _builtin_config_text
-
-        text = _builtin_config_text("baseline") + (
-            "\ntopology:\n"
-            "  nodes: {omicron: 1, mu: 1, pied: 3,"
-            " process_bus_switch: 6, station_bus_switch: 6, ids: 8}\n"
-            "  links:\n"
-            "    - [mu, 1, process_bus_switch, 1, 1.0]\n"
-            "    - [process_bus_switch, 5, pied, 1, 1.0]\n"
-        )
-        path = tmp_path / "topo.yaml"
-        path.write_text(text)
-        spec = load_scenario(str(path))
-        assert len(spec.topology().links) == 2
-        assert spec.topology().links[0] == ("mu", 1, "process_bus_switch", 1, 1000)
-
-    def test_explicit_flow_table_section(self, tmp_path):
-        from gridshield.scenarios import _builtin_config_text
-        from gridshield.sdn import Forward
-
-        text = _builtin_config_text("baseline") + (
-            "\nflow_tables:\n"
-            "  station_bus_switch:\n"
-            "    default: drop\n"
-            "    entries:\n"
-            "      - {priority: 50, match: {ingress: 4, ethertype: goose},"
-            " actions: [{forward: 2}, drop]}\n"
-        )
-        path = tmp_path / "flows.yaml"
-        path.write_text(text)
-        spec = load_scenario(str(path))
-        table = spec.flow_table(sub.STATION_BUS)
-        assert len(table.entries) == 1
-        assert table.entries[0].priority == 50
-        assert table.entries[0].match.ethertype == 0x88B8
-        assert table.entries[0].actions[0] == Forward(2)
-        # nodes without an explicit table keep the default
-        assert spec.flow_table(sub.PROCESS_BUS).entries
-
-    def test_explicit_rules_and_publishers_section(self, tmp_path):
+    def test_explicit_rules_section(self, tmp_path):
         from gridshield.scenarios import _builtin_config_text
 
         text = _builtin_config_text("baseline") + (
             "\nrules:\n"
             "  - {id: only_ttl, kind: TtlBound, min_ms: 5, max_ms: 50}\n"
-            "publishers:\n"
-            "  'PIED/LLN0$GO$gcb1': {source_mac: '00:30:A7:00:00:01',"
-            " ingress_ports: [3, 6, 7]}\n"
         )
         path = tmp_path / "rules.yaml"
         path.write_text(text)
@@ -339,4 +296,26 @@ class TestLoading:
         rules = spec.rules()
         assert [r.id for r in rules.rules] == ["only_ttl"]
         assert rules.rules[0].params == {"min_ms": 5, "max_ms": 50}
-        assert rules.ingress_map["PIED/LLN0$GO$gcb1"] == (3, 6, 7)
+
+    def test_restated_default_rules_keep_the_relay_whitelisted(self, tmp_path):
+        """A rules section replaces only the rule list: the whitelist and the
+        ingress binding still follow the relay, so legal traffic raises no
+        alert and the relay's trip opens the breaker."""
+        from gridshield.scenarios import _builtin_config_text
+
+        text = _builtin_config_text("baseline").replace("with_ids: false", "with_ids: true") + (
+            "\nrules:\n"
+            "  - {id: seq_regression, kind: SequenceRegression}\n"
+            "  - {id: seq_skip, kind: SequenceSkip, max_gap: 1}\n"
+            "  - {id: ttl_bound, kind: TtlBound, min_ms: 1, max_ms: 60000}\n"
+            "  - {id: publisher_whitelist, kind: PublisherWhitelist}\n"
+            "  - {id: ingress_binding, kind: IngressBinding}\n"
+            "  - {id: rate_limit, kind: RateLimit, max_frames: 10, window_ms: 100}\n"
+        )
+        path = tmp_path / "rules.yaml"
+        path.write_text(text)
+        spec = load_scenario(str(path))
+        assert spec.rules() == load_scenario("baseline", {"with_ids": True}).rules()
+        result = run_scenario(spec)
+        assert result.passed, result.reasons
+        assert result.alerts == 0 and result.breaker_trips == 1
