@@ -71,7 +71,10 @@ def _write_outputs(result: ScenarioResult, log_text: str, out_dir: Path) -> None
     if result.delay is not None:
         delay_text = result.delay.to_json() + "\n"
     else:
-        delay_text = json.dumps({"error": "no_trip_found"}, indent=2) + "\n"
+        # a trip whose chain does not follow the measured main-feed path
+        # (after a switch conviction it arrives on the direct feed)
+        error = "incomplete_trace" if result.breaker_trips else "no_trip_found"
+        delay_text = json.dumps({"error": error}, indent=2) + "\n"
     (out_dir / "delay_report.json").write_text(delay_text)
 
 

@@ -25,7 +25,6 @@ from gridshield import substation as sub
 from gridshield.codec import (
     CodecError,
     GooseFrame,
-    MacAddress,
     RawFrame,
     SvFrame,
     decode_goose,
@@ -57,9 +56,6 @@ class Waveform:
 class MuConfig:
     samples_per_second: int = 1_000
     internal_delay_us: SimTime = 3_000  # t_mu
-    sv_id: str = sub.SV_ID
-    src: MacAddress = sub.MU_MAC
-    dst: MacAddress = sub.SV_DST
 
     def __post_init__(self) -> None:
         if self.samples_per_second <= 0:
@@ -88,9 +84,9 @@ class MuDevice:
         at = self.net.now
         currents, voltages = self.waveform.sample(at)
         frame = SvFrame(
-            dst=self.config.dst,
-            src=self.config.src,
-            sv_id=self.config.sv_id,
+            dst=sub.SV_DST,
+            src=sub.MU_MAC,
+            sv_id=sub.SV_ID,
             smp_cnt=self.smp_cnt,
             currents=currents,
             voltages=voltages,
@@ -106,12 +102,6 @@ class PiedConfig:
     pickup_current_ma: int = 2_000
     publish_interval_us: SimTime = 1_000_000
     protection_delay_us: SimTime = 10_000  # t_pied
-    gocb_ref: str = sub.GOCB_REF
-    dataset_ref: str = sub.DATASET_REF
-    app_id: int = sub.PIED_APP_ID
-    src: MacAddress = sub.PIED_MAC
-    dst: MacAddress = sub.GOOSE_DST
-    ttl_ms: int = 2_000
     # benign data change (supervision point toggles) giving the stream a
     # second state number; None disables it
     toggle_point_at_us: SimTime | None = None
@@ -182,16 +172,16 @@ class PiedDevice:
 
     def _build_first(self, now: SimTime) -> GooseFrame:
         return GooseFrame(
-            dst=self.config.dst,
-            src=self.config.src,
-            app_id=self.config.app_id,
-            gocb_ref=self.config.gocb_ref,
-            time_allowed_to_live=self.config.ttl_ms,
+            dst=sub.GOOSE_DST,
+            src=sub.PIED_MAC,
+            app_id=sub.PIED_APP_ID,
+            gocb_ref=sub.GOCB_REF,
+            time_allowed_to_live=sub.PIED_TTL_MS,
             st_num=1,
             sq_num=0,
             test=False,
             timestamp=now,
-            dataset_ref=self.config.dataset_ref,
+            dataset_ref=sub.DATASET_REF,
             all_data=(False, False),
         )
 
@@ -230,32 +220,21 @@ class OmicronDevice:
     """Waveform source stand-in and circuit-breaker sink.
 
     The sourcing side lives in the merging unit's configured waveform; this
-    node closes the loop by acting on received trip commands. With
-    ``act_on_flagged`` false (the default), trip frames the inspection
-    device has already alerted on are quarantined copies forwarded for
-    analysis and do not move the breaker.
+    node closes the loop by acting on every trip command that reaches its
+    port. It shares no state with the inspection device: keeping injected
+    trips away from the breaker is the job of the inspector's port-disable
+    mitigation, as in the paper.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        internal_delay_us: SimTime = 4_000,  # t_oc
-        act_on_flagged: bool = False,
-        flagged_digests: set[str] | None = None,
-    ):
+    def __init__(self, net: Network, internal_delay_us: SimTime = 4_000):  # t_oc
         self.net = net
         self.internal_delay_us = internal_delay_us
-        self.act_on_flagged = act_on_flagged
-        self.flagged_digests = flagged_digests if flagged_digests is not None else set()
         self.breaker = BreakerState()
         self._trip_pending = False
         net.register(sub.OMICRON, self)
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         if self.breaker.position == "Open" or self._trip_pending:
-            return
-        digest = raw.digest
-        if not self.act_on_flagged and digest in self.flagged_digests:
             return
         try:
             frame = decode_goose(raw)
@@ -264,7 +243,7 @@ class OmicronDevice:
         if not frame.trip:
             return
         self._trip_pending = True
-        self.net.call(at + self.internal_delay_us, self._open_breaker, digest)
+        self.net.call(at + self.internal_delay_us, self._open_breaker, raw.digest)
 
     def _open_breaker(self, digest: str) -> None:
         self.breaker.position = "Open"

@@ -2,10 +2,11 @@
 
 The inspection device watches three of its ports: the main feed from the
 station-bus switch, the relay's direct feed, and the loop return. Every
-monitored GOOSE frame runs through six rules (sequence regression,
-sequence skip, TTL bounds, publisher whitelist, ingress binding, rate
-limit); a frame violating any rule is abnormal and becomes an
-:class:`ObservationRecord`.
+monitored GOOSE frame runs through five rules (sequence regression,
+sequence skip, TTL bounds, publisher whitelist, rate limit); a frame
+violating any rule is abnormal and becomes an :class:`ObservationRecord`.
+The only legitimate publisher is the relay, whose control block reference
+and source address are the ``substation.py`` identities.
 
 Frames received on the main feed are re-forwarded onto a loop through the
 station-bus switch and come back on the loop return port. The device
@@ -40,7 +41,6 @@ from gridshield.codec import (
     CodecError,
     GOOSE_ETHERTYPE,
     GooseFrame,
-    MacAddress,
     RawFrame,
     decode_goose,
     encode_goose,
@@ -61,11 +61,19 @@ class RuleKind(enum.Enum):
     SEQUENCE_SKIP = "SequenceSkip"
     TTL_BOUND = "TtlBound"
     PUBLISHER_WHITELIST = "PublisherWhitelist"
-    INGRESS_BINDING = "IngressBinding"
     RATE_LIMIT = "RateLimit"
 
 
 MALFORMED_RULE_ID = "malformed"
+
+# The parameters each rule kind reads (see ``inspect``).
+_RULE_PARAMS = {
+    RuleKind.SEQUENCE_REGRESSION: frozenset(),
+    RuleKind.SEQUENCE_SKIP: frozenset({"max_gap"}),
+    RuleKind.TTL_BOUND: frozenset({"min_ms", "max_ms"}),
+    RuleKind.PUBLISHER_WHITELIST: frozenset(),
+    RuleKind.RATE_LIMIT: frozenset({"max_frames", "window_ms"}),
+}
 
 
 @dataclass(frozen=True)
@@ -74,13 +82,15 @@ class Rule:
     kind: RuleKind
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.params) - _RULE_PARAMS[self.kind], key=str)
+        if unknown:
+            raise ValueError(f"rule {self.id!r} of kind {self.kind.value} reads no {unknown}")
+
 
 @dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...]
-    # publisher identity and placement, keyed by control block reference
-    whitelist: dict[str, MacAddress] = field(default_factory=dict)
-    ingress_map: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         ids = [r.id for r in self.rules]
@@ -95,7 +105,6 @@ def default_rules() -> RuleSet:
             Rule("seq_skip", RuleKind.SEQUENCE_SKIP, {"max_gap": 1}),
             Rule("ttl_bound", RuleKind.TTL_BOUND, {"min_ms": 1, "max_ms": 60_000}),
             Rule("publisher_whitelist", RuleKind.PUBLISHER_WHITELIST),
-            Rule("ingress_binding", RuleKind.INGRESS_BINDING),
             Rule("rate_limit", RuleKind.RATE_LIMIT, {"max_frames": 10, "window_ms": 100}),
         )
     )
@@ -175,9 +184,9 @@ class LocalizationVerdict:
 class Inconclusive(Exception):
     """Raised when the observations satisfy neither decision row."""
 
-    def __init__(self, observations: tuple[ObservationRecord, ...]):
+    def __init__(self, count: int):
         super().__init__("observations match neither decision row")
-        self.observations = observations
+        self.count = count  # observations decided on
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +236,7 @@ def inspect(
             if not lo <= frame.time_allowed_to_live <= hi:
                 alert(rule.id)
         elif rule.kind is RuleKind.PUBLISHER_WHITELIST:
-            expected = rules.whitelist.get(frame.gocb_ref)
-            if expected is None or frame.src != expected:
-                alert(rule.id)
-        elif rule.kind is RuleKind.INGRESS_BINDING:
-            allowed = rules.ingress_map.get(frame.gocb_ref)
-            if allowed is not None and ingress not in allowed:
+            if bind_origin(frame) is not Origin.PIED:
                 alert(rule.id)
         elif rule.kind is RuleKind.RATE_LIMIT:
             window_us = rule.params.get("window_ms", 100) * 1_000
@@ -277,12 +281,11 @@ class LoopTracker:
 # ---------------------------------------------------------------------------
 
 
-def bind_origin(frame: GooseFrame, whitelist: dict[str, MacAddress]) -> Origin:
+def bind_origin(frame: GooseFrame) -> Origin:
     """Claimed-identity binding: a frame is the relay's only if both its
-    control block reference and source address match the whitelist;
-    anything else materialized inside the station-bus fabric."""
-    expected = whitelist.get(frame.gocb_ref)
-    if expected is not None and frame.src == expected:
+    control block reference and source address are the relay's; anything
+    else materialized inside the station-bus fabric."""
+    if frame.gocb_ref == sub.GOCB_REF and frame.src == sub.PIED_MAC:
         return Origin.PIED
     return Origin.STATION_BUS_SWITCH
 
@@ -331,7 +334,7 @@ class Evidence:
         # where the abnormal traffic was first seen is left to check.
         if obs[0].ingress_port == sub.IDS_MAIN_FEED:
             return LocalizationVerdict(Origin.PIED, tuple(obs), obs[-1].time)
-        raise Inconclusive(tuple(obs))
+        raise Inconclusive(len(obs))
 
 
 def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
@@ -406,7 +409,6 @@ class IdsNode(SwitchNode):
         self.decision_window_us = decision_window_us
         self.controller_latency_us = controller_latency_us
         self.evidence = Evidence()
-        self.alerted_digests: set[str] = set()
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
         self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
@@ -437,12 +439,11 @@ class IdsNode(SwitchNode):
         if port == sub.IDS_LOOP_RETURN and not loop:
             origin = Origin.STATION_BUS_SWITCH
         else:
-            origin = bind_origin(frame, self.rules.whitelist)
+            origin = bind_origin(frame)
         self._observe(origin, port, digest, loop, at)
 
     def _raise_alerts(self, alerts: list[Alert]) -> None:
         for alert in alerts:
-            self.alerted_digests.add(alert.digest)
             self.net.log_event(
                 "AlertRaised",
                 self.node_id,
@@ -469,7 +470,7 @@ class IdsNode(SwitchNode):
         except Inconclusive as exc:
             self.net.log_event(
                 "ControlMsg", self.node_id, None, None,
-                note=f"localization_inconclusive observations={len(exc.observations)}",
+                note=f"localization_inconclusive observations={exc.count}",
             )
             return
         self.verdict = verdict

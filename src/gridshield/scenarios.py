@@ -39,6 +39,7 @@ from gridshield import substation as sub
 from gridshield.codec import CodecError, GooseFrame, MacAddress
 from gridshield.delay import (
     BASELINE_TOTAL_US,
+    COMPONENT_NAMES,
     DelayComponents,
     DelayReport,
     IncompleteTrace,
@@ -95,15 +96,14 @@ class ScenarioSpec:
 
     The wiring, flow tables and device identities always come from
     ``substation.py``, with link latencies derived from the delay split.
-    A config may replace the inspector's rule list, never its whitelist
-    or ingress binding, which follow the relay.
+    A config sets delays, traffic, the injection and the inspector's rule
+    list; the whitelist the rules check is the relay's identity.
     """
 
     id: str
     duration_us: int
     with_ids: bool
     delays: DelayComponents
-    inspection_passes: int
     decision_window_us: int
     loop_window_us: int
     controller_latency_us: int
@@ -111,18 +111,10 @@ class ScenarioSpec:
     pied: PiedConfig
     waveform: Waveform
     injection: InjectionPlan | None
-    rule_list: tuple[Rule, ...]
-    act_on_flagged: bool = False
+    rules: RuleSet
 
     def topology(self) -> TopologySpec:
         return sub.default_topology(self.delays)
-
-    def rules(self) -> RuleSet:
-        return RuleSet(
-            rules=self.rule_list,
-            whitelist={self.pied.gocb_ref: self.pied.src},
-            ingress_map={self.pied.gocb_ref: sub.IDS_MONITORED},
-        )
 
     def expected_total_us(self) -> int:
         return total(dataclasses.replace(self.delays, with_ids=self.with_ids))
@@ -220,7 +212,6 @@ _OVERRIDE_KEYS = {
     "t_gs": ("delays_ms", "t_gs"),
     "t_oc": ("delays_ms", "t_oc"),
     "t_ids": ("delays_ms", "t_ids"),
-    "inspection_passes": ("inspection_passes",),
     "decision_window_ms": ("decision_window_ms",),
     "loop_window_ms": ("loop_window_ms",),
     "controller_latency_ms": ("controller_latency_ms",),
@@ -230,7 +221,6 @@ _OVERRIDE_KEYS = {
     "toggle_point_at_ms": ("pied", "toggle_point_at_ms"),
     "silence_at_ms": ("pied", "silence_at_ms"),
     "fault_at_ms": ("waveform", "fault_at_ms"),
-    "act_on_flagged": ("act_on_flagged",),
 }
 
 
@@ -253,26 +243,47 @@ def _ms(value) -> int:
     return int(round(float(value) * MS))
 
 
-# The top-level keys of a scenario config (docs/SCHEMAS.md); any other
-# key is an error, not a silently ignored section.
+# The keys of a scenario config and of each of its sections
+# (docs/SCHEMAS.md); any other key is an error, not a silently ignored
+# section or a setting that silently takes its default.
 _CONFIG_KEYS = frozenset({
-    "scenario", "duration_ms", "with_ids", "delays_ms", "inspection_passes",
-    "decision_window_ms", "loop_window_ms", "controller_latency_ms", "act_on_flagged",
-    "mu", "pied", "waveform", "injection", "rules",
+    "scenario", "duration_ms", "with_ids", "delays_ms", "decision_window_ms",
+    "loop_window_ms", "controller_latency_ms", "mu", "pied", "waveform", "injection",
+    "rules",
 })
+_SECTION_KEYS = {
+    "delays_ms": frozenset(COMPONENT_NAMES),
+    "mu": frozenset({"samples_per_second"}),
+    "pied": frozenset({"pickup_ma", "publish_interval_ms", "toggle_point_at_ms", "silence_at_ms"}),
+    "waveform": frozenset({"currents_ma", "voltages_mv", "fault_at_ms", "fault_phase_a_ma"}),
+    "injection": frozenset({"host", "node", "port", "mode", "template", "times_ms"}),
+    "template": frozenset({"src_mac", "gocb_ref", "st_num", "sq_num", "timestamp_ms", "trip"}),
+}
+
+
+def _checked(tree, where: str, allowed: frozenset) -> dict:
+    """``tree`` if it is a mapping holding only ``allowed`` keys."""
+    if not isinstance(tree, dict):
+        raise ScenarioError(f"bad scenario config: {where} is not a mapping of keys")
+    unknown = sorted(set(tree) - allowed, key=str)
+    if unknown:
+        raise ScenarioError(f"unknown config keys {unknown} in {where}")
+    return tree
+
+
+def _section(tree: dict, key: str) -> dict:
+    """The checked section ``key`` of a config; an absent or null one is empty."""
+    section = tree.get(key)
+    return {} if section is None else _checked(section, key, _SECTION_KEYS[key])
 
 
 def _spec_from_tree(tree: dict) -> ScenarioSpec:
     try:
-        if not isinstance(tree, dict):
-            raise ScenarioError("bad scenario config: not a mapping of keys")
-        unknown = sorted(set(tree) - _CONFIG_KEYS, key=str)
-        if unknown:
-            raise ScenarioError(f"unknown config keys {unknown}")
+        _checked(tree, "the config", _CONFIG_KEYS)
         sid = tree["scenario"]
         if sid not in SCENARIO_IDS:
             raise ScenarioError(f"unknown scenario id {sid!r}")
-        delays_ms = tree["delays_ms"]
+        delays_ms = _section(tree, "delays_ms")
         delays = DelayComponents(
             t_mu=_ms(delays_ms["t_mu"]),
             t_sv=_ms(delays_ms["t_sv"]),
@@ -284,12 +295,12 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             t_ids=_ms(delays_ms["t_ids"]),
             with_ids=bool(tree["with_ids"]),
         )
-        mu_tree = tree.get("mu", {})
+        mu_tree = _section(tree, "mu")
         mu = MuConfig(
             samples_per_second=int(mu_tree.get("samples_per_second", 1000)),
             internal_delay_us=delays.t_mu,
         )
-        pied_tree = tree.get("pied", {})
+        pied_tree = _section(tree, "pied")
         pied = PiedConfig(
             pickup_current_ma=int(pied_tree.get("pickup_ma", 2000)),
             publish_interval_us=_ms(pied_tree.get("publish_interval_ms", 1000)),
@@ -305,7 +316,7 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
                 else None
             ),
         )
-        wave_tree = tree.get("waveform", {})
+        wave_tree = _section(tree, "waveform")
         waveform = Waveform(
             currents_ma=tuple(wave_tree.get("currents_ma", (500, 500, 500))),
             voltages_mv=tuple(wave_tree.get("voltages_mv", (120_000, 120_000, 120_000))),
@@ -314,13 +325,12 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             ),
             fault_phase_a_ma=int(wave_tree.get("fault_phase_a_ma", 5000)),
         )
-        injection = _injection_from_tree(tree.get("injection"), pied)
+        injection = _injection_from_tree(_section(tree, "injection"))
         spec = ScenarioSpec(
             id=sid,
             duration_us=_ms(tree["duration_ms"]),
             with_ids=bool(tree["with_ids"]),
             delays=delays,
-            inspection_passes=int(tree.get("inspection_passes", 1)),
             decision_window_us=_ms(tree.get("decision_window_ms", 15)),
             loop_window_us=_ms(tree.get("loop_window_ms", 10)),
             controller_latency_us=_ms(tree.get("controller_latency_ms", 1)),
@@ -328,8 +338,7 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             pied=pied,
             waveform=waveform,
             injection=injection,
-            rule_list=_rules_from_tree(tree.get("rules")),
-            act_on_flagged=bool(tree.get("act_on_flagged", False)),
+            rules=_rules_from_tree(tree.get("rules")),
         )
         # wiring, ports and schedules fail here, before anything runs or is written
         _build(spec)
@@ -338,34 +347,35 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
 
 
-def _rules_from_tree(tree: list | None) -> tuple[Rule, ...]:
+def _rules_from_tree(tree: list | None) -> RuleSet:
     if tree is None:
-        return default_rules().rules
-    return tuple(
+        return default_rules()
+    return RuleSet(tuple(
         Rule(
             id=str(r["id"]),
             kind=RuleKind(r["kind"]),
             params={k: v for k, v in r.items() if k not in ("id", "kind")},
         )
         for r in tree
-    )
+    ))
 
 
-def _injection_from_tree(tree: dict | None, pied: PiedConfig) -> InjectionPlan | None:
+def _injection_from_tree(tree: dict) -> InjectionPlan | None:
     if not tree:
         return None
-    template_tree = tree["template"]
+    template_tree = _section(tree, "template")
+    src = template_tree.get("src_mac")
     template = GooseFrame(
-        dst=pied.dst,
-        src=MacAddress.parse(template_tree["src_mac"]) if "src_mac" in template_tree else pied.src,
-        app_id=pied.app_id,
-        gocb_ref=template_tree.get("gocb_ref", pied.gocb_ref),
-        time_allowed_to_live=pied.ttl_ms,
+        dst=sub.GOOSE_DST,
+        src=sub.PIED_MAC if src is None else MacAddress.parse(src),
+        app_id=sub.PIED_APP_ID,
+        gocb_ref=template_tree.get("gocb_ref", sub.GOCB_REF),
+        time_allowed_to_live=sub.PIED_TTL_MS,
         st_num=int(template_tree["st_num"]),
         sq_num=int(template_tree["sq_num"]),
         test=False,
         timestamp=_ms(template_tree.get("timestamp_ms", 0)),
-        dataset_ref=pied.dataset_ref,
+        dataset_ref=sub.DATASET_REF,
         all_data=(bool(template_tree.get("trip", False)), False),
     )
     node = tree["node"]
@@ -415,29 +425,22 @@ def _build(spec: ScenarioSpec) -> Network:
 
     SwitchNode(net, sub.PROCESS_BUS, sub.process_bus_flow_table(), spec.delays.t_sp)
     SwitchNode(net, sub.STATION_BUS, sub.station_bus_flow_table(), spec.delays.t_ss)
-    flagged: set[str] = set()
     if spec.with_ids:
-        ids_node = IdsNode(
+        IdsNode(
             net,
             sub.ids_flow_table(with_ids=True),
-            spec.rules(),
-            processing_delay=spec.delays.t_ids * spec.inspection_passes,
+            spec.rules,
+            processing_delay=spec.delays.t_ids,
             loop_window_us=spec.loop_window_us,
             decision_window_us=spec.decision_window_us,
             controller_latency_us=spec.controller_latency_us,
         )
-        flagged = ids_node.alerted_digests
     else:
         SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)
 
     MuDevice(net, spec.mu, spec.waveform)
     PiedDevice(net, spec.pied)
-    OmicronDevice(
-        net,
-        internal_delay_us=spec.delays.t_oc,
-        act_on_flagged=spec.act_on_flagged,
-        flagged_digests=flagged,
-    )
+    OmicronDevice(net, internal_delay_us=spec.delays.t_oc)
     if spec.injection is not None:
         inject(net, spec.injection)
     return net

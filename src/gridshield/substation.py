@@ -83,6 +83,7 @@ SV_DST = MacAddress.parse("01:0C:CD:04:00:01")
 GOCB_REF = "PIED/LLN0$GO$gcb1"
 DATASET_REF = "PIED/LLN0$dataset1"
 PIED_APP_ID = 0x0001
+PIED_TTL_MS = 2_000
 SV_ID = "MU01"
 
 # Monitored-feed split of the aggregate link budgets (microseconds).

@@ -69,6 +69,15 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("override", ["inspection_passes=2", "act_on_flagged=true"])
+    def test_retired_override_is_config_error(self, tmp_path, override):
+        out = tmp_path / "o"
+        proc = run_cli_process(
+            "run", "--scenario", "baseline", "--override", override, "--out", str(out)
+        )
+        assert_one_line_error(proc)
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "just text\n", "pied: 5\n"],
                              ids=["empty", "not_a_mapping", "section_not_a_mapping"])
     def test_override_into_a_malformed_config_is_config_error(self, tmp_path, text):
@@ -130,10 +139,33 @@ class TestRun:
             ),
             ("attack1", "host: StationBusSwitch", "host: PIED"),
             ("baseline", "with_ids: false\n", "with_ids: false\nwith_idz: true\n"),
+            ("baseline", "with_ids: false\n", "with_ids: false\ninspection_passes: 2\n"),
+            ("baseline", "with_ids: false\n", "with_ids: false\nact_on_flagged: true\n"),
+            ("attack1", "  t_ids: 4.0\n", "  t_ids: 4.0\n  t_idz: 1.0\n"),
+            ("attack1", "  samples_per_second: 1000\n", "  samples_per_secnd: 100\n"),
+            ("attack1", "  publish_interval_ms: 1000\n", "  publish_intervl_ms: 10\n"),
+            ("attack1", "  currents_ma: [500, 500, 500]\n", "  current_ma: [500, 500, 500]\n"),
+            ("attack1", "  port: 6\n", "  port: 6\n  ports: [6]\n"),
+            ("attack1", "    st_num: 1\n", "    st_num: 1\n    sq: 4\n"),
+            (
+                "attack1",
+                "with_ids: true\n",
+                "with_ids: true\nrules:\n"
+                "  - {id: rate_limit, kind: RateLimit, max_frame: 5, window_ms: 100}\n",
+            ),
+            (
+                "attack1",
+                "with_ids: true\n",
+                "with_ids: true\nrules:\n  - {id: ingress_binding, kind: IngressBinding}\n",
+            ),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
-             "host_not_at_the_node", "misspelt_top_level_key"],
+             "host_not_at_the_node", "misspelt_top_level_key", "retired_inspection_passes",
+             "retired_act_on_flagged", "misspelt_delays_ms_key", "misspelt_mu_key",
+             "misspelt_pied_key", "misspelt_waveform_key", "misspelt_injection_key",
+             "misspelt_template_key", "parameter_its_rule_does_not_read",
+             "retired_ingress_binding_rule"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -171,6 +203,30 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == [
             "error: scenario attack1 cannot run: station_bus_switch/p5 has no link"
         ]
+
+
+class TestProtection:
+    def test_a_fault_after_a_switch_conviction_still_trips_the_breaker(self, tmp_path):
+        """The relay publishes every 2 ms, so false alerts land on its own
+        trip frame; the breaker still opens on it, once, within the 27 ms
+        with-module budget after the fault."""
+        out = tmp_path / "o"
+        run_cli(
+            "run", "--scenario", "attack1", "--override", "publish_interval_ms=2",
+            "--override", "fault_at_ms=3000", "--override", "duration_ms=3200",
+            "--out", str(out),
+        )
+        result = json.loads((out / "result.json").read_text())
+        assert result["verdict"]["culprit"] == "StationBusSwitch"
+        log = EventLog.from_jsonl((out / "events.jsonl").read_text())
+        verdicts = [ev.time for ev in log if ev.kind == "VerdictReached"]
+        trips = [ev.time for ev in log if ev.kind == "BreakerTrip"]
+        assert verdicts and verdicts[0] < 3_000_000
+        assert result["breaker_trips"] == 1 and len(trips) == 1
+        assert 3_000_000 < trips[0] <= 3_027_000
+        # the trip came over the direct feed, off the measured main-feed path
+        report = json.loads((out / "delay_report.json").read_text())
+        assert report == {"error": "incomplete_trace"}
 
 
 class TestJobs:

@@ -65,13 +65,6 @@ class TestMeasure:
         with_ids = measure(with_ids_result.log)
         assert with_ids.components["t_ids"] == with_ids.total_us - base.total_us == 4_000
 
-    def test_inspection_passes_scale_the_term(self):
-        result = run_scenario(
-            load_scenario("baseline", {"with_ids": True, "inspection_passes": 2, "t_ids": 1.5})
-        )
-        report = measure(result.log)
-        assert report.components["t_ids"] == 3_000
-
     def test_log_without_trip_raises(self):
         result = run_scenario(load_scenario("attack1"))
         with pytest.raises(NoTripFound):

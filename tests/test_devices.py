@@ -186,26 +186,6 @@ class TestOmicronDevice:
         assert len(events_of_kind(log, "BreakerTrip")) == 1
         assert om.breaker.position == "Open"
 
-    def test_flagged_trip_is_quarantined(self):
-        from gridshield.util import frame_digest
-
-        net = self._net()
-        raw = self._trip_raw()
-        om = OmicronDevice(net, flagged_digests={frame_digest(raw)})
-        net.send(PortRef("src", 1), raw, at=0)
-        net.run_until(100_000)
-        assert om.breaker.position == "Closed"
-
-    def test_flagged_trip_acts_when_policy_allows(self):
-        from gridshield.util import frame_digest
-
-        net = self._net()
-        raw = self._trip_raw()
-        om = OmicronDevice(net, act_on_flagged=True, flagged_digests={frame_digest(raw)})
-        net.send(PortRef("src", 1), raw, at=0)
-        net.run_until(100_000)
-        assert om.breaker.position == "Open"
-
 
 class TestInject:
     def test_ingress_injection_marks_ground_truth(self):
