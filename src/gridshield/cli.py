@@ -11,8 +11,10 @@ reproduce the live result; with ``--out`` it writes the log text it read
 back as ``events.jsonl``.
 
 Exit codes are the machine contract: 0 when every requested scenario
-passes, 1 when any fails, 2 on configuration or input errors. Stdout is
-a human-readable summary and may change. The ``GRIDSHIELD_LOG`` variable
+passes, 1 when any fails, 2 on configuration or input errors, including
+an unknown ``GRIDSHIELD_LOG`` level. Stdout is a human-readable summary
+and may change; a reader that closes it early loses the rest of the
+summary, not the exit code. The ``GRIDSHIELD_LOG`` variable
 (DEBUG/INFO/WARNING/ERROR) controls diagnostic verbosity.
 """
 
@@ -102,6 +104,17 @@ def _summarize(result: ScenarioResult) -> str:
     return "\n".join(lines)
 
 
+def _print_summary(results: list[ScenarioResult]) -> None:
+    try:
+        print("\n".join(map(_summarize, results)), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: the rest of the summary, and the flush
+        # at exit, go to devnull, so the run's exit code stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _run_one(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
     result = run_scenario(spec)
     out_dir = out_root / spec.id if nested else out_root
@@ -144,8 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    for result in results:
-        print(_summarize(result))
+    _print_summary(results)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SCENARIO_FAILED
 
 
@@ -172,7 +184,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_CONFIG_ERROR
     if args.out:
         _write_outputs(result, text, Path(args.out))
-    print(_summarize(result))
+    _print_summary([result])
     return EXIT_OK if result.passed else EXIT_SCENARIO_FAILED
 
 
@@ -203,11 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("GRIDSHIELD_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
+    level = os.environ.get("GRIDSHIELD_LOG", "WARNING")
+    # a known level name maps to its number, anything else to a string
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: GRIDSHIELD_LOG={level!r} is not a log level; "
+              "use DEBUG, INFO, WARNING or ERROR", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

@@ -2,13 +2,19 @@
 
 The merging unit samples a configured three-phase waveform on a fixed
 tick and publishes one sampled-value frame per tick (internal delay
-``t_mu`` before departure). The relay latches on the first sample whose
-phase-current magnitude reaches pickup and publishes a state-changed trip
-GOOSE after its protection-computation delay ``t_pied``; it also
-heartbeats retransmissions on a fixed interval, out of both its
-station-bus port and its direct inspection feed. The test set closes the
-loop: a trip command received on its port opens the breaker after its
-internal delay ``t_oc``.
+``t_mu`` before departure). The waveform is a step and the sample count
+wraps every second, so samples repeat: the merging unit encodes each
+distinct (count, currents, voltages) sample once and sends the same
+``RawFrame`` every time it recurs. SV digests therefore repeat every
+second by design, and the relay parses each distinct sample once.
+
+The relay latches on the first sample whose phase-current magnitude
+reaches pickup and publishes a state-changed trip GOOSE after its
+protection-computation delay ``t_pied``; it also heartbeats
+retransmissions on a fixed interval, out of both its station-bus port
+and its direct inspection feed. The test set closes the loop: a trip
+command received on its port opens the breaker after its internal delay
+``t_oc``.
 
 The injector is the attack ground truth: it enters crafted frames into
 the network on an exact schedule, marked ``injected`` in the log, either
@@ -74,6 +80,9 @@ class MuDevice:
         self.port = PortRef(sub.MU, sub.MU_PORT)
         self.smp_cnt = 0
         self.period_us = 1_000_000 // config.samples_per_second
+        # (smp_cnt, currents, voltages) -> its encoded frame; at most
+        # samples_per_second entries per waveform level
+        self._frames: dict[tuple, RawFrame] = {}
         net.register(sub.MU, self)
         net.call(0, self._tick)
 
@@ -83,15 +92,19 @@ class MuDevice:
     def _tick(self) -> None:
         at = self.net.now
         currents, voltages = self.waveform.sample(at)
-        frame = SvFrame(
-            dst=sub.SV_DST,
-            src=sub.MU_MAC,
-            sv_id=sub.SV_ID,
-            smp_cnt=self.smp_cnt,
-            currents=currents,
-            voltages=voltages,
-        )
-        raw = encode_sv(frame, smp_cnt_modulus=self.config.samples_per_second)
+        key = (self.smp_cnt, currents, voltages)
+        raw = self._frames.get(key)
+        if raw is None:
+            frame = SvFrame(
+                dst=sub.SV_DST,
+                src=sub.MU_MAC,
+                sv_id=sub.SV_ID,
+                smp_cnt=self.smp_cnt,
+                currents=currents,
+                voltages=voltages,
+            )
+            raw = encode_sv(frame, smp_cnt_modulus=self.config.samples_per_second)
+            self._frames[key] = raw
         self.net.send(self.port, raw, at + self.config.internal_delay_us, note=f"tick_us={at}")
         self.smp_cnt = (self.smp_cnt + 1) % self.config.samples_per_second
         self.net.call(at + self.period_us, self._tick)

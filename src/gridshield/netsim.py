@@ -147,7 +147,20 @@ class EventLog(list):
     """Append-only list of SimEvent, sorted by (time, seq)."""
 
     def to_jsonl(self) -> str:
-        return "".join(ev.to_json() + "\n" for ev in self)
+        """Every event's ``to_json`` line, each ending in a newline."""
+        line = _LINE + "\n"
+        return "".join([
+            line % (
+                t,
+                seq,
+                _json_str(kind),
+                _json_str(node),
+                "null" if port is None else "%d" % port,
+                "null" if digest is None else _json_str(digest),
+                "null" if note is None else _json_str(note),
+            )
+            for t, seq, kind, node, port, digest, note in self
+        ])
 
     @classmethod
     def from_jsonl(cls, text: str) -> EventLog:
@@ -255,10 +268,10 @@ class Network:
         digest = raw.digest
         self.log_event("FrameDeparture", from_port.node, from_port.port, digest, note)
         far, latency = self.links[from_port]
-        if not self.port_enabled(from_port):
+        if from_port in self._disabled:
             self.log_event("Drop", from_port.node, from_port.port, digest, "tx_port_disabled")
             return
-        if not self.port_enabled(far):
+        if far in self._disabled:
             self.log_event("Drop", far.node, far.port, digest, "rx_port_disabled")
             return
         self._schedule(self.now + latency, self._arrive, (far, raw, None))
@@ -274,7 +287,7 @@ class Network:
 
     def _arrive(self, port: PortRef, raw: RawFrame, note: str | None, check_enabled: bool = False) -> None:
         digest = raw.digest
-        if check_enabled and not self.port_enabled(port):
+        if check_enabled and port in self._disabled:
             self.log_event("Drop", port.node, port.port, digest, "ingress_port_disabled")
             return
         self.log_event("FrameArrival", port.node, port.port, digest, note)
@@ -303,7 +316,7 @@ class Network:
         note: str | None = None,
     ) -> SimEvent:
         assert kind in EVENT_KINDS, kind
-        ev = SimEvent(self.now, self._log_seq, kind, node, port, digest, note)
+        ev = _new_tuple(SimEvent, (self.now, self._log_seq, kind, node, port, digest, note))
         self._log_seq += 1
         self.log.append(ev)
         return ev
@@ -311,8 +324,9 @@ class Network:
     def run_until(self, t_end: SimTime) -> EventLog:
         """Process every queued item with time <= t_end, in (time, seq) order."""
         heap = self._heap
+        heappop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            at, _seq, fn, args = heapq.heappop(heap)
+            at, _seq, fn, args = heappop(heap)
             self.now = at
             fn(*args)
         self.now = max(self.now, t_end)

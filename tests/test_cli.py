@@ -25,9 +25,10 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
-def run_cli_process(*argv) -> subprocess.CompletedProcess:
-    """Run the CLI as a child process, as a user would."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def run_cli_process(*argv, **env_vars) -> subprocess.CompletedProcess:
+    """Run the CLI as a child process, as a user would, with ``env_vars``
+    added to its environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env_vars}
     return subprocess.run(
         [sys.executable, "-m", "gridshield.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -205,6 +206,22 @@ class TestRun:
         ]
 
 
+class TestClosedStdout:
+    def test_a_reader_closing_stdout_keeps_the_exit_code(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = tmp_path / "o"
+        for argv in (["run", "--scenario", "baseline", "--out", str(out)],
+                     ["replay", str(out / "events.jsonl")]):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "gridshield.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            child.stdout.close()  # like `| head -0`: gone before the summary
+            stderr = child.stderr.read()
+            assert child.wait(timeout=120) == 0, stderr
+            assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 class TestProtection:
     def test_a_fault_after_a_switch_conviction_still_trips_the_breaker(self, tmp_path):
         """The relay publishes every 2 ms, so false alerts land on its own
@@ -350,6 +367,13 @@ class TestReplay:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "nope.jsonl")) == 2
+
+    def test_unknown_log_level_is_config_error(self, attack2_out):
+        proc = run_cli_process("replay", str(attack2_out / "events.jsonl"),
+                               GRIDSHIELD_LOG="bogus")
+        assert_one_line_error(proc)
+        assert "GRIDSHIELD_LOG" in proc.stderr
+        assert proc.stdout == ""
 
     def test_undecodable_log_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from gridshield.codec import decode_goose, decode_sv
+from gridshield import substation as sub
+from gridshield.codec import SvFrame, decode_goose, decode_sv, encode_sv
 from gridshield.devices import (
     InjectionPlan,
     MuConfig,
@@ -64,6 +65,31 @@ class TestMuDevice:
         net.run_until(10_000)
         faulted = [decode_sv(raw) for _, raw, _ in cap.frames if decode_sv(raw).currents[0] == 4_321]
         assert faulted and faulted[0].voltages == (120_000, 120_000, 120_000)
+
+    def test_equal_samples_depart_as_one_encoded_frame(self):
+        net = mini_process_bus()
+        cap = _Capture()
+        net.register("pied", cap)
+        config = MuConfig(samples_per_second=1_000, internal_delay_us=3_000)
+        wave = Waveform(fault_at_us=1_250_000, fault_phase_a_ma=4_321)
+        mu = MuDevice(net, config, wave)
+        net.run_until(2_504_000)  # 2.5 s of ticks, each arriving 4 ms later
+        by_sample = {}
+        for _, raw, at in cap.frames:
+            tick = at - 4_000
+            currents, voltages = wave.sample(tick)
+            smp_cnt = tick // mu.period_us % config.samples_per_second
+            fresh = encode_sv(SvFrame(sub.SV_DST, sub.MU_MAC, sub.SV_ID, smp_cnt, currents, voltages))
+            assert raw.data == fresh.data
+            by_sample.setdefault((smp_cnt, currents), set()).add(id(raw))
+        assert len(cap.frames) == 2_501
+        assert all(len(ids) == 1 for ids in by_sample.values())
+        # every count recurs, and the fault step gives each count a new frame
+        before = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == 500}
+        after = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == 4_321}
+        assert set(before) == set(after) == set(range(1_000))
+        assert all(before[cnt].isdisjoint(after[cnt]) for cnt in before)
+        assert len(mu._frames) == 2 * config.samples_per_second
 
     def test_departure_is_tick_plus_internal_delay(self):
         net = mini_process_bus()

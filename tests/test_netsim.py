@@ -306,6 +306,7 @@ class TestJsonl:
             separators=(",", ":"),
         )
         assert ev.to_json() == reference
+        assert EventLog([ev]).to_jsonl() == reference + "\n"
         assert SimEvent.from_json(ev.to_json()) == ev
 
     @pytest.mark.parametrize(
@@ -329,6 +330,7 @@ class TestJsonl:
     @given(LOGS)
     def test_reader_agrees_with_json_loads(self, log):
         text = log.to_jsonl()
+        assert text == "".join(ev.to_json() + "\n" for ev in log)
         parsed = EventLog.from_jsonl(text)
         assert parsed == json_reference_reader(text)
         assert parsed.to_jsonl() == text
