@@ -7,8 +7,9 @@ scenario, the JSON-lines event log (``events.jsonl``), the scored result
 there are scenarios; each worker writes its scenario's files and returns
 only the scored result, and every output byte is the same as with
 ``--jobs 1``. ``gridshield replay`` re-scores a saved log and must
-reproduce the live result; with ``--out`` it writes the log text it read
-back as ``events.jsonl``.
+reproduce the live result; with ``--out`` it writes the log bytes it read
+back as ``events.jsonl``. Both write and parse the log a bounded chunk at a
+time (see ``netsim.EventLog``).
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
@@ -66,9 +67,15 @@ def _parse_override(text: str):
     return key, parsed
 
 
-def _write_outputs(result: ScenarioResult, log_text: str, out_dir: Path) -> None:
+def _write_outputs(result: ScenarioResult, log: EventLog | bytes, out_dir: Path) -> None:
+    """Write a run's files; ``log`` is the event log, or the bytes of a log
+    that was read, which are written back unchanged."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "events.jsonl").write_text(log_text)
+    with open(out_dir / "events.jsonl", "wb") as stream:
+        if isinstance(log, bytes):
+            stream.write(log)
+        else:
+            log.write_jsonl(stream)
     (out_dir / "result.json").write_text(result.to_json() + "\n")
     if result.delay is not None:
         delay_text = result.delay.to_json() + "\n"
@@ -118,7 +125,7 @@ def _print_summary(results: list[ScenarioResult]) -> None:
 def _run_one(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
     result = run_scenario(spec)
     out_dir = out_root / spec.id if nested else out_root
-    _write_outputs(result, result.log.to_jsonl(), out_dir)
+    _write_outputs(result, result.log, out_dir)
     return result
 
 
@@ -164,13 +171,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.log)
     try:
-        # bytes, so no newline is translated: the text is written back as read
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        # bytes, so no newline is translated: the log is written back as read
+        data = path.read_bytes()
+    except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        event_log = EventLog.from_jsonl(text)
+        event_log = EventLog.from_jsonl(data)
     except ValueError as exc:
         print(f"error: malformed log: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -183,7 +190,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if args.out:
-        _write_outputs(result, text, Path(args.out))
+        _write_outputs(result, data, Path(args.out))
     _print_summary([result])
     return EXIT_OK if result.passed else EXIT_SCENARIO_FAILED
 

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Protocol
 
 from gridshield.codec import RawFrame
 
@@ -91,6 +91,11 @@ _LINE_RE = re.compile(
 )
 
 
+# events.jsonl is written and read a bounded piece at a time, so the log's
+# I/O never holds a second copy of the whole file.
+WRITE_CHUNK_EVENTS = 4096  # events formatted per write
+READ_CHUNK_BYTES = 1 << 18  # bytes decoded and split per parse step
+
 _new_tuple = tuple.__new__  # skips the generated __new__'s argument binding
 
 
@@ -130,18 +135,6 @@ class SimEvent(NamedTuple):
             _json_opt_str(self.note),
         )
 
-    @classmethod
-    def from_json(cls, line: str) -> SimEvent:
-        """Parse one line in exactly the layout ``to_json`` writes."""
-        m = _LINE_RE.fullmatch(line)
-        if m is None:
-            raise ValueError(f"not an events.jsonl line: {line[:120]!r}")
-        t, seq, kind, node, port, digest, note = m.groups()
-        port = None if port is None else int(port)
-        if "\\" in line:
-            kind, node, digest, note = map(_unescape, (kind, node, digest, note))
-        return _new_tuple(cls, (int(t), int(seq), kind, node, port, digest, note))
-
 
 class EventLog(list):
     """Append-only list of SimEvent, sorted by (time, seq)."""
@@ -162,14 +155,57 @@ class EventLog(list):
             for t, seq, kind, node, port, digest, note in self
         ])
 
+    def write_jsonl(self, stream: BinaryIO) -> None:
+        """Write ``to_jsonl()`` as bytes, WRITE_CHUNK_EVENTS events at a time."""
+        step = WRITE_CHUNK_EVENTS
+        for start in range(0, len(self), step):
+            stream.write(EventLog(self[start:start + step]).to_jsonl().encode())
+
     @classmethod
-    def from_jsonl(cls, text: str) -> EventLog:
-        """Parse ``to_jsonl`` output: one line per event, each ending in a
-        newline, no blank lines; ``from_jsonl(text).to_jsonl() == text``."""
-        lines = text.split("\n")
-        if lines.pop():
+    def from_jsonl(cls, data: str | bytes) -> EventLog:
+        """Parse ``to_jsonl`` output, as text or as UTF-8 bytes: one line per
+        event, each ending in a newline, no blank lines;
+        ``from_jsonl(text).to_jsonl() == text``.
+
+        The input is decoded and split about READ_CHUNK_BYTES at a time, at
+        a newline, which never occurs inside a UTF-8 sequence. Equal strings
+        share one object across the log."""
+        newline = "\n" if isinstance(data, str) else b"\n"
+        if data and data[-1:] != newline:
             raise ValueError("log does not end with a newline")
-        return cls(map(SimEvent.from_json, lines))
+        log = cls()
+        append = log.append
+        share = {}.setdefault
+        fullmatch = _LINE_RE.fullmatch
+        start = 0
+        while start < len(data):
+            end = data.find(newline, start + READ_CHUNK_BYTES - 1) + 1 or len(data)
+            chunk = data[start:end]
+            if not isinstance(chunk, str):
+                try:
+                    chunk = chunk.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"not UTF-8 at byte {start + exc.start}") from None
+            lines = chunk.split("\n")
+            lines.pop()
+            for line in lines:
+                m = fullmatch(line)
+                if m is None:
+                    raise ValueError(f"not an events.jsonl line: {line[:120]!r}")
+                t, seq, kind, node, port, digest, note = m.groups()
+                if "\\" in line:
+                    kind, node, digest, note = map(_unescape, (kind, node, digest, note))
+                append(_new_tuple(SimEvent, (
+                    int(t),
+                    int(seq),
+                    share(kind, kind),
+                    share(node, node),
+                    None if port is None else int(port),
+                    share(digest, digest),
+                    share(note, note),
+                )))
+            start = end
+        return log
 
 
 @dataclass(frozen=True)
@@ -231,9 +267,6 @@ class Network:
             raise UnknownNode(f"no such node {port.node}")
         if not 1 <= port.port <= self.nodes[port.node]:
             raise UnknownPort(f"{port} beyond the node's port count")
-
-    def port_enabled(self, port: PortRef) -> bool:
-        return port not in self._disabled
 
     def set_port_state(self, port: PortRef, enabled: bool, at: SimTime) -> None:
         """Schedule a port enable/disable; effective once processed."""

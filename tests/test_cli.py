@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridshield
-from gridshield import cli
+from gridshield import cli, netsim
 from gridshield.cli import main
 from gridshield.netsim import EventLog, SimEvent
 from gridshield.scenarios import load_scenario
@@ -438,3 +443,114 @@ class TestReplay:
         bad = tmp_path / "hostile.jsonl"
         bad.write_text(log.to_jsonl())
         assert_one_line_error(run_cli_process("replay", str(bad)))
+
+
+# Each shipped scenario with its timeline shrunk to a few dozen
+# milliseconds, so its log is tens of kilobytes and replays in milliseconds.
+SHORT_TIMELINES = {
+    "baseline": {"duration_ms": 60, ("waveform", "fault_at_ms"): 20},
+    "attack1": {"duration_ms": 80, ("pied", "toggle_point_at_ms"): 5,
+                ("injection", "times_ms"): [30, 32, 34, 36, 38]},
+    "attack2": {"duration_ms": 100, ("pied", "toggle_point_at_ms"): 5,
+                ("pied", "silence_at_ms"): 20, ("injection", "times_ms"): [40, 42, 44, 46, 48]},
+}
+FUZZ_CHUNK_BYTES = 4096
+
+
+@pytest.fixture(scope="module")
+def short_logs(tmp_path_factory) -> dict[str, bytes]:
+    import yaml
+
+    root = tmp_path_factory.mktemp("short")
+    logs = {}
+    for sid, edits in SHORT_TIMELINES.items():
+        tree = yaml.safe_load((SRC / "gridshield" / "configs" / f"{sid}.yaml").read_text())
+        for key, value in edits.items():
+            *parents, leaf = key if isinstance(key, tuple) else (key,)
+            node = tree
+            for parent in parents:
+                node = node[parent]
+            node[leaf] = value
+        config = root / f"{sid}.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("run", "--config", str(config), "--out", str(root / sid)) in (0, 1)
+        logs[sid] = (root / sid / "events.jsonl").read_bytes()
+    return logs
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def chunk_ends(data: bytes, size: int) -> list[int]:
+    """Where the reader's chunks of about ``size`` bytes end."""
+    ends, start = [], 0
+    while start < len(data):
+        start = data.find(b"\n", start + size - 1) + 1 or len(data)
+        ends.append(start)
+    return ends
+
+
+def assert_replay_keeps_the_contract(data: bytes, work: Path) -> int:
+    """Replay ``data`` in-process with small read chunks: the exit code is
+    0, 1 or 2, an input error is one ``error:`` line, and an accepted log is
+    written back unchanged."""
+    log_path, out = work / "events.jsonl", work / "out"
+    log_path.write_bytes(data)
+    (out / "events.jsonl").unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with mock.patch.object(netsim, "READ_CHUNK_BYTES", FUZZ_CHUNK_BYTES), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["replay", str(log_path), "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert (out / "events.jsonl").read_bytes() == data
+    return code
+
+
+class TestReplayFuzz:
+    """Hostile bytes never make ``replay`` raise: it exits 0, 1 or 2."""
+
+    def test_short_logs_are_scored_across_many_chunks(self, short_logs, fuzz_dir):
+        for data in short_logs.values():
+            assert assert_replay_keeps_the_contract(data, fuzz_dir) in (0, 1)
+            assert len(chunk_ends(data, FUZZ_CHUNK_BYTES)) > 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.binary(max_size=512))
+    def test_raw_bytes(self, fuzz_dir, data):
+        assert_replay_keeps_the_contract(data, fuzz_dir)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SHORT_TIMELINES)), st.data())
+    def test_byte_mutated_logs(self, short_logs, fuzz_dir, sid, draw):
+        """One splice: ``cut`` bytes at ``at`` replaced by ``junk``, often
+        across the end of a read chunk."""
+        data = short_logs[sid]
+        near_a_boundary = st.builds(
+            lambda end, offset: min(max(end + offset, 0), len(data)),
+            st.sampled_from(chunk_ends(data, FUZZ_CHUNK_BYTES)),
+            st.integers(min_value=-24, max_value=8),
+        )
+        at = draw.draw(near_a_boundary | st.integers(min_value=0, max_value=len(data)))
+        cut = draw.draw(st.integers(min_value=0, max_value=32))
+        junk = draw.draw(st.binary(max_size=16) | st.sampled_from([b"\n", b"\\", b'"', b"\xff"]))
+        mutated = data[:at] + junk + data[at + cut:]
+        assert_replay_keeps_the_contract(mutated, fuzz_dir)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(SHORT_TIMELINES)), st.data())
+    def test_well_formed_logs_of_shuffled_records(self, short_logs, fuzz_dir, sid, draw):
+        """Valid lines in any order and number, with a completion record
+        that counts them, so the log reaches scoring."""
+        records = short_logs[sid].splitlines(keepends=True)
+        lines = draw.draw(st.lists(st.sampled_from(records[:-1]), max_size=200))
+        last = json.loads(records[-1])
+        last["note"] = f"run_complete events={len(lines) + 1}"
+        lines.append(json.dumps(last, separators=(",", ":")).encode() + b"\n")
+        assert_replay_keeps_the_contract(b"".join(lines), fuzz_dir)

@@ -3,13 +3,16 @@ semantics, determinism, causality and conservation over the event log."""
 
 from __future__ import annotations
 
+import io
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridshield import netsim
 from gridshield.codec import RawFrame
 from gridshield.netsim import (
     DanglingPort,
@@ -196,11 +199,15 @@ class TestPortState:
 
     def test_enable_already_enabled_is_idempotent(self):
         net = two_node_net()
-        net.set_port_state(PortRef("a", 1), True, at=0)
+        net.set_port_state(PortRef("a", 1), False, at=0)
+        net.set_port_state(PortRef("a", 1), True, at=5)
+        net.set_port_state(PortRef("a", 1), True, at=6)
+        net.send(PortRef("a", 1), FRAME, at=10)
         log = net.run_until(1_000)
         changes = events_of_kind(log, "PortStateChange")
-        assert len(changes) == 1
-        assert net.port_enabled(PortRef("a", 1))
+        assert [ev.note for ev in changes] == ["disabled", "enabled", "enabled"]
+        arrivals = events_of_kind(log, "FrameArrival")
+        assert [(ev.time, ev.node, ev.port) for ev in arrivals] == [(110, "b", 1)]
 
     def test_in_flight_frame_survives_disable(self):
         # frame departs at 10, flies 100us; both ports disabled at 11
@@ -307,7 +314,7 @@ class TestJsonl:
         )
         assert ev.to_json() == reference
         assert EventLog([ev]).to_jsonl() == reference + "\n"
-        assert SimEvent.from_json(ev.to_json()) == ev
+        assert EventLog.from_jsonl(ev.to_json() + "\n") == [ev]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -345,3 +352,101 @@ class TestJsonl:
         except ValueError:
             return
         assert parsed.to_jsonl() == text
+
+
+def chunks(events: int = netsim.WRITE_CHUNK_EVENTS, size: int = netsim.READ_CHUNK_BYTES):
+    """Write ``events`` events and read about ``size`` bytes at a time."""
+    return mock.patch.multiple(netsim, WRITE_CHUNK_EVENTS=events, READ_CHUNK_BYTES=size)
+
+
+def written(log: EventLog) -> bytes:
+    stream = io.BytesIO()
+    log.write_jsonl(stream)
+    return stream.getvalue()
+
+
+def parsed_or_error(data: str | bytes) -> list[SimEvent] | str:
+    try:
+        return EventLog.from_jsonl(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+def numbered_log(n: int) -> EventLog:
+    """``n`` events whose lines all have the same length."""
+    return EventLog(SimEvent(i, i, "Drop", "a", 1, "ab", None) for i in range(n))
+
+
+class TestJsonlChunks:
+    """With the chunks shrunk to a few events or bytes, writing and
+    reading cross a chunk boundary at every position of a small log, and
+    the bytes and events are those of the log in one piece."""
+
+    @given(LOGS, st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=400))
+    def test_reader_and_writer_agree_with_json_loads(self, log, events, size):
+        text = log.to_jsonl()
+        with chunks(events, size):
+            assert written(log) == text.encode()
+            parsed = EventLog.from_jsonl(text.encode())
+        assert parsed == json_reference_reader(text)
+        assert parsed.to_jsonl() == text
+
+    @given(LOGS, st.sampled_from(sorted(MUTATIONS)), st.integers(min_value=0),
+           st.integers(min_value=1, max_value=400))
+    def test_other_layouts_are_read_as_in_one_piece(self, log, mutation, where, size):
+        text = MUTATIONS[mutation](log.to_jsonl(), where)
+        whole = parsed_or_error(text)
+        with chunks(size=size):
+            assert parsed_or_error(text.encode()) == whole
+        if not isinstance(whole, str):
+            assert whole.to_jsonl() == text
+
+    def test_empty_log(self):
+        with chunks(1, 1):
+            assert written(EventLog()) == b""
+            assert EventLog.from_jsonl(b"") == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_logs_around_one_chunk_of_events(self, n):
+        log = numbered_log(n)
+        text = log.to_jsonl()
+        line = len(text) // n
+        for size in (3 * line - 1, 3 * line, 3 * line + 1):
+            with chunks(3, size):
+                assert written(log) == text.encode()
+                assert EventLog.from_jsonl(text.encode()) == log
+
+    def test_writer_writes_one_chunk_of_events_at_a_time(self):
+        stream = mock.Mock()
+        with chunks(events=3):
+            numbered_log(7).write_jsonl(stream)
+        line = len(numbered_log(1).to_jsonl())
+        assert [len(c.args[0]) for c in stream.write.call_args_list] == [3 * line, 3 * line, line]
+
+    def test_escape_at_every_boundary(self):
+        log = numbered_log(3)
+        log[1] = log[1]._replace(note='q"uote\\', node="é")
+        data = log.to_jsonl().encode()
+        assert b"\\u00e9" in data
+        for size in range(1, len(data) + 2):
+            with chunks(size=size):
+                assert EventLog.from_jsonl(data) == log
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ('{"t":1, "seq":1}', "not an events.jsonl line: '{\"t\":1, \"seq\":1}'"),
+            ("", "not an events.jsonl line: ''"),
+            (b'{"t":\xff}', "not UTF-8 at byte"),
+        ],
+        ids=["layout", "blank", "not_utf8"],
+    )
+    def test_malformed_line_at_every_boundary(self, bad, error):
+        lines = numbered_log(3).to_jsonl().encode().split(b"\n")
+        lines[1] = bad if isinstance(bad, bytes) else bad.encode()
+        data = b"\n".join(lines)
+        whole = parsed_or_error(data)
+        assert whole.startswith(error)
+        for size in range(1, len(data) + 2):
+            with chunks(size=size):
+                assert parsed_or_error(data) == whole

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
 from gridshield import substation as sub
+from gridshield.cli import _write_outputs
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
     ScenarioError,
@@ -251,6 +253,31 @@ GOLDEN_LOG_SHA256 = {
 def test_fixture_log_matches_golden_digest(sid, request):
     text = request.getfixturevalue(sid).log.to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LOG_SHA256[sid]
+
+
+class TestLogMemory:
+    """The log I/O holds a bounded piece of the log's text, not the whole
+    file, and a parsed log one object per distinct string."""
+
+    def test_writing_the_outputs_holds_one_chunk_of_text(self, attack2, tmp_path):
+        tracemalloc.start()
+        try:
+            _write_outputs(attack2, attack2.log, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = (tmp_path / "events.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_LOG_SHA256["attack2"]
+        assert len(data) > 4_000_000 and peak < 4 * 2**20
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
+    def test_a_parsed_log_keeps_one_copy_of_each_string(self, attack1, as_bytes):
+        text = attack1.log.to_jsonl()
+        log = EventLog.from_jsonl(text.encode() if as_bytes else text)
+        for field in ("kind", "node", "digest", "note"):
+            values = [getattr(ev, field) for ev in log]
+            assert len({id(v) for v in values}) == len(set(values)), field
+        assert len({ev.digest for ev in log}) < len(log) / 10
 
 
 class TestLoading:
