@@ -44,18 +44,16 @@ from gridshield.netsim import Network, PortRef, SimTime
 
 @dataclass(frozen=True)
 class Waveform:
-    """Steady per-phase magnitudes with an optional fault step on phase A."""
+    """The nominal per-phase magnitudes, with an optional step of phase A
+    to the fault current (``substation.py``)."""
 
-    currents_ma: tuple[int, int, int] = (500, 500, 500)
-    voltages_mv: tuple[int, int, int] = (120_000, 120_000, 120_000)
     fault_at_us: SimTime | None = None
-    fault_phase_a_ma: int = 5_000
 
     def sample(self, at: SimTime) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        currents = self.currents_ma
+        currents = sub.NOMINAL_CURRENTS_MA
         if self.fault_at_us is not None and at >= self.fault_at_us:
-            currents = (self.fault_phase_a_ma, currents[1], currents[2])
-        return currents, self.voltages_mv
+            currents = (sub.FAULT_PHASE_A_MA, currents[1], currents[2])
+        return currents, sub.NOMINAL_VOLTAGES_MV
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,6 @@ class MuDevice:
 
 @dataclass(frozen=True)
 class PiedConfig:
-    pickup_current_ma: int = 2_000
     publish_interval_us: SimTime = 1_000_000
     protection_delay_us: SimTime = 10_000  # t_pied
     # benign data change (supervision point toggles) giving the stream a
@@ -122,8 +119,9 @@ class PiedConfig:
     silence_at_us: SimTime | None = None
 
     def __post_init__(self) -> None:
-        if self.pickup_current_ma <= 0:
-            raise ValueError("pickup current must be positive")
+        # a zero interval would republish at the same instant forever
+        if self.publish_interval_us <= 0:
+            raise ValueError("publish interval must be positive")
 
 
 @dataclass
@@ -166,7 +164,7 @@ class PiedDevice:
             sv = decode_sv(raw)
         except CodecError:
             return
-        if any(abs(i) >= self.config.pickup_current_ma for i in sv.currents):
+        if any(abs(i) >= sub.PICKUP_MA for i in sv.currents):
             self.latched = True
             self._publish(
                 state_changed=True,

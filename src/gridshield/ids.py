@@ -86,6 +86,9 @@ class Rule:
         unknown = sorted(set(self.params) - _RULE_PARAMS[self.kind], key=str)
         if unknown:
             raise ValueError(f"rule {self.id!r} of kind {self.kind.value} reads no {unknown}")
+        for name, value in self.params.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"rule {self.id!r} parameter {name}={value!r} is not a number")
 
 
 @dataclass(frozen=True)
@@ -141,15 +144,21 @@ class SubscriptionState:
     def get(self, gocb_ref: str) -> _PublisherState | None:
         return self._by_gocb.get(gocb_ref)
 
+    def _state(self, gocb_ref: str) -> _PublisherState:
+        st = self._by_gocb.get(gocb_ref)
+        if st is None:
+            st = self._by_gocb[gocb_ref] = _PublisherState(0, 0, 0)
+        return st
+
     def record_arrival(self, gocb_ref: str, at: SimTime, window_us: SimTime) -> int:
-        st = self._by_gocb.setdefault(gocb_ref, _PublisherState(0, 0, 0))
+        st = self._state(gocb_ref)
         st.arrivals.append(at)
         while st.arrivals and st.arrivals[0] < at - window_us:
             st.arrivals.popleft()
         return len(st.arrivals)
 
     def advance(self, gocb_ref: str, frame: GooseFrame, at: SimTime) -> None:
-        st = self._by_gocb.setdefault(gocb_ref, _PublisherState(0, 0, 0))
+        st = self._state(gocb_ref)
         st.last_st = frame.st_num
         st.last_sq = frame.sq_num
         st.last_timestamp = max(st.last_timestamp, frame.timestamp)
@@ -253,25 +262,29 @@ def inspect(
 # ---------------------------------------------------------------------------
 
 
+# How long a re-forwarded digest is remembered: longer than the loop's
+# round trip (out, through the station-bus switch, and back).
+LOOP_WINDOW_US = 10_000
+
+
 class LoopTracker:
-    """Remembers re-forwarded digests for a window, to spot own echoes.
+    """Remembers re-forwarded digests for LOOP_WINDOW_US, to spot own echoes.
 
     Identical payloads may be re-forwarded several times in flight, so
     every tag time within the window is kept, not just the latest.
     """
 
-    def __init__(self, window_us: SimTime = 10_000):
-        self.window_us = window_us
+    def __init__(self) -> None:
         self._tags: dict[str, list[SimTime]] = {}
 
     def tag_loop(self, digest: str, at: SimTime) -> None:
         times = self._tags.setdefault(digest, [])
         times.append(at)
-        self._tags[digest] = [t for t in times if t + self.window_us >= at]
+        self._tags[digest] = [t for t in times if t + LOOP_WINDOW_US >= at]
 
     def is_loop(self, digest: str, at: SimTime) -> bool:
         return any(
-            tagged <= at <= tagged + self.window_us
+            tagged <= at <= tagged + LOOP_WINDOW_US
             for tagged in self._tags.get(digest, ())
         )
 
@@ -398,16 +411,13 @@ class IdsNode(SwitchNode):
         rules: RuleSet,
         *,
         processing_delay: SimTime = 4_000,
-        loop_window_us: SimTime = 10_000,
         decision_window_us: SimTime = 15_000,
-        controller_latency_us: SimTime = 1_000,
     ):
         super().__init__(net, sub.IDS, table, processing_delay)
         self.rules = rules
         self.state = SubscriptionState()
-        self.loops = LoopTracker(loop_window_us)
+        self.loops = LoopTracker()
         self.decision_window_us = decision_window_us
-        self.controller_latency_us = controller_latency_us
         self.evidence = Evidence()
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
@@ -486,5 +496,5 @@ class IdsNode(SwitchNode):
                 note=f"port_mod {'enable' if mod.enable else 'disable'}",
             )
             self.net.set_port_state(
-                PortRef(mod.switch, mod.port), mod.enable, at + self.controller_latency_us
+                PortRef(mod.switch, mod.port), mod.enable, at + sub.CONTROLLER_LATENCY_US
             )

@@ -75,14 +75,10 @@ class PortRef(NamedTuple):
         return f"{self.node}/p{self.port}"
 
 
-# One events.jsonl line: the compact ``json.dumps`` form of the event's
-# fields in this key order, with ASCII-only string escapes.
-_LINE = '{"t":%d,"seq":%d,"kind":%s,"node":%s,"port":%s,"digest":%s,"note":%s}'
-
-# The same layout as a pattern, and the only one read back. A string is
-# printable ASCII other than '"' and '\', or a backslash and the printable
-# character after it; strings with escapes are decoded by json and must
-# re-encode to the same bytes.
+# The line layout that ``EventLog.to_jsonl`` writes, as a pattern, and the
+# only one read back. A string is printable ASCII other than '"' and '\',
+# or a backslash and the printable character after it; strings with
+# escapes are decoded by json and must re-encode to the same bytes.
 _INT = r"(0|-?[1-9][0-9]*)"  # no "-0": json.dumps never writes it
 _STR = r'([ !#-\[\]-~]*(?:\\[ -~][ !#-\[\]-~]*)*)'
 _LINE_RE = re.compile(
@@ -97,10 +93,6 @@ WRITE_CHUNK_EVENTS = 4096  # events formatted per write
 READ_CHUNK_BYTES = 1 << 18  # bytes decoded and split per parse step
 
 _new_tuple = tuple.__new__  # skips the generated __new__'s argument binding
-
-
-def _json_opt_str(value: str | None) -> str:
-    return "null" if value is None else _json_str(value)
 
 
 def _unescape(body: str | None) -> str | None:
@@ -125,33 +117,22 @@ class SimEvent(NamedTuple):
     note: str | None
 
     def to_json(self) -> str:
-        return _LINE % (
-            self.time,
-            self.seq,
-            _json_str(self.kind),
-            _json_str(self.node),
-            "null" if self.port is None else "%d" % self.port,
-            _json_opt_str(self.digest),
-            _json_opt_str(self.note),
-        )
+        """The event's events.jsonl line, without its newline."""
+        return EventLog((self,)).to_jsonl()[:-1]
 
 
 class EventLog(list):
     """Append-only list of SimEvent, sorted by (time, seq)."""
 
     def to_jsonl(self) -> str:
-        """Every event's ``to_json`` line, each ending in a newline."""
-        line = _LINE + "\n"
+        """One line per event, each ending in a newline: the compact
+        ``json.dumps`` form of its fields in this key order, with ASCII-only
+        string escapes."""
         return "".join([
-            line % (
-                t,
-                seq,
-                _json_str(kind),
-                _json_str(node),
-                "null" if port is None else "%d" % port,
-                "null" if digest is None else _json_str(digest),
-                "null" if note is None else _json_str(note),
-            )
+            f'{{"t":{t},"seq":{seq},"kind":{_json_str(kind)},"node":{_json_str(node)},'
+            f'"port":{"null" if port is None else port},'
+            f'"digest":{"null" if digest is None else _json_str(digest)},'
+            f'"note":{"null" if note is None else _json_str(note)}}}\n'
             for t, seq, kind, node, port, digest, note in self
         ])
 

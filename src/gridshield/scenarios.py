@@ -105,8 +105,6 @@ class ScenarioSpec:
     with_ids: bool
     delays: DelayComponents
     decision_window_us: int
-    loop_window_us: int
-    controller_latency_us: int
     mu: MuConfig
     pied: PiedConfig
     waveform: Waveform
@@ -213,11 +211,8 @@ _OVERRIDE_KEYS = {
     "t_oc": ("delays_ms", "t_oc"),
     "t_ids": ("delays_ms", "t_ids"),
     "decision_window_ms": ("decision_window_ms",),
-    "loop_window_ms": ("loop_window_ms",),
-    "controller_latency_ms": ("controller_latency_ms",),
     "samples_per_second": ("mu", "samples_per_second"),
     "publish_interval_ms": ("pied", "publish_interval_ms"),
-    "pickup_ma": ("pied", "pickup_ma"),
     "toggle_point_at_ms": ("pied", "toggle_point_at_ms"),
     "silence_at_ms": ("pied", "silence_at_ms"),
     "fault_at_ms": ("waveform", "fault_at_ms"),
@@ -240,22 +235,25 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
 
 
 def _ms(value) -> int:
-    return int(round(float(value) * MS))
+    """Milliseconds as whole microseconds; no config time is negative."""
+    us = int(round(float(value) * MS))
+    if us < 0:
+        raise ValueError(f"{value!r} ms is negative")
+    return us
 
 
 # The keys of a scenario config and of each of its sections
 # (docs/SCHEMAS.md); any other key is an error, not a silently ignored
 # section or a setting that silently takes its default.
 _CONFIG_KEYS = frozenset({
-    "scenario", "duration_ms", "with_ids", "delays_ms", "decision_window_ms",
-    "loop_window_ms", "controller_latency_ms", "mu", "pied", "waveform", "injection",
-    "rules",
+    "scenario", "duration_ms", "with_ids", "delays_ms", "decision_window_ms", "mu", "pied",
+    "waveform", "injection", "rules",
 })
 _SECTION_KEYS = {
     "delays_ms": frozenset(COMPONENT_NAMES),
     "mu": frozenset({"samples_per_second"}),
-    "pied": frozenset({"pickup_ma", "publish_interval_ms", "toggle_point_at_ms", "silence_at_ms"}),
-    "waveform": frozenset({"currents_ma", "voltages_mv", "fault_at_ms", "fault_phase_a_ma"}),
+    "pied": frozenset({"publish_interval_ms", "toggle_point_at_ms", "silence_at_ms"}),
+    "waveform": frozenset({"fault_at_ms"}),
     "injection": frozenset({"host", "node", "port", "mode", "template", "times_ms"}),
     "template": frozenset({"src_mac", "gocb_ref", "st_num", "sq_num", "timestamp_ms", "trip"}),
 }
@@ -302,7 +300,6 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
         )
         pied_tree = _section(tree, "pied")
         pied = PiedConfig(
-            pickup_current_ma=int(pied_tree.get("pickup_ma", 2000)),
             publish_interval_us=_ms(pied_tree.get("publish_interval_ms", 1000)),
             protection_delay_us=delays.t_pied,
             toggle_point_at_us=(
@@ -318,12 +315,9 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
         )
         wave_tree = _section(tree, "waveform")
         waveform = Waveform(
-            currents_ma=tuple(wave_tree.get("currents_ma", (500, 500, 500))),
-            voltages_mv=tuple(wave_tree.get("voltages_mv", (120_000, 120_000, 120_000))),
             fault_at_us=(
                 _ms(wave_tree["fault_at_ms"]) if wave_tree.get("fault_at_ms") is not None else None
             ),
-            fault_phase_a_ma=int(wave_tree.get("fault_phase_a_ma", 5000)),
         )
         injection = _injection_from_tree(_section(tree, "injection"))
         spec = ScenarioSpec(
@@ -332,18 +326,18 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
             with_ids=bool(tree["with_ids"]),
             delays=delays,
             decision_window_us=_ms(tree.get("decision_window_ms", 15)),
-            loop_window_us=_ms(tree.get("loop_window_ms", 10)),
-            controller_latency_us=_ms(tree.get("controller_latency_ms", 1)),
             mu=mu,
             pied=pied,
             waveform=waveform,
             injection=injection,
             rules=_rules_from_tree(tree.get("rules")),
         )
+        if spec.duration_us <= 0:
+            raise ValueError("duration_ms must be positive")
         # wiring, ports and schedules fail here, before anything runs or is written
         _build(spec)
         return spec
-    except (KeyError, TypeError, ValueError, TopologyError, CodecError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, TopologyError, CodecError) as exc:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
 
 
@@ -365,11 +359,14 @@ def _injection_from_tree(tree: dict) -> InjectionPlan | None:
         return None
     template_tree = _section(tree, "template")
     src = template_tree.get("src_mac")
+    gocb_ref = template_tree.get("gocb_ref", sub.GOCB_REF)
+    if not isinstance(gocb_ref, str) or not isinstance(src, (str, type(None))):
+        raise ValueError("the template's src_mac and gocb_ref must be strings")
     template = GooseFrame(
         dst=sub.GOOSE_DST,
         src=sub.PIED_MAC if src is None else MacAddress.parse(src),
         app_id=sub.PIED_APP_ID,
-        gocb_ref=template_tree.get("gocb_ref", sub.GOCB_REF),
+        gocb_ref=gocb_ref,
         time_allowed_to_live=sub.PIED_TTL_MS,
         st_num=int(template_tree["st_num"]),
         sq_num=int(template_tree["sq_num"]),
@@ -400,8 +397,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     net = _build(spec)
     try:
         net.run_until(spec.duration_us)
-    except TopologyError as exc:
-        # wiring the load-time build cannot see, such as a forward to an unlinked port
+    except (TopologyError, CodecError) as exc:
+        # what the load-time build cannot see: a forward to an unlinked port,
+        # or a delay so large that a frame's timestamp leaves its field
         raise ScenarioError(f"scenario {spec.id} cannot run: {exc}") from exc
     net.log_event(
         "ControlMsg", sub.IDS, None, None, note=f"run_complete events={len(net.log) + 1}"
@@ -431,9 +429,7 @@ def _build(spec: ScenarioSpec) -> Network:
             sub.ids_flow_table(with_ids=True),
             spec.rules,
             processing_delay=spec.delays.t_ids,
-            loop_window_us=spec.loop_window_us,
             decision_window_us=spec.decision_window_us,
-            controller_latency_us=spec.controller_latency_us,
         )
     else:
         SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)

@@ -86,6 +86,15 @@ PIED_APP_ID = 0x0001
 PIED_TTL_MS = 2_000
 SV_ID = "MU01"
 
+# The test set's steady per-phase magnitudes and the phase-A current of the
+# fault step, the relay's overcurrent pickup, and the time from a port-mod
+# command to the port state change.
+NOMINAL_CURRENTS_MA = (500, 500, 500)
+NOMINAL_VOLTAGES_MV = (120_000, 120_000, 120_000)
+FAULT_PHASE_A_MA = 5_000
+PICKUP_MA = 2_000
+CONTROLLER_LATENCY_US = 1_000
+
 # Monitored-feed split of the aggregate link budgets (microseconds).
 SV_LEG_MU_TO_PBS = 1_000
 GOOSE_LEG_PIED_TO_SBS = 500

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import copy
 import io
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 
 import gridshield
 from gridshield import cli, netsim
+from gridshield import substation as sub
 from gridshield.cli import main
 from gridshield.netsim import EventLog, SimEvent
-from gridshield.scenarios import load_scenario
+from gridshield.scenarios import ScenarioError, load_scenario
 
 SRC = Path(gridshield.__file__).resolve().parents[1]
 
@@ -75,7 +78,10 @@ class TestRun:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("override", ["inspection_passes=2", "act_on_flagged=true"])
+    @pytest.mark.parametrize("override", [
+        "inspection_passes=2", "act_on_flagged=true", "loop_window_ms=10",
+        "controller_latency_ms=1", "pickup_ma=2000",
+    ])
     def test_retired_override_is_config_error(self, tmp_path, override):
         out = tmp_path / "o"
         proc = run_cli_process(
@@ -90,7 +96,8 @@ class TestRun:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)
         proc = run_cli_process(
-            "run", "--config", str(cfg), "--override", "pickup_ma=1", "--out", str(tmp_path / "o")
+            "run", "--config", str(cfg), "--override", "publish_interval_ms=10",
+            "--out", str(tmp_path / "o"),
         )
         assert_one_line_error(proc)
 
@@ -121,6 +128,31 @@ class TestRun:
         result = json.loads((out / "result.json").read_text())
         assert result["verdict"]["culprit"] is None
 
+    @pytest.mark.parametrize("sid, override", [
+        ("attack1", "t_ids=inf"),
+        ("baseline", "duration_ms=1e400"),
+        ("baseline", "samples_per_second=1e400"),
+        ("attack2", "publish_interval_ms=-1"),
+        ("attack2", "decision_window_ms=-1"),
+        ("baseline", "duration_ms=-5"),
+        ("baseline", "t_pied=1e30"),
+    ])
+    def test_hostile_number_is_config_error(self, tmp_path, capsys, sid, override):
+        """Infinite and negative times are refused at load time, and a delay
+        that pushes a frame's timestamp out of its field stops the run: each
+        is one error line, and nothing is written."""
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", sid, "--override", override, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_zero_publish_interval_is_config_error(self):
+        # the relay would republish at t=0 forever, so only loading is tried
+        with pytest.raises(ScenarioError, match="publish interval must be positive"):
+            load_scenario("attack2", {"publish_interval_ms": 0})
+
     def test_delay_split_below_the_fixed_legs_is_config_error(self, tmp_path):
         proc = run_cli_process(
             "run", "--scenario", "baseline", "--override", "t_sv=0.5",
@@ -150,7 +182,7 @@ class TestRun:
             ("attack1", "  t_ids: 4.0\n", "  t_ids: 4.0\n  t_idz: 1.0\n"),
             ("attack1", "  samples_per_second: 1000\n", "  samples_per_secnd: 100\n"),
             ("attack1", "  publish_interval_ms: 1000\n", "  publish_intervl_ms: 10\n"),
-            ("attack1", "  currents_ma: [500, 500, 500]\n", "  current_ma: [500, 500, 500]\n"),
+            ("baseline", "  fault_at_ms: 2000\n", "  fault_at_mss: 2000\n"),
             ("attack1", "  port: 6\n", "  port: 6\n  ports: [6]\n"),
             ("attack1", "    st_num: 1\n", "    st_num: 1\n    sq: 4\n"),
             (
@@ -164,6 +196,21 @@ class TestRun:
                 "with_ids: true\n",
                 "with_ids: true\nrules:\n  - {id: ingress_binding, kind: IngressBinding}\n",
             ),
+            ("baseline", "with_ids: false\n", "with_ids: false\nloop_window_ms: 10.0\n"),
+            ("baseline", "with_ids: false\n", "with_ids: false\ncontroller_latency_ms: 1.0\n"),
+            ("baseline", "pied:\n", "pied:\n  pickup_ma: 2000\n"),
+            ("baseline", "waveform:\n", "waveform:\n  currents_ma: [500, 500, 500]\n"),
+            ("baseline", "waveform:\n", "waveform:\n  voltages_mv: [120000, 120000, 120000]\n"),
+            ("baseline", "waveform:\n", "waveform:\n  fault_phase_a_ma: 5000\n"),
+            ("baseline", "duration_ms: 5000\n", "duration_ms: .inf\n"),
+            ("attack1", "    st_num: 1\n", "    st_num: 1\n    gocb_ref: [1, 2]\n"),
+            ("attack1", "    st_num: 1\n", "    st_num: 1\n    src_mac: [1, 2]\n"),
+            (
+                "attack1",
+                "with_ids: true\n",
+                "with_ids: true\nrules:\n"
+                "  - {id: rate_limit, kind: RateLimit, max_frames: text, window_ms: 100}\n",
+            ),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
@@ -171,7 +218,10 @@ class TestRun:
              "retired_act_on_flagged", "misspelt_delays_ms_key", "misspelt_mu_key",
              "misspelt_pied_key", "misspelt_waveform_key", "misspelt_injection_key",
              "misspelt_template_key", "parameter_its_rule_does_not_read",
-             "retired_ingress_binding_rule"],
+             "retired_ingress_binding_rule", "retired_loop_window_ms",
+             "retired_controller_latency_ms", "retired_pickup_ma", "retired_currents_ma",
+             "retired_voltages_mv", "retired_fault_phase_a_ma", "infinite_duration",
+             "gocb_ref_not_a_string", "src_mac_not_a_string", "rule_parameter_not_a_number"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -457,22 +507,29 @@ SHORT_TIMELINES = {
 FUZZ_CHUNK_BYTES = 4096
 
 
+def short_tree(sid: str) -> dict:
+    """The shipped config of ``sid`` with its SHORT_TIMELINES edits."""
+    import yaml
+
+    tree = yaml.safe_load((SRC / "gridshield" / "configs" / f"{sid}.yaml").read_text())
+    for key, value in SHORT_TIMELINES[sid].items():
+        *parents, leaf = key if isinstance(key, tuple) else (key,)
+        node = tree
+        for parent in parents:
+            node = node[parent]
+        node[leaf] = copy.deepcopy(value)
+    return tree
+
+
 @pytest.fixture(scope="module")
 def short_logs(tmp_path_factory) -> dict[str, bytes]:
     import yaml
 
     root = tmp_path_factory.mktemp("short")
     logs = {}
-    for sid, edits in SHORT_TIMELINES.items():
-        tree = yaml.safe_load((SRC / "gridshield" / "configs" / f"{sid}.yaml").read_text())
-        for key, value in edits.items():
-            *parents, leaf = key if isinstance(key, tuple) else (key,)
-            node = tree
-            for parent in parents:
-                node = node[parent]
-            node[leaf] = value
+    for sid in SHORT_TIMELINES:
         config = root / f"{sid}.yaml"
-        config.write_text(yaml.safe_dump(tree))
+        config.write_text(yaml.safe_dump(short_tree(sid)))
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli("run", "--config", str(config), "--out", str(root / sid)) in (0, 1)
         logs[sid] = (root / sid / "events.jsonl").read_bytes()
@@ -554,3 +611,116 @@ class TestReplayFuzz:
         last["note"] = f"run_complete events={len(lines) + 1}"
         lines.append(json.dumps(last, separators=(",", ":")).encode() + b"\n")
         assert_replay_keeps_the_contract(b"".join(lines), fuzz_dir)
+
+
+# Keys that configs once had or that the substation panel now fixes, each
+# with the section that held it (None for the top level) and a value.
+RETIRED_KEYS = (
+    (None, "loop_window_ms", 10.0),
+    (None, "controller_latency_ms", 1.0),
+    (None, "inspection_passes", 2),
+    (None, "act_on_flagged", True),
+    (None, "topology", {"nodes": {"mu": 1}, "links": []}),
+    ("pied", "pickup_ma", 2000),
+    ("waveform", "currents_ma", [500, 500, 500]),
+    ("waveform", "voltages_mv", [120000, 120000, 120000]),
+    ("waveform", "fault_phase_a_ma", 5000),
+)
+HOSTILE_VALUES = (
+    "text", [1, 2], None, True, False, -1, -2.5, 10**30, 1e300,
+    float("inf"), float("-inf"), float("nan"),
+)
+
+
+def config_paths(tree, prefix: tuple = ()):
+    """The path of every value in a config tree, into mappings and lists."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from config_paths(value, prefix + (key,))
+
+
+def value_at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def mutate_config(tree: dict, draw) -> None:
+    """One hostile edit of ``tree``: delete a value, retype it, replace a
+    section with a scalar, or add a retired key."""
+    op = draw(st.sampled_from(("delete", "retype", "scalar_section", "retired")))
+    if op == "retired":
+        section, key, value = draw(st.sampled_from(RETIRED_KEYS))
+        node = tree if section is None else tree.setdefault(section, {})
+        if isinstance(node, dict):
+            node[key] = copy.deepcopy(value)
+        return
+    paths = list(config_paths(tree))
+    if op == "scalar_section":
+        paths = [p for p in paths if isinstance(value_at(tree, p), (dict, list))]
+    if not paths:
+        return
+    *parents, leaf = draw(st.sampled_from(paths))
+    node = value_at(tree, parents)
+    if op == "delete":
+        del node[leaf]
+    else:
+        node[leaf] = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
+
+
+# Values the shipped configs leave at their defaults, spelled out so that
+# the fuzz edits them too: the default rule list and the template's
+# identity fields.
+DEFAULT_RULES = [
+    {"id": "seq_regression", "kind": "SequenceRegression"},
+    {"id": "seq_skip", "kind": "SequenceSkip", "max_gap": 1},
+    {"id": "ttl_bound", "kind": "TtlBound", "min_ms": 1, "max_ms": 60000},
+    {"id": "publisher_whitelist", "kind": "PublisherWhitelist"},
+    {"id": "rate_limit", "kind": "RateLimit", "max_frames": 10, "window_ms": 100},
+]
+DEFAULT_TEMPLATE = {"src_mac": str(sub.PIED_MAC), "gocb_ref": sub.GOCB_REF, "trip": False}
+
+
+def fuzz_tree(sid: str) -> dict:
+    tree = short_tree(sid)
+    tree["rules"] = copy.deepcopy(DEFAULT_RULES)
+    if "injection" in tree:
+        tree["injection"]["template"].update(DEFAULT_TEMPLATE)
+    return tree
+
+
+class TestConfigFuzz:
+    """Hostile configs never make ``load_scenario`` or ``run`` raise: the
+    load raises only ``ScenarioError``, and the run exits 0, 1 or 2."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(SHORT_TIMELINES)), st.integers(1, 3), st.data())
+    def test_mutated_shipped_configs(self, fuzz_dir, sid, edits, draw):
+        import yaml
+
+        tree = fuzz_tree(sid)
+        for _ in range(edits):
+            mutate_config(tree, draw.draw)
+        # a huge duration is a long run, not an error; keep the run short
+        duration, cap = tree.get("duration_ms"), SHORT_TIMELINES[sid]["duration_ms"]
+        if type(duration) in (int, float) and cap < duration < float("inf"):
+            tree["duration_ms"] = cap
+        config, out = fuzz_dir / "config.yaml", fuzz_dir / "config_out"
+        config.write_text(yaml.safe_dump(tree))
+        shutil.rmtree(out, ignore_errors=True)
+        with contextlib.suppress(ScenarioError):
+            load_scenario(str(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(config), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert stdout.getvalue() == "" and not out.exists()

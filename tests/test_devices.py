@@ -60,18 +60,19 @@ class TestMuDevice:
         net = mini_process_bus()
         cap = _Capture()
         net.register("pied", cap)
-        wave = Waveform(fault_at_us=5_000, fault_phase_a_ma=4_321)
+        wave = Waveform(fault_at_us=5_000)
         MuDevice(net, MuConfig(), wave)
         net.run_until(10_000)
-        faulted = [decode_sv(raw) for _, raw, _ in cap.frames if decode_sv(raw).currents[0] == 4_321]
-        assert faulted and faulted[0].voltages == (120_000, 120_000, 120_000)
+        samples = [decode_sv(raw) for _, raw, _ in cap.frames]
+        faulted = [sv for sv in samples if sv.currents[0] == sub.FAULT_PHASE_A_MA]
+        assert faulted and faulted[0].voltages == sub.NOMINAL_VOLTAGES_MV
 
     def test_equal_samples_depart_as_one_encoded_frame(self):
         net = mini_process_bus()
         cap = _Capture()
         net.register("pied", cap)
         config = MuConfig(samples_per_second=1_000, internal_delay_us=3_000)
-        wave = Waveform(fault_at_us=1_250_000, fault_phase_a_ma=4_321)
+        wave = Waveform(fault_at_us=1_250_000)
         mu = MuDevice(net, config, wave)
         net.run_until(2_504_000)  # 2.5 s of ticks, each arriving 4 ms later
         by_sample = {}
@@ -85,8 +86,9 @@ class TestMuDevice:
         assert len(cap.frames) == 2_501
         assert all(len(ids) == 1 for ids in by_sample.values())
         # every count recurs, and the fault step gives each count a new frame
-        before = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == 500}
-        after = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == 4_321}
+        nominal, fault = sub.NOMINAL_CURRENTS_MA[0], sub.FAULT_PHASE_A_MA
+        before = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == nominal}
+        after = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == fault}
         assert set(before) == set(after) == set(range(1_000))
         assert all(before[cnt].isdisjoint(after[cnt]) for cnt in before)
         assert len(mu._frames) == 2 * config.samples_per_second

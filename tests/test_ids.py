@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
+    LOOP_WINDOW_US,
     Evidence,
     IdsNode,
     Inconclusive,
@@ -180,22 +181,22 @@ class TestSequenceOracle:
 
 class TestLoopTracker:
     def test_tagged_digest_within_window_is_loop(self):
-        loops = LoopTracker(window_us=10_000)
+        loops = LoopTracker()
         loops.tag_loop("abcd", at=1_000)
         assert loops.is_loop("abcd", at=3_000)
 
     def test_distinct_digest_is_not_loop(self):
-        loops = LoopTracker(window_us=10_000)
+        loops = LoopTracker()
         loops.tag_loop("abcd", at=1_000)
         assert not loops.is_loop("ffff", at=3_000)
 
     def test_expired_window_is_not_loop(self):
-        loops = LoopTracker(window_us=10_000)
+        loops = LoopTracker()
         loops.tag_loop("abcd", at=1_000)
-        assert not loops.is_loop("abcd", at=11_001)
+        assert not loops.is_loop("abcd", at=1_000 + LOOP_WINDOW_US + 1)
 
     def test_arrival_before_tag_is_not_loop(self):
-        loops = LoopTracker(window_us=10_000)
+        loops = LoopTracker()
         loops.tag_loop("abcd", at=5_000)
         assert not loops.is_loop("abcd", at=4_999)
 
