@@ -6,17 +6,20 @@ scenario, the JSON-lines event log (``events.jsonl``), the scored result
 ``--jobs N`` the scenarios run in up to N worker processes, never more than
 there are scenarios; each worker writes its scenario's files and returns
 only the scored result, and every output byte is the same as with
-``--jobs 1``. ``gridshield replay`` re-scores a saved log and must
-reproduce the live result; with ``--out`` it writes the log bytes it read
-back as ``events.jsonl``. Both write and parse the log a bounded chunk at a
-time (see ``netsim.EventLog``).
+``--jobs 1``. The files are written into a staging directory beside the
+output directory and moved into place once every scenario has finished,
+so a run that exits 2 leaves none of them. ``gridshield replay``
+re-scores a saved log and must reproduce the live result; with ``--out``
+it writes the log bytes it read back as ``events.jsonl``. Both write and
+parse the log a bounded chunk at a time (see ``netsim.EventLog``).
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
-an unknown ``GRIDSHIELD_LOG`` level. Stdout is a human-readable summary
-and may change; a reader that closes it early loses the rest of the
-summary, not the exit code. The ``GRIDSHIELD_LOG`` variable
-(DEBUG/INFO/WARNING/ERROR) controls diagnostic verbosity.
+an unknown ``GRIDSHIELD_LOG`` level and an ``--out`` that cannot be
+written. Stdout is a human-readable summary and may change; a reader
+that closes it early loses the rest of the summary, not the exit code.
+The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
+diagnostic verbosity.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from gridshield.netsim import EventLog
@@ -135,6 +140,31 @@ def _run_in_worker(spec: ScenarioSpec, out_root: Path, nested: bool) -> Scenario
     return dataclasses.replace(_run_one(spec, out_root, nested), log=EventLog())
 
 
+def _run_staged(specs: list[ScenarioSpec], out_root: Path, jobs: int) -> list[ScenarioResult]:
+    """Run every spec, then move the files they wrote into ``out_root``; a
+    scenario that fails leaves no file of any of them there."""
+    nested = len(specs) > 1
+    out_root.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_root.name}.", dir=out_root.parent))
+    try:
+        if jobs > 1 and nested:
+            # fork starts all max_workers at the first submit: one per scenario at most
+            workers = min(jobs, len(specs))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_in_worker, spec, staging, nested) for spec in specs]
+                results = [f.result() for f in futures]
+        else:
+            results = [_run_one(spec, staging, nested) for spec in specs]
+        for path in sorted(staging.rglob("*")):
+            if path.is_file():
+                dest = out_root / path.relative_to(staging)
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(path, dest)
+        return results
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         overrides = dict(_parse_override(o) for o in args.override or [])
@@ -148,20 +178,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ScenarioError("nothing to run; pass --scenario or --config")
         # every spec loads before any scenario runs, so a config error writes nothing
         specs = [load_scenario(name, overrides) for name in names]
-        out_root = Path(args.out)
-        nested = len(specs) > 1
-
-        results: list[ScenarioResult] = []
-        if args.jobs > 1 and len(specs) > 1:
-            # fork starts all max_workers at the first submit: one per scenario at most
-            workers = min(args.jobs, len(specs))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_in_worker, spec, out_root, nested) for spec in specs]
-                results = [f.result() for f in futures]
-        else:
-            results = [_run_one(spec, out_root, nested) for spec in specs]
+        results = _run_staged(specs, Path(args.out), args.jobs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     _print_summary(results)
@@ -190,7 +212,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if args.out:
-        _write_outputs(result, data, Path(args.out))
+        try:
+            _write_outputs(result, data, Path(args.out))
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     _print_summary([result])
     return EXIT_OK if result.passed else EXIT_SCENARIO_FAILED
 

@@ -26,9 +26,14 @@ otherwise the sequence number counts retransmissions.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field, replace
+
+try:
+    # hashlib.blake2b itself; importing hashlib would also map OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the bundled module
+    from hashlib import blake2b
 
 GOOSE_ETHERTYPE = 0x88B8
 SV_ETHERTYPE = 0x88BA
@@ -184,7 +189,7 @@ class RawFrame:
     _decoded = None  # not a field: set once by a successful decode
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digest", hashlib.blake2b(self.data, digest_size=8).hexdigest())
+        object.__setattr__(self, "digest", blake2b(self.data, digest_size=8).hexdigest())
 
     def __len__(self) -> int:
         return len(self.data)

@@ -59,21 +59,17 @@ class DelayComponents:
     t_gs: SimTime = 2 * MS
     t_oc: SimTime = 4 * MS
     t_ids: SimTime = 4 * MS
-    with_ids: bool = False
 
     def __post_init__(self) -> None:
         for name in COMPONENT_NAMES:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def as_dict(self) -> dict[str, SimTime]:
-        return {name: getattr(self, name) for name in COMPONENT_NAMES}
 
-
-def total(c: DelayComponents) -> SimTime:
+def total(c: DelayComponents, with_ids: bool) -> SimTime:
     """Sum of the seven base terms, plus the inspection term when active."""
     base = c.t_mu + c.t_sv + c.t_sp + c.t_pied + c.t_ss + c.t_gs + c.t_oc
-    return base + (c.t_ids if c.with_ids else 0)
+    return base + (c.t_ids if with_ids else 0)
 
 
 @dataclass(frozen=True)

@@ -42,43 +42,23 @@ from gridshield.codec import (
 from gridshield.netsim import Network, PortRef, SimTime
 
 
-@dataclass(frozen=True)
-class Waveform:
-    """The nominal per-phase magnitudes, with an optional step of phase A
-    to the fault current (``substation.py``)."""
-
-    fault_at_us: SimTime | None = None
-
-    def sample(self, at: SimTime) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        currents = sub.NOMINAL_CURRENTS_MA
-        if self.fault_at_us is not None and at >= self.fault_at_us:
-            currents = (sub.FAULT_PHASE_A_MA, currents[1], currents[2])
-        return currents, sub.NOMINAL_VOLTAGES_MV
-
-
-@dataclass(frozen=True)
-class MuConfig:
-    samples_per_second: int = 1_000
-    internal_delay_us: SimTime = 3_000  # t_mu
-
-    def __post_init__(self) -> None:
-        if self.samples_per_second <= 0:
-            raise ValueError("samples_per_second must be positive")
-        if 1_000_000 % self.samples_per_second:
-            raise ValueError("samples_per_second must divide 1e6 for exact ticks")
-
-
 class MuDevice:
-    """Samples the waveform and streams sampled-value frames."""
+    """Samples the waveform and streams sampled-value frames.
 
-    def __init__(self, net: Network, config: MuConfig, waveform: Waveform):
+    The waveform is the nominal per-phase magnitudes, with phase A stepping
+    to the fault current (``substation.py``) from ``fault_at_us`` on.
+    """
+
+    def __init__(self, net: Network, *, samples_per_second: int, t_mu: SimTime,
+                 fault_at_us: SimTime | None = None):
         self.net = net
-        self.config = config
-        self.waveform = waveform
+        self.samples_per_second = samples_per_second
+        self.t_mu = t_mu
+        self.fault_at_us = fault_at_us
         self.port = PortRef(sub.MU, sub.MU_PORT)
         self.smp_cnt = 0
-        self.period_us = 1_000_000 // config.samples_per_second
-        # (smp_cnt, currents, voltages) -> its encoded frame; at most
+        self.period_us = 1_000_000 // samples_per_second
+        # (smp_cnt, currents) -> its encoded frame; at most
         # samples_per_second entries per waveform level
         self._frames: dict[tuple, RawFrame] = {}
         net.register(sub.MU, self)
@@ -89,8 +69,10 @@ class MuDevice:
 
     def _tick(self) -> None:
         at = self.net.now
-        currents, voltages = self.waveform.sample(at)
-        key = (self.smp_cnt, currents, voltages)
+        currents = sub.NOMINAL_CURRENTS_MA
+        if self.fault_at_us is not None and at >= self.fault_at_us:
+            currents = (sub.FAULT_PHASE_A_MA, currents[1], currents[2])
+        key = (self.smp_cnt, currents)
         raw = self._frames.get(key)
         if raw is None:
             frame = SvFrame(
@@ -99,35 +81,13 @@ class MuDevice:
                 sv_id=sub.SV_ID,
                 smp_cnt=self.smp_cnt,
                 currents=currents,
-                voltages=voltages,
+                voltages=sub.NOMINAL_VOLTAGES_MV,
             )
-            raw = encode_sv(frame, smp_cnt_modulus=self.config.samples_per_second)
+            raw = encode_sv(frame, smp_cnt_modulus=self.samples_per_second)
             self._frames[key] = raw
-        self.net.send(self.port, raw, at + self.config.internal_delay_us, note=f"tick_us={at}")
-        self.smp_cnt = (self.smp_cnt + 1) % self.config.samples_per_second
+        self.net.send(self.port, raw, at + self.t_mu, note=f"tick_us={at}")
+        self.smp_cnt = (self.smp_cnt + 1) % self.samples_per_second
         self.net.call(at + self.period_us, self._tick)
-
-
-@dataclass(frozen=True)
-class PiedConfig:
-    publish_interval_us: SimTime = 1_000_000
-    protection_delay_us: SimTime = 10_000  # t_pied
-    # benign data change (supervision point toggles) giving the stream a
-    # second state number; None disables it
-    toggle_point_at_us: SimTime | None = None
-    # compromised-relay semantics: legitimate publications stop here
-    silence_at_us: SimTime | None = None
-
-    def __post_init__(self) -> None:
-        # a zero interval would republish at the same instant forever
-        if self.publish_interval_us <= 0:
-            raise ValueError("publish interval must be positive")
-
-
-@dataclass
-class BreakerState:
-    position: str = "Closed"  # or "Open"
-    last_trip_time: SimTime | None = None
 
 
 class PiedDevice:
@@ -136,24 +96,30 @@ class PiedDevice:
     Publications carry two boolean points: point 0 is the trip command,
     point 1 a supervision flag used for benign state changes. Every
     publication leaves both GOOSE ports, toward the station-bus switch and
-    the inspector's direct feed, at the same instant.
+    the inspector's direct feed, at the same instant. A benign data change
+    (the supervision point toggles) at ``toggle_point_at_us`` gives the
+    stream a second state number; a compromised relay's legitimate
+    publications stop at ``silence_at_us``. None disables either.
     """
 
     GOOSE_PORTS = (PortRef(sub.PIED, sub.PIED_STATION), PortRef(sub.PIED, sub.PIED_IDS_DIRECT))
 
-    def __init__(self, net: Network, config: PiedConfig):
+    def __init__(self, net: Network, *, publish_interval_us: SimTime, t_pied: SimTime,
+                 toggle_point_at_us: SimTime | None = None,
+                 silence_at_us: SimTime | None = None):
         self.net = net
-        self.config = config
+        self.publish_interval_us = publish_interval_us
+        self.t_pied = t_pied
         self.latched = False
         self.current: GooseFrame | None = None
         self._next_pub_at: SimTime = 0
         self._silenced = False
         net.register(sub.PIED, self)
         net.call(0, self._pump)
-        if config.toggle_point_at_us is not None:
-            net.call(config.toggle_point_at_us, self._toggle_point)
-        if config.silence_at_us is not None:
-            net.call(config.silence_at_us, self._silence)
+        if toggle_point_at_us is not None:
+            net.call(toggle_point_at_us, self._toggle_point)
+        if silence_at_us is not None:
+            net.call(silence_at_us, self._silence)
 
     # -- reception -----------------------------------------------------------
 
@@ -169,12 +135,9 @@ class PiedDevice:
             self._publish(
                 state_changed=True,
                 trip=True,
-                at=at + self.config.protection_delay_us,
+                at=at + self.t_pied,
                 note=f"trip trigger={raw.digest}",
             )
-
-    def reset_latch(self) -> None:
-        self.latched = False
 
     # -- publication ---------------------------------------------------------
 
@@ -213,7 +176,7 @@ class PiedDevice:
         for port in self.GOOSE_PORTS:
             self.net.send(port, raw, at, note=note)
         # a publication restarts the retransmission timer
-        self._next_pub_at = at + self.config.publish_interval_us
+        self._next_pub_at = at + self.publish_interval_us
 
     def _pump(self) -> None:
         if self._silenced:
@@ -228,7 +191,7 @@ class PiedDevice:
 
 
 class OmicronDevice:
-    """Waveform source stand-in and circuit-breaker sink.
+    """The test set: waveform source stand-in and circuit-breaker sink.
 
     The sourcing side lives in the merging unit's configured waveform; this
     node closes the loop by acting on every trip command that reaches its
@@ -237,15 +200,15 @@ class OmicronDevice:
     mitigation, as in the paper.
     """
 
-    def __init__(self, net: Network, internal_delay_us: SimTime = 4_000):  # t_oc
+    def __init__(self, net: Network, t_oc: SimTime):
         self.net = net
-        self.internal_delay_us = internal_delay_us
-        self.breaker = BreakerState()
+        self.t_oc = t_oc
+        self.breaker_open = False
         self._trip_pending = False
         net.register(sub.OMICRON, self)
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
-        if self.breaker.position == "Open" or self._trip_pending:
+        if self.breaker_open or self._trip_pending:
             return
         try:
             frame = decode_goose(raw)
@@ -254,11 +217,10 @@ class OmicronDevice:
         if not frame.trip:
             return
         self._trip_pending = True
-        self.net.call(at + self.internal_delay_us, self._open_breaker, raw.digest)
+        self.net.call(at + self.t_oc, self._open_breaker, raw.digest)
 
     def _open_breaker(self, digest: str) -> None:
-        self.breaker.position = "Open"
-        self.breaker.last_trip_time = self.net.now
+        self.breaker_open = True
         self._trip_pending = False
         self.net.log_event("BreakerTrip", sub.OMICRON, None, digest, note="breaker=open")
 

@@ -410,8 +410,8 @@ class IdsNode(SwitchNode):
         table: FlowTable,
         rules: RuleSet,
         *,
-        processing_delay: SimTime = 4_000,
-        decision_window_us: SimTime = 15_000,
+        processing_delay: SimTime,
+        decision_window_us: SimTime,
     ):
         super().__init__(net, sub.IDS, table, processing_delay)
         self.rules = rules

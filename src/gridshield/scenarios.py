@@ -28,7 +28,6 @@ detect truncation.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -48,16 +47,7 @@ from gridshield.delay import (
     total,
     walk_hops,
 )
-from gridshield.devices import (
-    InjectionPlan,
-    MuConfig,
-    MuDevice,
-    OmicronDevice,
-    PiedConfig,
-    PiedDevice,
-    Waveform,
-    inject,
-)
+from gridshield.devices import InjectionPlan, MuDevice, OmicronDevice, PiedDevice, inject
 from gridshield.ids import IdsNode, Origin, Rule, RuleKind, RuleSet, default_rules, mitigate
 from gridshield.netsim import (
     EventLog,
@@ -97,7 +87,8 @@ class ScenarioSpec:
     The wiring, flow tables and device identities always come from
     ``substation.py``, with link latencies derived from the delay split.
     A config sets delays, traffic, the injection and the inspector's rule
-    list; the whitelist the rules check is the relay's identity.
+    list; the whitelist the rules check is the relay's identity. Each
+    device reads its settings from here.
     """
 
     id: str
@@ -105,9 +96,11 @@ class ScenarioSpec:
     with_ids: bool
     delays: DelayComponents
     decision_window_us: int
-    mu: MuConfig
-    pied: PiedConfig
-    waveform: Waveform
+    samples_per_second: int
+    publish_interval_us: int
+    toggle_point_at_us: int | None
+    silence_at_us: int | None
+    fault_at_us: int | None
     injection: InjectionPlan | None
     rules: RuleSet
 
@@ -115,7 +108,7 @@ class ScenarioSpec:
         return sub.default_topology(self.delays)
 
     def expected_total_us(self) -> int:
-        return total(dataclasses.replace(self.delays, with_ids=self.with_ids))
+        return total(self.delays, self.with_ids)
 
     def settle_us(self) -> int:
         return max(lat for *_ignored, lat in self.topology().links)
@@ -199,26 +192,6 @@ def load_scenario(name_or_path: str, overrides: dict | None = None) -> ScenarioS
     return _spec_from_tree(tree)
 
 
-_OVERRIDE_KEYS = {
-    "with_ids": ("with_ids",),
-    "duration_ms": ("duration_ms",),
-    "t_mu": ("delays_ms", "t_mu"),
-    "t_sv": ("delays_ms", "t_sv"),
-    "t_sp": ("delays_ms", "t_sp"),
-    "t_pied": ("delays_ms", "t_pied"),
-    "t_ss": ("delays_ms", "t_ss"),
-    "t_gs": ("delays_ms", "t_gs"),
-    "t_oc": ("delays_ms", "t_oc"),
-    "t_ids": ("delays_ms", "t_ids"),
-    "decision_window_ms": ("decision_window_ms",),
-    "samples_per_second": ("mu", "samples_per_second"),
-    "publish_interval_ms": ("pied", "publish_interval_ms"),
-    "toggle_point_at_ms": ("pied", "toggle_point_at_ms"),
-    "silence_at_ms": ("pied", "silence_at_ms"),
-    "fault_at_ms": ("waveform", "fault_at_ms"),
-}
-
-
 def _apply_overrides(tree: dict, overrides: dict) -> dict:
     for key, value in overrides.items():
         path = _OVERRIDE_KEYS.get(key)
@@ -258,82 +231,83 @@ _SECTION_KEYS = {
     "template": frozenset({"src_mac", "gocb_ref", "st_num", "sq_num", "timestamp_ms", "trip"}),
 }
 
+# ``--override`` names: the top-level scalars and every key of the sections
+# that hold one setting per key, each with its path in the config.
+_OVERRIDE_KEYS = {
+    **{key: (key,) for key in ("with_ids", "duration_ms", "decision_window_ms")},
+    **{
+        key: (section, key)
+        for section in ("delays_ms", "mu", "pied", "waveform")
+        for key in sorted(_SECTION_KEYS[section])
+    },
+}
 
-def _checked(tree, where: str, allowed: frozenset) -> dict:
-    """``tree`` if it is a mapping holding only ``allowed`` keys."""
+
+class _Keys(dict):
+    """A checked config mapping that names a missing required key by its
+    path in the config; ``prefix`` is the mapping's own path and a dot."""
+
+    def __init__(self, tree: dict, prefix: str):
+        super().__init__(tree)
+        self.prefix = prefix
+
+    def __missing__(self, key):
+        raise ScenarioError(f"bad scenario config: missing key {self.prefix}{key}")
+
+
+def _checked(tree, path: str, allowed: frozenset) -> _Keys:
+    """``tree`` if it is a mapping holding only ``allowed`` keys; ``path``
+    is where it sits in the config, empty for the config itself."""
+    where = path or "the config"
     if not isinstance(tree, dict):
         raise ScenarioError(f"bad scenario config: {where} is not a mapping of keys")
     unknown = sorted(set(tree) - allowed, key=str)
     if unknown:
         raise ScenarioError(f"unknown config keys {unknown} in {where}")
-    return tree
+    return _Keys(tree, f"{path}." if path else "")
 
 
-def _section(tree: dict, key: str) -> dict:
-    """The checked section ``key`` of a config; an absent or null one is empty."""
+def _section(tree: _Keys, key: str) -> _Keys:
+    """The checked section ``key`` of ``tree``; an absent or null one is empty."""
     section = tree.get(key)
-    return {} if section is None else _checked(section, key, _SECTION_KEYS[key])
+    return _checked({} if section is None else section, tree.prefix + key, _SECTION_KEYS[key])
 
 
-def _spec_from_tree(tree: dict) -> ScenarioSpec:
+def _optional_ms(value) -> int | None:
+    return None if value is None else _ms(value)
+
+
+def _spec_from_tree(tree) -> ScenarioSpec:
     try:
-        _checked(tree, "the config", _CONFIG_KEYS)
+        tree = _checked(tree, "", _CONFIG_KEYS)
         sid = tree["scenario"]
         if sid not in SCENARIO_IDS:
             raise ScenarioError(f"unknown scenario id {sid!r}")
         delays_ms = _section(tree, "delays_ms")
-        delays = DelayComponents(
-            t_mu=_ms(delays_ms["t_mu"]),
-            t_sv=_ms(delays_ms["t_sv"]),
-            t_sp=_ms(delays_ms["t_sp"]),
-            t_pied=_ms(delays_ms["t_pied"]),
-            t_ss=_ms(delays_ms["t_ss"]),
-            t_gs=_ms(delays_ms["t_gs"]),
-            t_oc=_ms(delays_ms["t_oc"]),
-            t_ids=_ms(delays_ms["t_ids"]),
-            with_ids=bool(tree["with_ids"]),
-        )
-        mu_tree = _section(tree, "mu")
-        mu = MuConfig(
-            samples_per_second=int(mu_tree.get("samples_per_second", 1000)),
-            internal_delay_us=delays.t_mu,
-        )
-        pied_tree = _section(tree, "pied")
-        pied = PiedConfig(
-            publish_interval_us=_ms(pied_tree.get("publish_interval_ms", 1000)),
-            protection_delay_us=delays.t_pied,
-            toggle_point_at_us=(
-                _ms(pied_tree["toggle_point_at_ms"])
-                if pied_tree.get("toggle_point_at_ms") is not None
-                else None
-            ),
-            silence_at_us=(
-                _ms(pied_tree["silence_at_ms"])
-                if pied_tree.get("silence_at_ms") is not None
-                else None
-            ),
-        )
-        wave_tree = _section(tree, "waveform")
-        waveform = Waveform(
-            fault_at_us=(
-                _ms(wave_tree["fault_at_ms"]) if wave_tree.get("fault_at_ms") is not None else None
-            ),
-        )
-        injection = _injection_from_tree(_section(tree, "injection"))
+        mu = _section(tree, "mu")
+        pied = _section(tree, "pied")
+        waveform = _section(tree, "waveform")
         spec = ScenarioSpec(
             id=sid,
             duration_us=_ms(tree["duration_ms"]),
             with_ids=bool(tree["with_ids"]),
-            delays=delays,
+            delays=DelayComponents(**{name: _ms(delays_ms[name]) for name in COMPONENT_NAMES}),
             decision_window_us=_ms(tree.get("decision_window_ms", 15)),
-            mu=mu,
-            pied=pied,
-            waveform=waveform,
-            injection=injection,
+            samples_per_second=int(mu.get("samples_per_second", 1000)),
+            publish_interval_us=_ms(pied.get("publish_interval_ms", 1000)),
+            toggle_point_at_us=_optional_ms(pied.get("toggle_point_at_ms")),
+            silence_at_us=_optional_ms(pied.get("silence_at_ms")),
+            fault_at_us=_optional_ms(waveform.get("fault_at_ms")),
+            injection=_injection_from_tree(_section(tree, "injection")),
             rules=_rules_from_tree(tree.get("rules")),
         )
         if spec.duration_us <= 0:
             raise ValueError("duration_ms must be positive")
+        # a zero interval would republish at the same instant forever
+        if spec.publish_interval_us <= 0:
+            raise ValueError("publish interval must be positive")
+        if spec.samples_per_second <= 0 or 1_000_000 % spec.samples_per_second:
+            raise ValueError("samples_per_second must be positive and divide 1e6 for exact ticks")
         # wiring, ports and schedules fail here, before anything runs or is written
         _build(spec)
         return spec
@@ -344,13 +318,14 @@ def _spec_from_tree(tree: dict) -> ScenarioSpec:
 def _rules_from_tree(tree: list | None) -> RuleSet:
     if tree is None:
         return default_rules()
+    rules = (_Keys(r, f"rules[{i}].") if isinstance(r, dict) else r for i, r in enumerate(tree))
     return RuleSet(tuple(
         Rule(
             id=str(r["id"]),
             kind=RuleKind(r["kind"]),
             params={k: v for k, v in r.items() if k not in ("id", "kind")},
         )
-        for r in tree
+        for r in rules
     ))
 
 
@@ -434,9 +409,20 @@ def _build(spec: ScenarioSpec) -> Network:
     else:
         SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)
 
-    MuDevice(net, spec.mu, spec.waveform)
-    PiedDevice(net, spec.pied)
-    OmicronDevice(net, internal_delay_us=spec.delays.t_oc)
+    MuDevice(
+        net,
+        samples_per_second=spec.samples_per_second,
+        t_mu=spec.delays.t_mu,
+        fault_at_us=spec.fault_at_us,
+    )
+    PiedDevice(
+        net,
+        publish_interval_us=spec.publish_interval_us,
+        t_pied=spec.delays.t_pied,
+        toggle_point_at_us=spec.toggle_point_at_us,
+        silence_at_us=spec.silence_at_us,
+    )
+    OmicronDevice(net, spec.delays.t_oc)
     if spec.injection is not None:
         inject(net, spec.injection)
     return net

@@ -148,6 +148,44 @@ class TestRun:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("scenario: attack1\n", "", "scenario"),
+        ("  t_mu: 3.0\n", "", "delays_ms.t_mu"),
+        ("    st_num: 1\n", "", "injection.template.st_num"),
+        ("with_ids: true\n", "with_ids: true\nrules:\n  - {kind: TtlBound}\n", "rules[0].id"),
+    ], ids=["scenario", "delay", "template_field", "rule_id"])
+    def test_missing_key_is_named_by_its_path(self, tmp_path, capsys, old, new, key):
+        from gridshield.scenarios import _builtin_config_text
+
+        text = _builtin_config_text("attack1")
+        assert text.count(old) == 1
+        cfg = tmp_path / "missing.yaml"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: bad scenario config: missing key {key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_run_leaves_no_file(self, tmp_path, capsys, jobs):
+        """The attacks finish, but the baseline's trip leaves the timestamp
+        field; the run exits 2 and none of the three writes a file."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--scenario", "attack1,attack2,baseline", "--override", "t_pied=1e30",
+            "--jobs", jobs, "--out", str(out),
+        )
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_is_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        proc = run_cli_process("run", "--scenario", "baseline", "--out", str(blocker / "o"))
+        assert_one_line_error(proc)
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_zero_publish_interval_is_config_error(self):
         # the relay would republish at t=0 forever, so only loading is tried
         with pytest.raises(ScenarioError, match="publish interval must be positive"):
@@ -365,6 +403,16 @@ class TestJobs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_importing_the_cli_leaves_openssl_unloaded(self):
+        """Frame digests take ``blake2b`` from ``_blake2``, not ``hashlib``."""
+        code = "import gridshield.cli, sys; print('_hashlib' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_importing_the_cli_leaves_the_yaml_parser_unloaded(self):
         """``replay`` reads no YAML; ``load_scenario`` imports the parser."""
         code = "import gridshield.cli, sys; print('yaml' in sys.modules)"
@@ -419,6 +467,14 @@ class TestReplay:
         bad = tmp_path / "mistyped.jsonl"
         bad.write_text("".join(lines))
         assert run_cli("replay", str(bad)) == 2
+
+    def test_unwritable_out_is_config_error(self, attack2_out, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        proc = run_cli_process(
+            "replay", str(attack2_out / "events.jsonl"), "--out", str(blocker / "o")
+        )
+        assert_one_line_error(proc)
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "nope.jsonl")) == 2

@@ -8,6 +8,7 @@ the hand assembly comparison and the frozen file comparison.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshield import codec
 from gridshield.codec import (
     CodecError,
     GooseFrame,
@@ -484,3 +486,11 @@ def test_seeded_random_frames_roundtrip():
             all_data=tuple(rng.random() < 0.5 for _ in range(rng.randrange(1, 16))),
         )
         assert decode_goose(encode_goose(frame)) == frame
+
+
+def test_the_digest_constructor_is_hashlib_blake2b():
+    """``codec`` takes ``blake2b`` from the bundled ``_blake2`` module, the
+    one ``hashlib`` re-exports, without loading ``hashlib``'s OpenSSL."""
+    assert codec.blake2b is hashlib.blake2b
+    raw = encode_goose(golden_goose_frame())
+    assert raw.digest == hashlib.blake2b(raw.data, digest_size=8).hexdigest()

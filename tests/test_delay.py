@@ -13,18 +13,18 @@ from gridshield.scenarios import load_scenario, run_scenario
 
 class TestTotal:
     def test_all_zero_components_sum_to_zero(self):
-        zeros = DelayComponents(0, 0, 0, 0, 0, 0, 0, 0, with_ids=False)
-        assert total(zeros) == 0
+        zeros = DelayComponents(0, 0, 0, 0, 0, 0, 0, 0)
+        assert total(zeros, with_ids=False) == total(zeros, with_ids=True) == 0
 
     def test_default_split_without_inspection_is_23ms(self):
-        assert total(DelayComponents(with_ids=False)) == 23_000
+        assert total(DelayComponents(), with_ids=False) == 23_000
 
     def test_default_split_with_inspection_is_27ms(self):
-        assert total(DelayComponents(with_ids=True)) == 27_000
+        assert total(DelayComponents(), with_ids=True) == 27_000
 
     def test_inspection_term_counted_only_when_active(self):
         c = DelayComponents(t_ids=9_000)
-        assert total(dataclasses.replace(c, with_ids=True)) - total(c) == 9_000
+        assert total(c, with_ids=True) - total(c, with_ids=False) == 9_000
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError):
@@ -45,12 +45,12 @@ class TestMeasure:
     def test_measured_total_equals_configured_total(self, baseline_result):
         spec = load_scenario("baseline")
         report = measure(baseline_result.log)
-        assert report.total_us == total(spec.delays) == 23_000
+        assert report.total_us == total(spec.delays, spec.with_ids) == 23_000
 
     def test_each_component_matches_configuration(self, baseline_result):
         spec = load_scenario("baseline")
         report = measure(baseline_result.log)
-        expected = spec.delays.as_dict()
+        expected = dataclasses.asdict(spec.delays)
         expected["t_ids"] = 0  # module transparent in the baseline
         assert report.components == expected
 

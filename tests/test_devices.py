@@ -7,17 +7,9 @@ import pytest
 
 from gridshield import substation as sub
 from gridshield.codec import SvFrame, decode_goose, decode_sv, encode_sv
-from gridshield.devices import (
-    InjectionPlan,
-    MuConfig,
-    MuDevice,
-    OmicronDevice,
-    PiedConfig,
-    PiedDevice,
-    Waveform,
-    inject,
-)
+from gridshield.devices import InjectionPlan, MuDevice, OmicronDevice, PiedDevice, inject
 from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
+from gridshield.scenarios import ScenarioError, load_scenario
 from tests.test_codec import golden_goose_frame
 from gridshield.codec import encode_goose
 
@@ -50,7 +42,7 @@ class TestMuDevice:
         net = mini_process_bus()
         cap = _Capture()
         net.register("pied", cap)
-        MuDevice(net, MuConfig(samples_per_second=1_000), Waveform())
+        MuDevice(net, samples_per_second=1_000, t_mu=3_000)
         net.run_until(3_000_000)
         counts = [decode_sv(raw).smp_cnt for _, raw, _ in cap.frames]
         assert counts[:3] == [0, 1, 2]
@@ -60,8 +52,7 @@ class TestMuDevice:
         net = mini_process_bus()
         cap = _Capture()
         net.register("pied", cap)
-        wave = Waveform(fault_at_us=5_000)
-        MuDevice(net, MuConfig(), wave)
+        MuDevice(net, samples_per_second=1_000, t_mu=3_000, fault_at_us=5_000)
         net.run_until(10_000)
         samples = [decode_sv(raw) for _, raw, _ in cap.frames]
         faulted = [sv for sv in samples if sv.currents[0] == sub.FAULT_PHASE_A_MA]
@@ -71,31 +62,31 @@ class TestMuDevice:
         net = mini_process_bus()
         cap = _Capture()
         net.register("pied", cap)
-        config = MuConfig(samples_per_second=1_000, internal_delay_us=3_000)
-        wave = Waveform(fault_at_us=1_250_000)
-        mu = MuDevice(net, config, wave)
+        mu = MuDevice(net, samples_per_second=1_000, t_mu=3_000, fault_at_us=1_250_000)
         net.run_until(2_504_000)  # 2.5 s of ticks, each arriving 4 ms later
+        nominal, fault = sub.NOMINAL_CURRENTS_MA, sub.FAULT_PHASE_A_MA
         by_sample = {}
         for _, raw, at in cap.frames:
             tick = at - 4_000
-            currents, voltages = wave.sample(tick)
-            smp_cnt = tick // mu.period_us % config.samples_per_second
-            fresh = encode_sv(SvFrame(sub.SV_DST, sub.MU_MAC, sub.SV_ID, smp_cnt, currents, voltages))
+            currents = (fault, *nominal[1:]) if tick >= 1_250_000 else nominal
+            smp_cnt = tick // mu.period_us % 1_000
+            fresh = encode_sv(SvFrame(
+                sub.SV_DST, sub.MU_MAC, sub.SV_ID, smp_cnt, currents, sub.NOMINAL_VOLTAGES_MV
+            ))
             assert raw.data == fresh.data
             by_sample.setdefault((smp_cnt, currents), set()).add(id(raw))
         assert len(cap.frames) == 2_501
         assert all(len(ids) == 1 for ids in by_sample.values())
         # every count recurs, and the fault step gives each count a new frame
-        nominal, fault = sub.NOMINAL_CURRENTS_MA[0], sub.FAULT_PHASE_A_MA
-        before = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == nominal}
+        before = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents == nominal}
         after = {cnt: ids for (cnt, currents), ids in by_sample.items() if currents[0] == fault}
         assert set(before) == set(after) == set(range(1_000))
         assert all(before[cnt].isdisjoint(after[cnt]) for cnt in before)
-        assert len(mu._frames) == 2 * config.samples_per_second
+        assert len(mu._frames) == 2 * 1_000
 
     def test_departure_is_tick_plus_internal_delay(self):
         net = mini_process_bus()
-        MuDevice(net, MuConfig(internal_delay_us=3_000), Waveform())
+        MuDevice(net, samples_per_second=1_000, t_mu=3_000)
         log = net.run_until(2_500)  # only the t=0 tick departs within this window
         dep = events_of_kind(log, "FrameDeparture")
         assert not dep
@@ -104,28 +95,28 @@ class TestMuDevice:
         assert dep and dep[0].time == 3_000 and dep[0].note == "tick_us=0"
 
     def test_rate_must_divide_microseconds(self):
-        with pytest.raises(ValueError):
-            MuConfig(samples_per_second=333)
+        """The loader refuses a rate whose tick is not a whole microsecond."""
+        with pytest.raises(ScenarioError, match="divide 1e6"):
+            load_scenario("baseline", {"samples_per_second": 333})
 
 
 class TestPiedDevice:
-    def _run(self, wave, pied_cfg=None, until=2_000_000):
+    def _run(self, fault_at_us=None, until=2_000_000, **pied_times):
         net = mini_process_bus()
         cap = _Capture()
         net.register("sink", cap)
-        MuDevice(net, MuConfig(), wave)
-        pied = PiedDevice(net, pied_cfg or PiedConfig())
+        MuDevice(net, samples_per_second=1_000, t_mu=3_000, fault_at_us=fault_at_us)
+        pied = PiedDevice(net, publish_interval_us=1_000_000, t_pied=10_000, **pied_times)
         log = net.run_until(until)
         return net, cap, pied, log
 
     def test_no_trip_below_pickup(self):
-        _, cap, pied, _ = self._run(Waveform())
+        _, cap, pied, _ = self._run()
         trips = [raw for _, raw, _ in cap.frames if decode_goose(raw).trip]
         assert not trips and not pied.latched
 
     def test_trip_departs_protection_delay_after_fault_arrival(self):
-        wave = Waveform(fault_at_us=100_000)
-        net, cap, pied, log = self._run(wave)
+        net, cap, pied, log = self._run(fault_at_us=100_000)
         assert pied.latched
         # fault tick at 100ms; sample departs mu at +3ms, arrives +1ms wire
         arrival = 100_000 + 3_000 + 1_000
@@ -137,38 +128,28 @@ class TestPiedDevice:
         assert {ev.port for ev in trip_deps} == {2, 3}
 
     def test_latch_prevents_second_trip_state_change(self):
-        wave = Waveform(fault_at_us=100_000)
-        _, cap, _, _ = self._run(wave)
+        _, cap, _, _ = self._run(fault_at_us=100_000)
         decoded = [decode_goose(raw) for port, raw, _ in cap.frames if port == 1]
         trip_states = {f.st_num for f in decoded if f.trip}
         assert len(trip_states) == 1  # retransmissions only, one state change
 
     def test_heartbeats_increment_sq(self):
-        _, cap, _, _ = self._run(Waveform(), until=3_500_000)
+        _, cap, _, _ = self._run(until=3_500_000)
         decoded = [decode_goose(raw) for port, raw, _ in cap.frames if port == 1]
         assert [f.sq_num for f in decoded[:4]] == [0, 1, 2, 3]
         assert len({f.st_num for f in decoded}) == 1
 
     def test_toggle_changes_state_number_not_trip(self):
-        cfg = PiedConfig(toggle_point_at_us=1_500_000)
-        _, cap, _, _ = self._run(Waveform(), pied_cfg=cfg, until=3_000_000)
+        _, cap, _, _ = self._run(until=3_000_000, toggle_point_at_us=1_500_000)
         decoded = [decode_goose(raw) for port, raw, _ in cap.frames if port == 1]
         assert {f.st_num for f in decoded} == {1, 2}
         toggled = [f for f in decoded if f.st_num == 2]
         assert toggled[0].sq_num == 0 and toggled[0].all_data == (False, True)
 
     def test_silence_stops_publications(self):
-        cfg = PiedConfig(silence_at_us=1_500_000)
-        _, cap, _, _ = self._run(Waveform(), pied_cfg=cfg, until=5_000_000)
+        _, cap, _, _ = self._run(until=5_000_000, silence_at_us=1_500_000)
         last_pub = max(at for _, _, at in cap.frames)
         assert last_pub < 1_500_000
-
-    def test_latch_reset_allows_new_trip(self):
-        wave = Waveform(fault_at_us=100_000)
-        net, _, pied, _ = self._run(wave)
-        assert pied.latched
-        pied.reset_latch()
-        assert not pied.latched
 
 
 class TestOmicronDevice:
@@ -186,33 +167,32 @@ class TestOmicronDevice:
 
     def test_trip_frame_opens_breaker_after_internal_delay(self):
         net = self._net()
-        om = OmicronDevice(net, internal_delay_us=4_000)
+        om = OmicronDevice(net, t_oc=4_000)
         net.send(PortRef("src", 1), self._trip_raw(), at=0)
         log = net.run_until(100_000)
         trips = events_of_kind(log, "BreakerTrip")
-        assert om.breaker.position == "Open"
+        assert om.breaker_open
         assert trips[0].time == 500 + 4_000
-        assert om.breaker.last_trip_time == 4_500
 
     def test_non_trip_frame_ignored(self):
         from gridshield.codec import GooseFrame
 
         net = self._net()
-        om = OmicronDevice(net)
+        om = OmicronDevice(net, t_oc=4_000)
         heartbeat = GooseFrame(**{**golden_goose_frame().__dict__, "all_data": (False,)})
         net.send(PortRef("src", 1), encode_goose(heartbeat), at=0)
         net.run_until(100_000)
-        assert om.breaker.position == "Closed"
+        assert not om.breaker_open
 
     def test_second_trip_is_idempotent(self):
         net = self._net()
-        om = OmicronDevice(net)
+        om = OmicronDevice(net, t_oc=4_000)
         net.send(PortRef("src", 1), self._trip_raw(), at=0)
         net.send(PortRef("src", 1), self._trip_raw(), at=0)  # duplicated copy
         net.send(PortRef("src", 1), self._trip_raw(), at=50_000)
         log = net.run_until(100_000)
         assert len(events_of_kind(log, "BreakerTrip")) == 1
-        assert om.breaker.position == "Open"
+        assert om.breaker_open
 
 
 class TestInject:

@@ -367,7 +367,7 @@ class TestIdsNode:
         table = FlowTable(
             entries=(FlowEntry(100, MatchFields(ingress_port=IDS_MAIN_FEED), (ToController(),)),)
         )
-        IdsNode(net, table, default_rules())
+        IdsNode(net, table, default_rules(), processing_delay=4_000, decision_window_us=15_000)
         net.inject_ingress(PortRef(IDS, IDS_MAIN_FEED), encode_goose(pied_frame()), at=0)
         log = net.run_until(100_000)
         packet_ins = [ev for ev in events_of_kind(log, "ControlMsg") if ev.note == "packet_in"]

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import operator
 import tracemalloc
 
 import pytest
 
 from gridshield import substation as sub
 from gridshield.cli import _write_outputs
+from gridshield.delay import COMPONENT_NAMES
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
+    _OVERRIDE_KEYS,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -280,6 +284,20 @@ class TestLogMemory:
         assert len({ev.digest for ev in log}) < len(log) / 10
 
 
+# override name -> (a value for it, the spec field it sets, what it sets it to)
+OVERRIDE_FIELDS = {
+    "with_ids": (True, "with_ids", True),
+    "duration_ms": (60, "duration_us", 60_000),
+    "decision_window_ms": (7, "decision_window_us", 7_000),
+    **{name: (5, f"delays.{name}", 5_000) for name in COMPONENT_NAMES},
+    "samples_per_second": (500, "samples_per_second", 500),
+    "publish_interval_ms": (250, "publish_interval_us", 250_000),
+    "toggle_point_at_ms": (1_500, "toggle_point_at_us", 1_500_000),
+    "silence_at_ms": (3_500, "silence_at_us", 3_500_000),
+    "fault_at_ms": (1_200, "fault_at_us", 1_200_000),
+}
+
+
 class TestLoading:
     def test_unknown_scenario(self):
         with pytest.raises(ScenarioError):
@@ -288,6 +306,22 @@ class TestLoading:
     def test_unknown_override(self):
         with pytest.raises(ScenarioError):
             load_scenario("baseline", {"warp_factor": 9})
+
+    def test_override_names_are_the_leaf_keys(self):
+        assert set(_OVERRIDE_KEYS) == set(OVERRIDE_FIELDS)
+        assert len(OVERRIDE_FIELDS) == 16
+
+    @pytest.mark.parametrize("key", sorted(OVERRIDE_FIELDS))
+    def test_override_lands_on_the_spec_field_it_names(self, key):
+        value, field_name, want = OVERRIDE_FIELDS[key]
+        base = load_scenario("baseline")
+        assert operator.attrgetter(field_name)(base) != want
+        if field_name.startswith("delays."):
+            delays = dataclasses.replace(base.delays, **{key: want})
+            expected = dataclasses.replace(base, delays=delays)
+        else:
+            expected = dataclasses.replace(base, **{field_name: want})
+        assert load_scenario("baseline", {key: value}) == expected
 
     def test_override_changes_the_spec(self):
         spec = load_scenario("baseline", {"t_ids": 0, "with_ids": True})
