@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Flow-table semantics: multi-entry duplication and live rule updates.
+"""Flow-table semantics: multi-entry duplication.
 
 A frame matching several entries is replicated to every distinct forward
 port at once; that is how one ingress frame reaches both monitor feeds of
@@ -10,12 +10,10 @@ Run:  python3 demos/02_flow_table_duplication.py
 
 from gridshield import (
     FlowEntry,
-    FlowMod,
     FlowTable,
     GooseFrame,
     MacAddress,
     MatchFields,
-    apply_flow_mod,
     match_frame,
 )
 from gridshield.codec import encode_goose
@@ -56,31 +54,9 @@ net = build_topology(
         links=(("sw", 2, "x", 1, 100), ("sw", 3, "y", 1, 100)),
     )
 )
-sw = SwitchNode(net, "sw", table, processing_delay=1_000)
+SwitchNode(net, "sw", table, processing_delay=1_000)
 net.inject_ingress(PortRef("sw", 6), raw, at=0)
 log = net.run_until(10_000)
 print("On the wire, one ingress frame becomes one departure per port:")
 for dep in events_of_kind(log, "FrameDeparture"):
     print(f"  t={dep.time}us  {dep.node} port {dep.port}")
-print()
-
-print("A controller rule update changes forwarding exactly at its event time:")
-net2 = build_topology(
-    TopologySpec(nodes={"sw": 8, "x": 1}, links=(("sw", 2, "x", 1, 100),))
-)
-sw2 = SwitchNode(net2, "sw", FlowTable(), processing_delay=1_000)
-sw2.apply_flow_mod(
-    FlowMod("sw", True, FlowEntry(200, MatchFields(ingress_port=7), (Forward(2),))),
-    at=20_000,
-)
-net2.inject_ingress(PortRef("sw", 7), raw, at=15_000)  # before: dropped
-net2.inject_ingress(PortRef("sw", 7), raw, at=25_000)  # after: forwarded
-for ev in net2.run_until(40_000):
-    if ev.kind in ("Drop", "ControlMsg", "FrameDeparture"):
-        print(f"  t={ev.time}us  {ev.kind:<14} {ev.node} p{ev.port} {ev.note or ''}")
-print()
-
-extra = FlowEntry(1, MatchFields(ingress_port=1), (Forward(1),))
-roundtrip = apply_flow_mod(apply_flow_mod(table, FlowMod("sw", True, extra)),
-                           FlowMod("sw", False, extra))
-print(f"add then remove the same entry restores the table: {roundtrip == table}")

@@ -49,11 +49,8 @@ from gridshield.scenarios import (
 )
 from gridshield.sdn import (
     FlowEntry,
-    FlowMod,
     FlowTable,
     MatchFields,
-    PortMod,
-    apply_flow_mod,
     match_frame,
 )
 from gridshield.util import frame_digest
@@ -67,7 +64,6 @@ __all__ = [
     "EventLog",
     "Evidence",
     "FlowEntry",
-    "FlowMod",
     "FlowTable",
     "GooseFrame",
     "Inconclusive",
@@ -77,7 +73,6 @@ __all__ = [
     "Network",
     "ObservationRecord",
     "Origin",
-    "PortMod",
     "PortRef",
     "RawFrame",
     "RuleSet",
@@ -87,7 +82,6 @@ __all__ = [
     "SubscriptionState",
     "SvFrame",
     "TopologySpec",
-    "apply_flow_mod",
     "build_topology",
     "decode_goose",
     "decode_sv",

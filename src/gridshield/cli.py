@@ -15,9 +15,10 @@ parse the log a bounded chunk at a time (see ``netsim.EventLog``).
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
-an unknown ``GRIDSHIELD_LOG`` level and an ``--out`` that cannot be
-written. Stdout is a human-readable summary and may change; a reader
-that closes it early loses the rest of the summary, not the exit code.
+an unknown ``GRIDSHIELD_LOG`` level, a ``--jobs`` below 1 and an
+``--out`` that cannot be written. Stdout is a human-readable summary and
+may change; a reader that closes it early loses the rest of the summary,
+not the exit code.
 The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
 diagnostic verbosity.
 """
@@ -70,6 +71,17 @@ def _parse_override(text: str):
             except ValueError:
                 parsed = value
     return key, parsed
+
+
+def _job_count(text: str) -> int:
+    """``--jobs``: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return jobs
 
 
 def _write_outputs(result: ScenarioResult, log: EventLog | bytes, out_dir: Path) -> None:
@@ -235,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable (e.g. t_ids=0, with_ids=true)")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
+    run_p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                        help="run scenarios in up to N worker processes, at most one per "
                        "scenario; outputs are byte-identical to --jobs 1")
     run_p.set_defaults(func=cmd_run)

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from gridshield import substation as sub
 from gridshield.netsim import EventLog, SimEvent, SimTime
 
 MS = 1_000  # microseconds per millisecond
@@ -151,9 +152,6 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport:
     trip_digest = trip_event.digest
     if trip_digest is None:
         raise IncompleteTrace("breaker trip carries no frame digest")
-
-    # Lazy import; the wiring module depends on DelayComponents above.
-    from gridshield import substation as sub
 
     # GOOSE side of the chain.
     goose_hops = walk_hops(events, trip_digest, sub.TRIP_PATH[4:])

@@ -46,7 +46,7 @@ from gridshield.codec import (
     encode_goose,
 )
 from gridshield.netsim import Network, PortRef, SimTime
-from gridshield.sdn import FlowTable, PortMod, SwitchNode
+from gridshield.sdn import FlowTable, SwitchNode
 
 
 class Origin(enum.Enum):
@@ -362,8 +362,8 @@ def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
     return evidence.decide()
 
 
-def mitigate(culprit: Origin) -> list[PortMod]:
-    """Port-disable plan for the convicted device.
+def mitigate(culprit: Origin) -> list[PortRef]:
+    """The ports to disable once ``culprit`` is convicted.
 
     A compromised station-bus switch loses every link to the inspection
     device: all inspection ports are disabled except the delivery port and
@@ -372,15 +372,8 @@ def mitigate(culprit: Origin) -> list[PortMod]:
     scorer checks a run's disabled ports against this same plan.
     """
     if culprit is Origin.STATION_BUS_SWITCH:
-        return [
-            PortMod(sub.IDS, port, enable=False)
-            for port in sub.IDS_PORTS
-            if port not in sub.IDS_KEEP_ENABLED
-        ]
-    return [
-        PortMod(sub.STATION_BUS, sub.SBS_PIED, enable=False),
-        PortMod(sub.PROCESS_BUS, sub.PBS_PIED, enable=False),
-    ]
+        return [PortRef(sub.IDS, port) for port in sub.IDS_PORTS if port not in sub.IDS_KEEP_ENABLED]
+    return [PortRef(sub.STATION_BUS, sub.SBS_PIED), PortRef(sub.PROCESS_BUS, sub.PBS_PIED)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +392,8 @@ class IdsNode(SwitchNode):
     return is recognised. Abnormal arrivals accumulate as observations.
     The first abnormal observation arms a decision timer (long enough for
     the loop echo and any in-flight forwards to land); when it fires, the
-    decision table either names a culprit, which is logged and mitigated
-    through the controller channel, or the evidence is logged as
+    decision table either names a culprit, which is logged and whose
+    ``mitigate`` ports are disabled, or the evidence is logged as
     inconclusive and the timer re-arms on the next abnormal sighting.
     """
 
@@ -490,11 +483,6 @@ class IdsNode(SwitchNode):
             note=f"culprit={verdict.culprit.value} evidence={len(verdict.evidence)} "
             f"ports={','.join(str(p) for p in ports)}",
         )
-        for mod in mitigate(verdict.culprit):
-            self.net.log_event(
-                "ControlMsg", mod.switch, mod.port, None,
-                note=f"port_mod {'enable' if mod.enable else 'disable'}",
-            )
-            self.net.set_port_state(
-                PortRef(mod.switch, mod.port), mod.enable, at + sub.CONTROLLER_LATENCY_US
-            )
+        for port in mitigate(verdict.culprit):
+            self.net.log_event("ControlMsg", port.node, port.port, None, note="port_mod disable")
+            self.net.set_port_state(port, False, at + sub.CONTROLLER_LATENCY_US)

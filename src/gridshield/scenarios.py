@@ -66,6 +66,10 @@ SCENARIO_IDS = ("baseline", "attack1", "attack2")
 
 RECALL_WINDOW_US = 50 * MS
 
+# The most sample and publication ticks a run may schedule; a config above
+# it would run for hours and grow its log without bound.
+MAX_SCHEDULED_TICKS = 1_000_000
+
 # The device an attack must be pinned on, by the node where its first
 # injected frame entered the network, and the monitor ports its
 # conviction must cite.
@@ -308,6 +312,15 @@ def _spec_from_tree(tree) -> ScenarioSpec:
             raise ValueError("publish interval must be positive")
         if spec.samples_per_second <= 0 or 1_000_000 % spec.samples_per_second:
             raise ValueError("samples_per_second must be positive and divide 1e6 for exact ticks")
+        ticks = (
+            spec.duration_us * spec.samples_per_second // 1_000_000
+            + spec.duration_us // spec.publish_interval_us
+        )
+        if ticks > MAX_SCHEDULED_TICKS:
+            raise ValueError(
+                f"the run schedules about {ticks} sample and publication ticks, "
+                f"above the cap of {MAX_SCHEDULED_TICKS}"
+            )
         # wiring, ports and schedules fail here, before anything runs or is written
         _build(spec)
         return spec
@@ -603,7 +616,7 @@ def _score_attack(
         reasons.append(f"verdict {culprit!r}, expected {host.value!r}")
     if not set(_EVIDENCE_PORTS[host]) <= set(evidence_ports):
         reasons.append(f"evidence ports {evidence_ports} miss {_EVIDENCE_PORTS[host]}")
-    planned = _by_node((mod.switch, mod.port) for mod in mitigate(host) if not mod.enable)
+    planned = _by_node(mitigate(host))
     if disabled_ports != planned:
         reasons.append(f"disabled ports {disabled_ports} != planned {planned}")
     if cutoff is None:

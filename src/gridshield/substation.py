@@ -28,10 +28,14 @@ exact.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from gridshield.codec import GOOSE_ETHERTYPE, SV_ETHERTYPE, MacAddress
-from gridshield.delay import DelayComponents
 from gridshield.netsim import TopologySpec
 from gridshield.sdn import Drop, FlowEntry, FlowTable, Forward, MatchFields
+
+if TYPE_CHECKING:
+    from gridshield.delay import DelayComponents
 
 # Node identifiers (the six roles of the testbed).
 OMICRON = "omicron"

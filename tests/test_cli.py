@@ -136,11 +136,18 @@ class TestRun:
         ("attack2", "decision_window_ms=-1"),
         ("baseline", "duration_ms=-5"),
         ("baseline", "t_pied=1e30"),
+        ("baseline", "duration_ms=1e12"),
+        ("baseline", "publish_interval_ms=0.001"),
     ])
     def test_hostile_number_is_config_error(self, tmp_path, capsys, sid, override):
-        """Infinite and negative times are refused at load time, and a delay
-        that pushes a frame's timestamp out of its field stops the run: each
-        is one error line, and nothing is written."""
+        """Infinite and negative times, and schedules of more ticks than
+        ``MAX_SCHEDULED_TICKS``, are refused at load time, and a delay that
+        pushes a frame's timestamp out of its field stops the run: each is
+        one error line, and nothing is written."""
+        key, value = cli._parse_override(override)
+        if key != "t_pied":  # the one case that loads, then stops the run
+            with pytest.raises(ScenarioError):
+                load_scenario(sid, {key: value})
         out = tmp_path / "o"
         assert run_cli("run", "--scenario", sid, "--override", override, "--out", str(out)) == 2
         captured = capsys.readouterr()
@@ -358,6 +365,15 @@ class TestJobs:
         out = tmp_path / "o"
         assert run_cli("run", "--scenario", "all", "--jobs", "64", "--out", str(out)) == 0
         assert sizes == [3]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--scenario", "baseline", "--jobs", jobs, "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_outputs_and_stdout_do_not_depend_on_jobs(self, tmp_path):
         runs = []

@@ -19,7 +19,6 @@ from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
     LOOP_WINDOW_US,
     Evidence,
-    IdsNode,
     Inconclusive,
     LocalizationVerdict,
     LoopTracker,
@@ -32,8 +31,7 @@ from gridshield.ids import (
     localize,
     mitigate,
 )
-from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
-from gridshield.sdn import FlowEntry, FlowTable, MatchFields, PortMod, ToController
+from gridshield.netsim import PortRef
 from gridshield.substation import (
     IDS,
     IDS_MAIN_FEED,
@@ -335,23 +333,21 @@ class TestEvidence:
 
 class TestMitigate:
     def test_switch_culprit_keeps_only_delivery_and_relay_feed(self):
-        mods = mitigate(Origin.STATION_BUS_SWITCH)
-        assert all(m.switch == IDS and not m.enable for m in mods)
-        disabled = {m.port for m in mods}
-        assert disabled == {1, 2, 3, 4, 7, 8}
+        ports = mitigate(Origin.STATION_BUS_SWITCH)
+        assert all(p.node == IDS for p in ports)
+        assert {p.port for p in ports} == {1, 2, 3, 4, 7, 8}
 
     def test_relay_culprit_disables_both_facing_switch_ports(self):
-        mods = mitigate(Origin.PIED)
-        assert {(m.switch, m.port) for m in mods} == {
-            (STATION_BUS, SBS_PIED),
-            (PROCESS_BUS, PBS_PIED),
+        assert set(mitigate(Origin.PIED)) == {
+            PortRef(STATION_BUS, SBS_PIED),
+            PortRef(PROCESS_BUS, PBS_PIED),
         }
-        assert all(not m.enable for m in mods)
 
     def test_mitigation_is_idempotent_as_port_state(self):
-        mods = mitigate(Origin.STATION_BUS_SWITCH)
-        assert mods == mitigate(Origin.STATION_BUS_SWITCH)
-        assert all(isinstance(m, PortMod) for m in mods)
+        ports = mitigate(Origin.STATION_BUS_SWITCH)
+        assert ports == mitigate(Origin.STATION_BUS_SWITCH)
+        assert all(isinstance(p, PortRef) for p in ports)
+        assert len(set(ports)) == len(ports)
 
 
 class TestInspectDigest:
@@ -360,15 +356,3 @@ class TestInspectDigest:
         _, alerts = inspect(frame, IDS_MAIN_FEED, SubscriptionState(), default_rules(), 0)
         assert alerts and alerts[0].digest == frame_digest(encode_goose(frame))
 
-
-class TestIdsNode:
-    def test_to_controller_entry_logs_packet_in(self):
-        net = build_topology(TopologySpec(nodes={IDS: 8}, links=()))
-        table = FlowTable(
-            entries=(FlowEntry(100, MatchFields(ingress_port=IDS_MAIN_FEED), (ToController(),)),)
-        )
-        IdsNode(net, table, default_rules(), processing_delay=4_000, decision_window_us=15_000)
-        net.inject_ingress(PortRef(IDS, IDS_MAIN_FEED), encode_goose(pied_frame()), at=0)
-        log = net.run_until(100_000)
-        packet_ins = [ev for ev in events_of_kind(log, "ControlMsg") if ev.note == "packet_in"]
-        assert [(ev.node, ev.port) for ev in packet_ins] == [(IDS, IDS_MAIN_FEED)]

@@ -219,6 +219,16 @@ class TestPortState:
         arrivals = events_of_kind(log, "FrameArrival")
         assert len(arrivals) == 1 and arrivals[0].time == 110
 
+    def test_port_mod_disable_blocks_then_enable_resumes(self):
+        net = two_node_net()
+        net.set_port_state(PortRef("a", 1), False, at=0)
+        net.send(PortRef("a", 1), FRAME, at=100)
+        net.set_port_state(PortRef("a", 1), True, at=5_000)
+        net.send(PortRef("a", 1), FRAME, at=6_000)
+        log = net.run_until(20_000)
+        arrivals = events_of_kind(log, "FrameArrival")
+        assert len(arrivals) == 1 and arrivals[0].time > 6_000
+
     def test_unknown_port_rejected(self):
         net = two_node_net()
         with pytest.raises(UnknownPort):

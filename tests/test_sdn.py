@@ -1,8 +1,9 @@
 """Flow-table semantics: multi-match duplication, coalescing, purity,
-FlowMod add/remove inverses, and switch timing."""
+switch timing, and the flow cache against a decision per frame."""
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import pytest
@@ -20,16 +21,11 @@ from gridshield.sdn import (
     Drop,
     DuplicateEntry,
     FlowEntry,
-    FlowMod,
     FlowTable,
     FlowTableError,
     Forward,
     MatchFields,
-    NotFound,
-    PortMod,
     SwitchNode,
-    ToController,
-    apply_flow_mod,
     match_frame,
 )
 from tests.test_codec import golden_goose_frame
@@ -75,37 +71,23 @@ class TestMatchFrame:
         )
         assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(2), Forward(1)]
 
-    def test_equal_priorities_keep_insertion_order_after_a_flow_mod(self):
+    def test_equal_priorities_keep_insertion_order(self):
         table = FlowTable(
             entries=(
                 entry(50, [Forward(3)], ingress_port=6),
                 entry(50, [Forward(1)], ethertype=GOOSE_ETHERTYPE),
+                entry(60, [Forward(2)], ingress_port=6, ethertype=GOOSE_ETHERTYPE),
             )
         )
-        assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(3), Forward(1)]
-        urgent = entry(60, [Forward(2)], ingress_port=6, ethertype=GOOSE_ETHERTYPE)
-        added = apply_flow_mod(table, FlowMod("s", True, urgent))
-        assert added.entries[-1] == urgent
-        assert match_frame(added, GOOSE_RAW, ingress=6) == [Forward(2), Forward(3), Forward(1)]
-
-    def test_src_mac_and_app_id_fields(self):
-        table = FlowTable(
-            entries=(
-                entry(100, [Forward(1)], src_mac=golden_goose_frame().src),
-                entry(100, [Forward(2)], src_mac=OTHER_MAC),
-                entry(100, [Forward(3)], app_id=0x0001),
-                entry(100, [Forward(4)], app_id=0x0002),
-            )
-        )
-        assert match_frame(table, GOOSE_RAW, ingress=1) == [Forward(1), Forward(3)]
+        assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(2), Forward(3), Forward(1)]
 
     def test_unparseable_frame_matches_only_ingress_ethertype(self):
-        blob = RawFrame(b"\x00" * 10)  # too short to carry src/ethertype
+        blob = RawFrame(b"\x00" * 13)  # too short to carry an ethertype
         table = FlowTable(
             entries=(
                 entry(100, [Forward(1)], ingress_port=2),
-                entry(100, [Forward(2)], src_mac=OTHER_MAC),
-                entry(100, [Forward(3)], app_id=0x0001),
+                entry(100, [Forward(2)], ethertype=0x0000),
+                entry(100, [Forward(3)], ingress_port=2, ethertype=0x0000),
             )
         )
         assert match_frame(table, blob, ingress=2) == [Forward(1)]
@@ -115,25 +97,7 @@ class TestMatchFrame:
             MatchFields()
 
 
-class TestFlowMod:
-    def test_add_then_remove_restores_table(self):
-        base = FlowTable(entries=(entry(100, [Forward(1)], ingress_port=1),))
-        new = entry(50, [Forward(2)], ingress_port=2)
-        added = apply_flow_mod(base, FlowMod("s", True, new))
-        removed = apply_flow_mod(added, FlowMod("s", False, new))
-        assert removed == base
-
-    def test_add_exact_duplicate(self):
-        e = entry(100, [Forward(1)], ingress_port=1)
-        base = FlowTable(entries=(e,))
-        with pytest.raises(DuplicateEntry):
-            apply_flow_mod(base, FlowMod("s", True, e))
-
-    def test_remove_absent_entry(self):
-        base = FlowTable()
-        with pytest.raises(NotFound):
-            apply_flow_mod(base, FlowMod("s", False, entry(1, [Drop()], ingress_port=1)))
-
+class TestFlowTable:
     def test_table_rejects_duplicate_keys_at_build(self):
         e = entry(100, [Forward(1)], ingress_port=1)
         with pytest.raises(DuplicateEntry):
@@ -187,51 +151,12 @@ class TestSwitchNode:
         drops = [ev for ev in events_of_kind(log, "Drop") if ev.note == "no_forwarding_entry"]
         assert len(drops) == 1
 
-    def test_to_controller_logs_packet_in(self):
-        table = FlowTable(entries=(entry(100, [ToController()], ingress_port=6),))
-        net, _ = switch_net(table)
-        net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=0)
-        log = net.run_until(10_000)
-        assert any(ev.note == "packet_in" for ev in events_of_kind(log, "ControlMsg"))
-
-    def test_flow_mod_changes_behavior_at_its_event_time(self):
-        net, sw = switch_net(FlowTable())
-        sw.apply_flow_mod(FlowMod("sw", True, entry(100, [Forward(5)], ingress_port=6)), at=1_000)
-        net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=500)   # before: dropped
-        net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=1_500)  # after: forwarded
-        log = net.run_until(10_000)
-        departures = events_of_kind(log, "FrameDeparture")
-        assert len(departures) == 1 and departures[0].time > 1_000
-        mods = [ev for ev in events_of_kind(log, "ControlMsg") if ev.note.startswith("flow_mod")]
-        assert mods[0].time == 1_000
-
-    def test_port_mod_disable_blocks_then_enable_resumes(self):
-        table = FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),))
-        net, sw = switch_net(table)
-        sw.apply_port_mod(PortMod("sw", 5, False), at=0)
-        net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=100)
-        sw.apply_port_mod(PortMod("sw", 5, True), at=5_000)
-        net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=6_000)
-        log = net.run_until(20_000)
-        arrivals = [ev for ev in events_of_kind(log, "FrameArrival") if ev.node == "z"]
-        assert len(arrivals) == 1 and arrivals[0].time > 6_000
-
-    def test_port_mod_unknown_port(self):
-        from gridshield.netsim import UnknownPort
-
-        net, sw = switch_net(FlowTable())
-        with pytest.raises(UnknownPort):
-            sw.apply_port_mod(PortMod("sw", 99, False), at=0)
-
     def test_forward_to_nonexistent_port_rejected(self):
         from gridshield.netsim import UnknownPort
 
         table = FlowTable(entries=(entry(100, [Forward(99)], ingress_port=6),))
         with pytest.raises(UnknownPort):
             switch_net(table)
-        net, sw = switch_net(FlowTable())
-        with pytest.raises(UnknownPort):
-            sw.apply_flow_mod(FlowMod("sw", True, entry(1, [Forward(99)], ingress_port=1)), at=0)
 
     def test_data_frames_never_mutate_the_table(self):
         table = FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),))
@@ -296,14 +221,6 @@ class TestFlowProperties:
         ports = [a.port for a in actions if isinstance(a, Forward)]
         assert len(ports) == len(set(ports))
 
-    @given(tables(), entries)
-    def test_add_remove_is_inverse(self, table, e):
-        try:
-            added = apply_flow_mod(table, FlowMod("s", True, e))
-        except DuplicateEntry:
-            return
-        assert apply_flow_mod(added, FlowMod("s", False, e)) == table
-
 
 # ---------------------------------------------------------------------------
 # The flow cache against a decision per frame
@@ -319,49 +236,35 @@ class PerFrameSwitch(SwitchNode):
             if isinstance(action, Forward):
                 self.net.send(PortRef(self.node_id, action.port), raw, at + self.processing_delay)
                 emitted = True
-            elif isinstance(action, ToController):
-                self.net.log_event("ControlMsg", self.node_id, ingress, raw.digest, note="packet_in")
         if not emitted:
             self.net.log_event("Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry")
 
 
 FLOW_MACS = (MacAddress.parse("00:30:A7:00:00:01"), OTHER_MAC)
-FLOW_ETHERTYPES = (GOOSE_ETHERTYPE, 0x88BA, 0x0800)
-
-# Mostly one set field, so that each field alone decides some flows.
-flow_matches = st.one_of(
-    st.builds(MatchFields, ingress_port=st.integers(1, 3)),
-    st.builds(MatchFields, ethertype=st.sampled_from(FLOW_ETHERTYPES)),
-    st.builds(MatchFields, src_mac=st.sampled_from(FLOW_MACS)),
-    st.builds(MatchFields, app_id=st.integers(1, 2)),
-    st.tuples(
-        st.none() | st.integers(1, 3),
-        st.none() | st.sampled_from(FLOW_ETHERTYPES),
-        st.none() | st.sampled_from(FLOW_MACS),
-        st.none() | st.integers(1, 2),
-    ).filter(lambda fields: any(f is not None for f in fields)).map(lambda f: MatchFields(*f)),
-)
+# 0x08B8 differs from the GOOSE ethertype in its high byte alone
+FLOW_ETHERTYPES = (GOOSE_ETHERTYPE, 0x88BA, 0x08B8, 0x0800)
 
 flow_entries = st.builds(
     FlowEntry,
     priority=st.integers(0, 3),
-    match=flow_matches,
+    match=st.tuples(st.none() | st.integers(1, 3), st.none() | st.sampled_from(FLOW_ETHERTYPES))
+    .filter(lambda fields: fields != (None, None))
+    .map(lambda f: MatchFields(*f)),
     actions=st.lists(
-        st.one_of(st.builds(Forward, st.integers(1, 8)), st.just(Drop()), st.just(ToController())),
-        min_size=1,
-        max_size=3,
+        st.one_of(st.builds(Forward, st.integers(1, 8)), st.just(Drop())), min_size=1, max_size=3
     ).map(tuple),
 )
 
 # A frame is its header fields, a body and the length it is cut to; the
-# cuts are every length that changes which fields a match can read, and
-# most frames are whole.
+# cuts are every length that changes what the ethertype bytes hold, and
+# most frames are whole. The source MAC and app id are read by no match,
+# so frames that differ only in them share a flow.
 frame_fields = st.fixed_dictionaries({
     "src": st.sampled_from(FLOW_MACS),
     "ethertype": st.sampled_from(FLOW_ETHERTYPES),
     "app_id": st.integers(1, 2),
     "body": st.binary(max_size=3),
-    "cut": st.sampled_from([0, 5, 13, 14, 15, 16, 20, 20, 20, 20, 20, 20]),
+    "cut": st.sampled_from([0, 5, 12, 13, 14, 15, 16, 20, 20, 20, 20, 20, 20]),
 })
 
 
@@ -372,15 +275,10 @@ def flow_frame(f: dict) -> RawFrame:
 
 @st.composite
 def switch_runs(draw):
-    """A table, a pool of frames, and the steps fed to the switch: a sweep
-    (every pool frame arrives on each of three ports, in a drawn order), or
-    a flow mod (an entry to add, or the index of a current entry to
-    remove)."""
+    """A table, and the sweeps fed to the switch: every frame of a pool
+    arrives on each of three ports, in a drawn order."""
     entries = draw(st.lists(flow_entries, max_size=6))
-    table = FlowTable(
-        entries=tuple({(e.priority, e.match): e for e in entries}.values()),
-        default_action=draw(st.sampled_from([Drop(), ToController()])),
-    )
+    table = FlowTable(entries=tuple({(e.priority, e.match): e for e in entries}.values()))
     # a frame, the frames that differ from it in one header field, and any
     # other frame
     base = draw(frame_fields)
@@ -393,61 +291,40 @@ def switch_runs(draw):
         draw(frame_fields),
     )]
     arrivals = [(port, raw) for port in (1, 2, 3) for raw in pool]
-    steps = draw(st.lists(
-        st.one_of(
-            st.tuples(st.just("sweep"), st.permutations(arrivals)),
-            st.tuples(st.just("add"), flow_entries),
-            st.tuples(st.just("remove"), st.integers(0, 7)),
-        ),
-        min_size=2,
-        max_size=12,
-    ))
-    return table, steps
+    sweeps = draw(st.lists(st.permutations(arrivals), min_size=1, max_size=6))
+    return table, sweeps
 
 
-def run_switch(cls, table, steps):
+def run_switch(cls, table, sweeps):
     nodes = {"sw": 8, **{f"h{p}": 1 for p in range(1, 9)}}
     links = tuple(("sw", p, f"h{p}", 1, 10) for p in range(1, 9))
     net = build_topology(TopologySpec(nodes=nodes, links=links))
-    sw = cls(net, "sw", table, 100)
-    current = table
-    for i, step in enumerate(steps):
-        at = i * 1_000
-        if step[0] == "sweep":
-            for j, (port, raw) in enumerate(step[1]):
-                net.inject_ingress(PortRef("sw", port), raw, at=at + j * 10)
-            continue
-        if step[0] == "add":
-            mod = FlowMod("sw", True, step[1])
-        elif current.entries:
-            mod = FlowMod("sw", False, current.entries[step[1] % len(current.entries)])
-        else:
-            continue
-        try:
-            current = apply_flow_mod(current, mod)
-        except DuplicateEntry:
-            continue
-        sw.apply_flow_mod(mod, at=at)
-    return net.run_until(len(steps) * 1_000 + 1_000)
+    cls(net, "sw", table, 100)
+    for i, sweep in enumerate(sweeps):
+        for j, (port, raw) in enumerate(sweep):
+            net.inject_ingress(PortRef("sw", port), raw, at=i * 1_000 + j * 10)
+    return net.run_until(len(sweeps) * 1_000 + 1_000)
 
 
 class TestFlowCache:
     @settings(max_examples=200)
     @given(switch_runs())
     def test_cached_decisions_log_what_matching_every_frame_logs(self, run):
-        table, steps = run
-        assert run_switch(SwitchNode, table, steps) == run_switch(PerFrameSwitch, table, steps)
+        table, sweeps = run
+        assert run_switch(SwitchNode, table, sweeps) == run_switch(PerFrameSwitch, table, sweeps)
 
-    def test_a_flow_is_matched_once_until_the_table_changes(self, monkeypatch):
+    def test_a_flow_is_matched_once(self, monkeypatch):
+        """Frames that differ only in fields no match reads share a decision."""
         import gridshield.sdn as sdn
 
         calls = []
         monkeypatch.setattr(sdn, "match_frame", lambda *a: calls.append(a) or match_frame(*a))
-        net, sw = switch_net(FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),)))
+        net, _ = switch_net(FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),)))
+        other_src = encode_goose(dataclasses.replace(golden_goose_frame(), src=OTHER_MAC, app_id=2))
         for t in range(0, 5_000, 500):
-            net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=t)
-        sw.apply_flow_mod(FlowMod("sw", True, entry(90, [Forward(3)], ingress_port=6)), at=2_200)
+            net.inject_ingress(PortRef("sw", 6), other_src if t % 1_000 else GOOSE_RAW, at=t)
+        net.inject_ingress(PortRef("sw", 3), GOOSE_RAW, at=5_000)
         net.run_until(50_000)
         assert len(calls) == 2
         departures = events_of_kind(net.log, "FrameDeparture")
-        assert sorted({d.port for d in departures if d.time > 3_000}) == [3, 5]
+        assert len(departures) == 10 and {d.port for d in departures} == {5}
