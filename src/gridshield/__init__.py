@@ -25,7 +25,6 @@ from gridshield.ids import (
     LocalizationVerdict,
     ObservationRecord,
     Origin,
-    RuleSet,
     SubscriptionState,
     inspect,
     localize,
@@ -75,7 +74,6 @@ __all__ = [
     "Origin",
     "PortRef",
     "RawFrame",
-    "RuleSet",
     "ScenarioResult",
     "ScenarioSpec",
     "SimEvent",

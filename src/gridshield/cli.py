@@ -15,10 +15,11 @@ parse the log a bounded chunk at a time (see ``netsim.EventLog``).
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
-an unknown ``GRIDSHIELD_LOG`` level, a ``--jobs`` below 1 and an
-``--out`` that cannot be written. Stdout is a human-readable summary and
-may change; a reader that closes it early loses the rest of the summary,
-not the exit code.
+an unknown ``GRIDSHIELD_LOG`` level, a usage error such as an unknown
+option, a missing subcommand or a ``--jobs`` below 1, and an ``--out``
+that cannot be written; each prints one ``error:`` line. Stdout is a
+human-readable summary and may change; a reader that closes it early
+loses the rest of the summary, not the exit code.
 The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
 diagnostic verbosity.
 """
@@ -35,6 +36,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
@@ -233,8 +235,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK if result.passed else EXIT_SCENARIO_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2, as
+    every other config or input error is; subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_CONFIG_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridshield",
         description="Deterministic digital-substation attack/mitigation simulator",
     )

@@ -201,19 +201,6 @@ class RawFrame:
             return None
         return data[12] << 8 | data[13]
 
-    @property
-    def src_mac(self) -> MacAddress | None:
-        if len(self.data) < ETH_HEADER_LEN:
-            return None
-        return MacAddress(self.data[6:12])
-
-    @property
-    def app_id(self) -> int | None:
-        data = self.data
-        if len(data) < FRAME_HEADER_LEN - 2:
-            return None
-        return data[14] << 8 | data[15]
-
 
 # ---------------------------------------------------------------------------
 # Wire layout

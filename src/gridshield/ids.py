@@ -2,9 +2,10 @@
 
 The inspection device watches three of its ports: the main feed from the
 station-bus switch, the relay's direct feed, and the loop return. Every
-monitored GOOSE frame runs through five rules (sequence regression,
-sequence skip, TTL bounds, publisher whitelist, rate limit); a frame
-violating any rule is abnormal and becomes an :class:`ObservationRecord`.
+monitored GOOSE frame runs through five fixed rules (sequence regression,
+sequence skip, TTL bounds, publisher whitelist, rate limit), whose ids and
+bounds are the constants below; a frame violating any rule is abnormal and
+becomes an :class:`ObservationRecord`.
 The only legitimate publisher is the relay, whose control block reference
 and source address are the ``substation.py`` identities.
 
@@ -43,7 +44,6 @@ from gridshield.codec import (
     GooseFrame,
     RawFrame,
     decode_goose,
-    encode_goose,
 )
 from gridshield.netsim import Network, PortRef, SimTime
 from gridshield.sdn import FlowTable, SwitchNode
@@ -56,61 +56,22 @@ class Origin(enum.Enum):
     PIED = "PIED"
 
 
-class RuleKind(enum.Enum):
-    SEQUENCE_REGRESSION = "SequenceRegression"
-    SEQUENCE_SKIP = "SequenceSkip"
-    TTL_BOUND = "TtlBound"
-    PUBLISHER_WHITELIST = "PublisherWhitelist"
-    RATE_LIMIT = "RateLimit"
-
-
+# The five rules, in the order ``inspect`` checks them and their alerts are
+# logged, and the rule id of an undecodable frame.
+SEQ_REGRESSION = "seq_regression"
+SEQ_SKIP = "seq_skip"
+TTL_BOUND = "ttl_bound"
+PUBLISHER_WHITELIST = "publisher_whitelist"
+RATE_LIMIT = "rate_limit"
 MALFORMED_RULE_ID = "malformed"
 
-# The parameters each rule kind reads (see ``inspect``).
-_RULE_PARAMS = {
-    RuleKind.SEQUENCE_REGRESSION: frozenset(),
-    RuleKind.SEQUENCE_SKIP: frozenset({"max_gap"}),
-    RuleKind.TTL_BOUND: frozenset({"min_ms", "max_ms"}),
-    RuleKind.PUBLISHER_WHITELIST: frozenset(),
-    RuleKind.RATE_LIMIT: frozenset({"max_frames", "window_ms"}),
-}
-
-
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    kind: RuleKind
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        unknown = sorted(set(self.params) - _RULE_PARAMS[self.kind], key=str)
-        if unknown:
-            raise ValueError(f"rule {self.id!r} of kind {self.kind.value} reads no {unknown}")
-        for name, value in self.params.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"rule {self.id!r} parameter {name}={value!r} is not a number")
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...]
-
-    def __post_init__(self) -> None:
-        ids = [r.id for r in self.rules]
-        if len(ids) != len(set(ids)):
-            raise ValueError("rule ids must be unique")
-
-
-def default_rules() -> RuleSet:
-    return RuleSet(
-        rules=(
-            Rule("seq_regression", RuleKind.SEQUENCE_REGRESSION),
-            Rule("seq_skip", RuleKind.SEQUENCE_SKIP, {"max_gap": 1}),
-            Rule("ttl_bound", RuleKind.TTL_BOUND, {"min_ms": 1, "max_ms": 60_000}),
-            Rule("publisher_whitelist", RuleKind.PUBLISHER_WHITELIST),
-            Rule("rate_limit", RuleKind.RATE_LIMIT, {"max_frames": 10, "window_ms": 100}),
-        )
-    )
+# Their bounds: the largest sqNum step within one stNum, the accepted
+# timeAllowedToLive, and the most frames of one publisher per window.
+MAX_SQ_GAP = 1
+TTL_MIN_MS = 1
+TTL_MAX_MS = 60_000
+RATE_MAX_FRAMES = 10
+RATE_WINDOW_US = 100_000
 
 
 @dataclass(frozen=True)
@@ -150,10 +111,11 @@ class SubscriptionState:
             st = self._by_gocb[gocb_ref] = _PublisherState(0, 0, 0)
         return st
 
-    def record_arrival(self, gocb_ref: str, at: SimTime, window_us: SimTime) -> int:
+    def record_arrival(self, gocb_ref: str, at: SimTime) -> int:
+        """Count an arrival; return the arrivals within RATE_WINDOW_US of it."""
         st = self._state(gocb_ref)
         st.arrivals.append(at)
-        while st.arrivals and st.arrivals[0] < at - window_us:
+        while st.arrivals and st.arrivals[0] < at - RATE_WINDOW_US:
             st.arrivals.popleft()
         return len(st.arrivals)
 
@@ -207,54 +169,35 @@ def inspect(
     frame: GooseFrame,
     ingress: int,
     state: SubscriptionState,
-    rules: RuleSet,
     at: SimTime,
-    digest: str | None = None,
+    digest: str,
 ) -> tuple[SubscriptionState, list[Alert]]:
-    """Run every rule over one decoded frame; update state; return alerts.
+    """Run the five rules over one decoded frame; update state; return alerts.
 
-    ``digest`` is the wire digest of the frame's bytes; when absent it is
-    recomputed by re-encoding, which reproduces the wire bytes because the
-    encoding is canonical.
+    ``digest`` is the wire digest of the frame's bytes. Alerts come in rule
+    order. Every arrival counts towards the rate rule; the sequencing state
+    advances only when no rule fired.
     """
-    if digest is None:
-        digest = encode_goose(frame).digest
-    alerts: list[Alert] = []
-
-    def alert(rule_id: str) -> None:
-        alerts.append(Alert(at, rule_id, frame.gocb_ref, ingress, digest))
-
+    fired: list[str] = []
     prev = state.get(frame.gocb_ref)
-    for rule in rules.rules:
-        if rule.kind is RuleKind.SEQUENCE_REGRESSION:
-            if prev is not None and prev.last_st > 0:
-                if frame.st_num < prev.last_st:
-                    alert(rule.id)
-                elif frame.st_num == prev.last_st and frame.sq_num < prev.last_sq:
-                    alert(rule.id)
-        elif rule.kind is RuleKind.SEQUENCE_SKIP:
-            gap = rule.params.get("max_gap", 1)
-            if prev is not None and prev.last_st > 0:
-                if frame.st_num == prev.last_st and frame.sq_num - prev.last_sq > gap:
-                    alert(rule.id)
-                elif frame.st_num > prev.last_st and frame.sq_num > gap - 1:
-                    alert(rule.id)
-        elif rule.kind is RuleKind.TTL_BOUND:
-            lo = rule.params.get("min_ms", 1)
-            hi = rule.params.get("max_ms", 60_000)
-            if not lo <= frame.time_allowed_to_live <= hi:
-                alert(rule.id)
-        elif rule.kind is RuleKind.PUBLISHER_WHITELIST:
-            if bind_origin(frame) is not Origin.PIED:
-                alert(rule.id)
-        elif rule.kind is RuleKind.RATE_LIMIT:
-            window_us = rule.params.get("window_ms", 100) * 1_000
-            limit = rule.params.get("max_frames", 10)
-            if state.record_arrival(frame.gocb_ref, at, window_us) > limit:
-                alert(rule.id)
-    if not alerts:
+    if prev is not None and prev.last_st > 0:
+        st, sq = frame.st_num, frame.sq_num
+        if st < prev.last_st or (st == prev.last_st and sq < prev.last_sq):
+            fired.append(SEQ_REGRESSION)
+        # a new stNum restarts sqNum at 0
+        if (st == prev.last_st and sq - prev.last_sq > MAX_SQ_GAP) or (
+            st > prev.last_st and sq > MAX_SQ_GAP - 1
+        ):
+            fired.append(SEQ_SKIP)
+    if not TTL_MIN_MS <= frame.time_allowed_to_live <= TTL_MAX_MS:
+        fired.append(TTL_BOUND)
+    if bind_origin(frame) is not Origin.PIED:
+        fired.append(PUBLISHER_WHITELIST)
+    if state.record_arrival(frame.gocb_ref, at) > RATE_MAX_FRAMES:
+        fired.append(RATE_LIMIT)
+    if not fired:
         state.advance(frame.gocb_ref, frame, at)
-    return state, alerts
+    return state, [Alert(at, rule_id, frame.gocb_ref, ingress, digest) for rule_id in fired]
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +344,11 @@ class IdsNode(SwitchNode):
         self,
         net: Network,
         table: FlowTable,
-        rules: RuleSet,
         *,
         processing_delay: SimTime,
         decision_window_us: SimTime,
     ):
         super().__init__(net, sub.IDS, table, processing_delay)
-        self.rules = rules
         self.state = SubscriptionState()
         self.loops = LoopTracker()
         self.decision_window_us = decision_window_us
@@ -434,16 +375,13 @@ class IdsNode(SwitchNode):
             # undecodable frames cannot bind to the relay's identity
             self._observe(Origin.STATION_BUS_SWITCH, port, digest, loop=False, at=at)
             return
-        loop = port == sub.IDS_LOOP_RETURN and self.loops.is_loop(digest, at)
-        _, alerts = inspect(frame, port, self.state, self.rules, at, digest)
+        _, alerts = inspect(frame, port, self.state, at, digest)
         if not alerts:
             return
         self._raise_alerts(alerts)
-        if port == sub.IDS_LOOP_RETURN and not loop:
-            origin = Origin.STATION_BUS_SWITCH
-        else:
-            origin = bind_origin(frame)
-        self._observe(origin, port, digest, loop, at)
+        # a non-echo loop-return sighting names the switch in ``Evidence.add``
+        loop = port == sub.IDS_LOOP_RETURN and self.loops.is_loop(digest, at)
+        self._observe(bind_origin(frame), port, digest, loop, at)
 
     def _raise_alerts(self, alerts: list[Alert]) -> None:
         for alert in alerts:

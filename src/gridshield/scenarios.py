@@ -48,7 +48,7 @@ from gridshield.delay import (
     walk_hops,
 )
 from gridshield.devices import InjectionPlan, MuDevice, OmicronDevice, PiedDevice, inject
-from gridshield.ids import IdsNode, Origin, Rule, RuleKind, RuleSet, default_rules, mitigate
+from gridshield.ids import IdsNode, Origin, mitigate
 from gridshield.netsim import (
     EventLog,
     Network,
@@ -90,9 +90,8 @@ class ScenarioSpec:
 
     The wiring, flow tables and device identities always come from
     ``substation.py``, with link latencies derived from the delay split.
-    A config sets delays, traffic, the injection and the inspector's rule
-    list; the whitelist the rules check is the relay's identity. Each
-    device reads its settings from here.
+    A config sets delays, traffic and the injection; the inspector's rules
+    are the ``ids.py`` constants. Each device reads its settings from here.
     """
 
     id: str
@@ -106,7 +105,6 @@ class ScenarioSpec:
     silence_at_us: int | None
     fault_at_us: int | None
     injection: InjectionPlan | None
-    rules: RuleSet
 
     def topology(self) -> TopologySpec:
         return sub.default_topology(self.delays)
@@ -224,7 +222,7 @@ def _ms(value) -> int:
 # section or a setting that silently takes its default.
 _CONFIG_KEYS = frozenset({
     "scenario", "duration_ms", "with_ids", "delays_ms", "decision_window_ms", "mu", "pied",
-    "waveform", "injection", "rules",
+    "waveform", "injection",
 })
 _SECTION_KEYS = {
     "delays_ms": frozenset(COMPONENT_NAMES),
@@ -303,7 +301,6 @@ def _spec_from_tree(tree) -> ScenarioSpec:
             silence_at_us=_optional_ms(pied.get("silence_at_ms")),
             fault_at_us=_optional_ms(waveform.get("fault_at_ms")),
             injection=_injection_from_tree(_section(tree, "injection")),
-            rules=_rules_from_tree(tree.get("rules")),
         )
         if spec.duration_us <= 0:
             raise ValueError("duration_ms must be positive")
@@ -326,20 +323,6 @@ def _spec_from_tree(tree) -> ScenarioSpec:
         return spec
     except (KeyError, TypeError, ValueError, OverflowError, TopologyError, CodecError) as exc:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
-
-
-def _rules_from_tree(tree: list | None) -> RuleSet:
-    if tree is None:
-        return default_rules()
-    rules = (_Keys(r, f"rules[{i}].") if isinstance(r, dict) else r for i, r in enumerate(tree))
-    return RuleSet(tuple(
-        Rule(
-            id=str(r["id"]),
-            kind=RuleKind(r["kind"]),
-            params={k: v for k, v in r.items() if k not in ("id", "kind")},
-        )
-        for r in rules
-    ))
 
 
 def _injection_from_tree(tree: dict) -> InjectionPlan | None:
@@ -415,7 +398,6 @@ def _build(spec: ScenarioSpec) -> Network:
         IdsNode(
             net,
             sub.ids_flow_table(with_ids=True),
-            spec.rules,
             processing_delay=spec.delays.t_ids,
             decision_window_us=spec.decision_window_us,
         )

@@ -159,8 +159,7 @@ class TestRun:
         ("scenario: attack1\n", "", "scenario"),
         ("  t_mu: 3.0\n", "", "delays_ms.t_mu"),
         ("    st_num: 1\n", "", "injection.template.st_num"),
-        ("with_ids: true\n", "with_ids: true\nrules:\n  - {kind: TtlBound}\n", "rules[0].id"),
-    ], ids=["scenario", "delay", "template_field", "rule_id"])
+    ], ids=["scenario", "delay", "template_field"])
     def test_missing_key_is_named_by_its_path(self, tmp_path, capsys, old, new, key):
         from gridshield.scenarios import _builtin_config_text
 
@@ -234,12 +233,11 @@ class TestRun:
                 "attack1",
                 "with_ids: true\n",
                 "with_ids: true\nrules:\n"
-                "  - {id: rate_limit, kind: RateLimit, max_frame: 5, window_ms: 100}\n",
-            ),
-            (
-                "attack1",
-                "with_ids: true\n",
-                "with_ids: true\nrules:\n  - {id: ingress_binding, kind: IngressBinding}\n",
+                "  - {id: seq_regression, kind: SequenceRegression}\n"
+                "  - {id: seq_skip, kind: SequenceSkip, max_gap: 1}\n"
+                "  - {id: ttl_bound, kind: TtlBound, min_ms: 1, max_ms: 60000}\n"
+                "  - {id: publisher_whitelist, kind: PublisherWhitelist}\n"
+                "  - {id: rate_limit, kind: RateLimit, max_frames: 10, window_ms: 100}\n",
             ),
             ("baseline", "with_ids: false\n", "with_ids: false\nloop_window_ms: 10.0\n"),
             ("baseline", "with_ids: false\n", "with_ids: false\ncontroller_latency_ms: 1.0\n"),
@@ -250,23 +248,16 @@ class TestRun:
             ("baseline", "duration_ms: 5000\n", "duration_ms: .inf\n"),
             ("attack1", "    st_num: 1\n", "    st_num: 1\n    gocb_ref: [1, 2]\n"),
             ("attack1", "    st_num: 1\n", "    st_num: 1\n    src_mac: [1, 2]\n"),
-            (
-                "attack1",
-                "with_ids: true\n",
-                "with_ids: true\nrules:\n"
-                "  - {id: rate_limit, kind: RateLimit, max_frames: text, window_ms: 100}\n",
-            ),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
              "host_not_at_the_node", "misspelt_top_level_key", "retired_inspection_passes",
              "retired_act_on_flagged", "misspelt_delays_ms_key", "misspelt_mu_key",
              "misspelt_pied_key", "misspelt_waveform_key", "misspelt_injection_key",
-             "misspelt_template_key", "parameter_its_rule_does_not_read",
-             "retired_ingress_binding_rule", "retired_loop_window_ms",
+             "misspelt_template_key", "retired_rules_section", "retired_loop_window_ms",
              "retired_controller_latency_ms", "retired_pickup_ma", "retired_currents_ma",
              "retired_voltages_mv", "retired_fault_phase_a_ma", "infinite_duration",
-             "gocb_ref_not_a_string", "src_mac_not_a_string", "rule_parameter_not_a_number"],
+             "gocb_ref_not_a_string", "src_mac_not_a_string"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -280,6 +271,22 @@ class TestRun:
         out = tmp_path / "o"
         assert_one_line_error(run_cli_process("run", "--config", str(cfg), "--out", str(out)))
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--scenario", "baseline", "--jobs", "0"),
+        ("run", "--scenario", "baseline", "--no-such-option"),
+        (),
+    ], ids=["jobs_below_one", "unknown_option", "missing_subcommand"])
+    def test_usage_error_is_one_error_line(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert_one_line_error(run_cli_process(*argv, *(("--out", str(out)) if argv else ())))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("run", "--help")], ids=["gridshield", "run"])
+    def test_help_exits_zero(self, argv):
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: gridshield")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_forward_to_an_unlinked_port_is_config_error(
@@ -688,6 +695,7 @@ class TestReplayFuzz:
 # Keys that configs once had or that the substation panel now fixes, each
 # with the section that held it (None for the top level) and a value.
 RETIRED_KEYS = (
+    (None, "rules", [{"id": "ttl_bound", "kind": "TtlBound", "min_ms": 1, "max_ms": 60000}]),
     (None, "loop_window_ms", 10.0),
     (None, "controller_latency_ms", 1.0),
     (None, "inspection_passes", 2),
@@ -747,21 +755,12 @@ def mutate_config(tree: dict, draw) -> None:
 
 
 # Values the shipped configs leave at their defaults, spelled out so that
-# the fuzz edits them too: the default rule list and the template's
-# identity fields.
-DEFAULT_RULES = [
-    {"id": "seq_regression", "kind": "SequenceRegression"},
-    {"id": "seq_skip", "kind": "SequenceSkip", "max_gap": 1},
-    {"id": "ttl_bound", "kind": "TtlBound", "min_ms": 1, "max_ms": 60000},
-    {"id": "publisher_whitelist", "kind": "PublisherWhitelist"},
-    {"id": "rate_limit", "kind": "RateLimit", "max_frames": 10, "window_ms": 100},
-]
+# the fuzz edits them too: the template's identity fields.
 DEFAULT_TEMPLATE = {"src_mac": str(sub.PIED_MAC), "gocb_ref": sub.GOCB_REF, "trip": False}
 
 
 def fuzz_tree(sid: str) -> dict:
     tree = short_tree(sid)
-    tree["rules"] = copy.deepcopy(DEFAULT_RULES)
     if "injection" in tree:
         tree["injection"]["template"].update(DEFAULT_TEMPLATE)
     return tree

@@ -18,6 +18,11 @@ from hypothesis import strategies as st
 from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
     LOOP_WINDOW_US,
+    PUBLISHER_WHITELIST,
+    RATE_LIMIT,
+    SEQ_REGRESSION,
+    SEQ_SKIP,
+    TTL_BOUND,
     Evidence,
     Inconclusive,
     LocalizationVerdict,
@@ -26,7 +31,6 @@ from gridshield.ids import (
     Origin,
     SubscriptionState,
     bind_origin,
-    default_rules,
     inspect,
     localize,
     mitigate,
@@ -57,11 +61,16 @@ def pied_frame(**overrides) -> GooseFrame:
     return GooseFrame(**values)
 
 
-def feed(state, rules, frames, port=IDS_MAIN_FEED, start_at=0, spacing=200_000):
+def inspect_frame(frame, port, state, at):
+    """``inspect`` given the frame's wire digest, as the device passes it."""
+    return inspect(frame, port, state, at, encode_goose(frame).digest)
+
+
+def feed(state, frames, port=IDS_MAIN_FEED, start_at=0, spacing=200_000):
     """Inspect a sequence of frames; return the alerts per frame."""
     out = []
     for i, frame in enumerate(frames):
-        _, alerts = inspect(frame, port, state, rules, start_at + i * spacing)
+        _, alerts = inspect_frame(frame, port, state, start_at + i * spacing)
         out.append(alerts)
     return out
 
@@ -73,77 +82,86 @@ class TestRules:
         for i in range(20):
             frame = next_publication(frame, state_changed=(i == 7), now=(i + 1) * 1_000_000)
             chain.append(frame)
-        alerts = feed(SubscriptionState(), default_rules(), chain)
+        alerts = feed(SubscriptionState(), chain)
         assert all(not a for a in alerts)
 
     def test_stale_st_num_is_regression(self):
         state = SubscriptionState()
-        rules = default_rules()
-        feed(state, rules, [pied_frame(st_num=3, sq_num=2)])
-        _, alerts = inspect(pied_frame(st_num=2, sq_num=9), IDS_MAIN_FEED, state, rules, 10**6)
+        feed(state, [pied_frame(st_num=3, sq_num=2)])
+        _, alerts = inspect_frame(pied_frame(st_num=2, sq_num=9), IDS_MAIN_FEED, state, 10**6)
         assert any(a.rule_id == "seq_regression" for a in alerts)
 
     def test_sq_rewind_without_st_change_is_regression(self):
         state = SubscriptionState()
-        rules = default_rules()
-        feed(state, rules, [pied_frame(st_num=1, sq_num=5)])
-        _, alerts = inspect(pied_frame(st_num=1, sq_num=2), IDS_MAIN_FEED, state, rules, 10**6)
+        feed(state, [pied_frame(st_num=1, sq_num=5)])
+        _, alerts = inspect_frame(pied_frame(st_num=1, sq_num=2), IDS_MAIN_FEED, state, 10**6)
         assert any(a.rule_id == "seq_regression" for a in alerts)
 
     def test_duplicate_copy_is_not_a_regression(self):
         state = SubscriptionState()
-        rules = default_rules()
         frame = pied_frame(st_num=2, sq_num=4)
-        feed(state, rules, [frame])
-        _, alerts = inspect(frame, IDS_PIED_FEED, state, rules, 10**6)
+        feed(state, [frame])
+        _, alerts = inspect_frame(frame, IDS_PIED_FEED, state, 10**6)
         assert not alerts
 
     def test_sq_jump_is_skip(self):
         state = SubscriptionState()
-        rules = default_rules()
-        feed(state, rules, [pied_frame(st_num=1, sq_num=1)])
-        _, alerts = inspect(pied_frame(st_num=1, sq_num=4), IDS_MAIN_FEED, state, rules, 10**6)
+        feed(state, [pied_frame(st_num=1, sq_num=1)])
+        _, alerts = inspect_frame(pied_frame(st_num=1, sq_num=4), IDS_MAIN_FEED, state, 10**6)
         assert any(a.rule_id == "seq_skip" for a in alerts)
 
     def test_abnormal_frame_does_not_poison_state(self):
         state = SubscriptionState()
-        rules = default_rules()
         good = pied_frame(st_num=2, sq_num=3)
-        feed(state, rules, [good])
-        inspect(pied_frame(st_num=1, sq_num=0), IDS_MAIN_FEED, state, rules, 10**6)
+        feed(state, [good])
+        inspect_frame(pied_frame(st_num=1, sq_num=0), IDS_MAIN_FEED, state, 10**6)
         follow = next_publication(good, state_changed=False, now=2 * 10**6)
-        _, alerts = inspect(follow, IDS_MAIN_FEED, state, rules, 2 * 10**6)
+        _, alerts = inspect_frame(follow, IDS_MAIN_FEED, state, 2 * 10**6)
         assert not alerts
 
     def test_ttl_outside_bounds(self):
         state = SubscriptionState()
-        rules = default_rules()
-        _, alerts = inspect(
-            pied_frame(time_allowed_to_live=120_000), IDS_MAIN_FEED, state, rules, 0
+        _, alerts = inspect_frame(
+            pied_frame(time_allowed_to_live=120_000), IDS_MAIN_FEED, state, 0
         )
         assert any(a.rule_id == "ttl_bound" for a in alerts)
 
     def test_foreign_source_mac_hits_whitelist(self):
         state = SubscriptionState()
-        rules = default_rules()
         bad = pied_frame(src=golden_goose_frame().dst)
-        _, alerts = inspect(bad, IDS_MAIN_FEED, state, rules, 0)
+        _, alerts = inspect_frame(bad, IDS_MAIN_FEED, state, 0)
         assert any(a.rule_id == "publisher_whitelist" for a in alerts)
 
     def test_unknown_gocb_hits_whitelist(self):
         state = SubscriptionState()
-        rules = default_rules()
-        _, alerts = inspect(pied_frame(gocb_ref=OTHER_GOCB), IDS_MAIN_FEED, state, rules, 0)
+        _, alerts = inspect_frame(pied_frame(gocb_ref=OTHER_GOCB), IDS_MAIN_FEED, state, 0)
         assert any(a.rule_id == "publisher_whitelist" for a in alerts)
 
     def test_rate_limit_on_flood(self):
         state = SubscriptionState()
-        rules = default_rules()
         frame = pied_frame()
         flood = [frame] * 12
-        alerts = feed(state, rules, flood, spacing=1_000)  # 12 within 100ms
+        alerts = feed(state, flood, spacing=1_000)  # 12 within 100ms
         assert any(any(a.rule_id == "rate_limit" for a in batch) for batch in alerts)
         assert not any(a for a in alerts[:10])
+
+    @pytest.mark.parametrize("st_num, sq_num, sequence_rule", [
+        (1, 0, SEQ_REGRESSION),
+        (2, 5, SEQ_SKIP),
+    ])
+    def test_alerts_come_in_rule_order(self, st_num, sq_num, sequence_rule):
+        """A frame that breaks four rules at once gets their alerts in the
+        fixed rule order, which is the order the device logs them."""
+        state = SubscriptionState()
+        feed(state, [pied_frame(st_num=2, sq_num=3)] * 10, spacing=1_000)
+        bad = pied_frame(
+            st_num=st_num, sq_num=sq_num, time_allowed_to_live=120_000,
+            src=golden_goose_frame().dst,
+        )
+        _, alerts = inspect_frame(bad, IDS_MAIN_FEED, state, 10_000)
+        assert [a.rule_id for a in alerts] == [
+            sequence_rule, TTL_BOUND, PUBLISHER_WHITELIST, RATE_LIMIT
+        ]
 
 
 class TestSequenceOracle:
@@ -161,13 +179,12 @@ class TestSequenceOracle:
             frame = next_publication(frame, changed, now=(i + 1) * 1_000_000)
             chain.append(frame)
 
-        rules = default_rules()
         state = SubscriptionState()
-        feed(state, rules, chain, spacing=1_000_000)
+        feed(state, chain, spacing=1_000_000)
 
         candidate = chain[pick.draw(st.integers(0, len(chain) - 1))]
-        _, alerts = inspect(
-            candidate, IDS_MAIN_FEED, state, rules, (len(chain) + 2) * 1_000_000
+        _, alerts = inspect_frame(
+            candidate, IDS_MAIN_FEED, state, (len(chain) + 2) * 1_000_000
         )
         sequence_alerts = [a for a in alerts if a.rule_id == "seq_regression"]
 
@@ -353,6 +370,6 @@ class TestMitigate:
 class TestInspectDigest:
     def test_alert_digest_matches_wire_digest(self):
         frame = pied_frame(time_allowed_to_live=999_999)
-        _, alerts = inspect(frame, IDS_MAIN_FEED, SubscriptionState(), default_rules(), 0)
+        _, alerts = inspect_frame(frame, IDS_MAIN_FEED, SubscriptionState(), 0)
         assert alerts and alerts[0].digest == frame_digest(encode_goose(frame))
 

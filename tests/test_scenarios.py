@@ -351,39 +351,3 @@ class TestLoading:
         path = tmp_path / "null_mu.yaml"
         path.write_text(text)
         assert load_scenario(str(path)) == load_scenario("attack1")
-
-    def test_explicit_rules_section(self, tmp_path):
-        from gridshield.scenarios import _builtin_config_text
-
-        text = _builtin_config_text("baseline") + (
-            "\nrules:\n"
-            "  - {id: only_ttl, kind: TtlBound, min_ms: 5, max_ms: 50}\n"
-        )
-        path = tmp_path / "rules.yaml"
-        path.write_text(text)
-        spec = load_scenario(str(path))
-        rules = spec.rules
-        assert [r.id for r in rules.rules] == ["only_ttl"]
-        assert rules.rules[0].params == {"min_ms": 5, "max_ms": 50}
-
-    def test_restated_default_rules_keep_the_relay_whitelisted(self, tmp_path):
-        """A rules section replaces only the rule list: the whitelist still
-        follows the relay, so legal traffic raises no alert and the relay's
-        trip opens the breaker."""
-        from gridshield.scenarios import _builtin_config_text
-
-        text = _builtin_config_text("baseline").replace("with_ids: false", "with_ids: true") + (
-            "\nrules:\n"
-            "  - {id: seq_regression, kind: SequenceRegression}\n"
-            "  - {id: seq_skip, kind: SequenceSkip, max_gap: 1}\n"
-            "  - {id: ttl_bound, kind: TtlBound, min_ms: 1, max_ms: 60000}\n"
-            "  - {id: publisher_whitelist, kind: PublisherWhitelist}\n"
-            "  - {id: rate_limit, kind: RateLimit, max_frames: 10, window_ms: 100}\n"
-        )
-        path = tmp_path / "rules.yaml"
-        path.write_text(text)
-        spec = load_scenario(str(path))
-        assert spec.rules == load_scenario("baseline", {"with_ids": True}).rules
-        result = run_scenario(spec)
-        assert result.passed, result.reasons
-        assert result.alerts == 0 and result.breaker_trips == 1
