@@ -14,9 +14,12 @@ produce distinct bytes, and every valid byte string decodes back to exactly
 one frame. Sampled-value frames use the same envelope with their own
 ethertype and tag set.
 
-Decoding is a pure function of a frame's immutable bytes: it reads them in
-one pass, and the decoded frame is kept on the ``RawFrame``, so the copies
-of one publication that reach several subscribers share one parse. A
+Decoding is a pure function of a frame's immutable bytes, and every
+``RawFrame`` keeps the frame it decodes to. An encode keeps the frame it
+was given, when its fields already have the types a decode gives them, so
+a frame the simulator encoded is never parsed. Only bytes from elsewhere
+(a hand-built capture, a corrupted frame) are read, in one pass, and the
+copies of such a frame that reach several subscribers share that parse. A
 malformed frame keeps nothing and raises the same error on every decode.
 
 ``next_publication`` implements standard GOOSE publisher sequencing: the
@@ -27,7 +30,7 @@ otherwise the sequence number counts retransmissions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 try:
     # hashlib.blake2b itself; importing hashlib would also map OpenSSL
@@ -179,9 +182,11 @@ class RawFrame:
 
     ``digest`` is a stable short digest of the bytes, used to track copies
     in the log; it is computed once, when the frame is made. The bytes never
-    change, so ``decode_goose`` or ``decode_sv`` keeps the frame it decodes
-    on the RawFrame, and every later decode of it (each copy the network
-    delivers) returns that same frame.
+    change, so the RawFrame keeps the frame they decode to: ``encode_goose``
+    and ``encode_sv`` store the frame they encoded, and ``decode_goose`` or
+    ``decode_sv`` the frame it parsed from bytes made elsewhere. Every later
+    decode (each copy the network delivers) returns that same frame, once
+    the ethertype is checked.
     """
 
     data: bytes
@@ -311,23 +316,58 @@ def _read_body(data: bytes, layout: tuple[tuple[int, int], ...]) -> list:
 # ---------------------------------------------------------------------------
 
 
+# The gocb_ref, dataset_ref and all_data of the last publication encoded,
+# with their TLV bytes before and after the fixed-width run. A publisher
+# passes the same three objects every time, so they are compared by
+# identity; only immutable values of the types a decode gives them (str, a
+# tuple of bools) are remembered. What it holds never changes what an encode
+# returns, only the work: a miss encodes the three afresh.
+_repeated: tuple = (None, None, None, b"", b"")
+
+
 def encode_goose(frame: GooseFrame) -> RawFrame:
+    global _repeated
     frame.validate()
-    body = b"".join(
-        (
-            _tlv(_TAG_GOCB_REF, _encode_str(frame.gocb_ref)),
-            _GOOSE_FIXED.pack(
-                _TAG_TTL, 4, frame.time_allowed_to_live,
-                _TAG_ST_NUM, 4, frame.st_num,
-                _TAG_SQ_NUM, 4, frame.sq_num,
-                _TAG_TEST, 1, 1 if frame.test else 0,
-                _TAG_TIMESTAMP, 8, frame.timestamp,
-            ),
-            _tlv(_TAG_DATASET_REF, _encode_str(frame.dataset_ref)),
-            _tlv(_TAG_ALL_DATA, bytes(1 if p else 0 for p in frame.all_data)),
-        )
+    gocb_ref, dataset_ref, points, head, tail = _repeated
+    exact = (  # whether the three have the decoded types
+        gocb_ref is frame.gocb_ref
+        and dataset_ref is frame.dataset_ref
+        and points is frame.all_data
     )
-    return _frame(frame.dst, frame.src, GOOSE_ETHERTYPE, frame.app_id, body)
+    if not exact:
+        gocb_ref, dataset_ref, points = frame.gocb_ref, frame.dataset_ref, frame.all_data
+        head = _tlv(_TAG_GOCB_REF, _encode_str(gocb_ref))
+        tail = _tlv(_TAG_DATASET_REF, _encode_str(dataset_ref)) + _tlv(
+            _TAG_ALL_DATA, bytes(1 if p else 0 for p in points)
+        )
+        exact = (
+            type(gocb_ref) is str is type(dataset_ref)
+            and type(points) is tuple
+            and all(type(p) is bool for p in points)
+        )
+        if exact:
+            _repeated = (gocb_ref, dataset_ref, points, head, tail)
+    body = head + _GOOSE_FIXED.pack(
+        _TAG_TTL, 4, frame.time_allowed_to_live,
+        _TAG_ST_NUM, 4, frame.st_num,
+        _TAG_SQ_NUM, 4, frame.sq_num,
+        _TAG_TEST, 1, 1 if frame.test else 0,
+        _TAG_TIMESTAMP, 8, frame.timestamp,
+    ) + tail
+    raw = _frame(frame.dst, frame.src, GOOSE_ETHERTYPE, frame.app_id, body)
+    # Keep the frame as the bytes' decode only if it is that decode type by
+    # type: an int point or test flag compares equal to its bool, yet is not
+    # what a parse returns.
+    if (
+        exact
+        and type(frame) is GooseFrame
+        and type(frame.test) is bool
+        and type(frame.app_id) is type(frame.time_allowed_to_live) is type(frame.st_num)
+        is type(frame.sq_num) is type(frame.timestamp) is int
+        and type(frame.dst.octets) is type(frame.src.octets) is bytes
+    ):
+        object.__setattr__(raw, "_decoded", frame)
+    return raw
 
 
 def decode_goose(raw: RawFrame) -> GooseFrame:
@@ -371,7 +411,18 @@ def encode_sv(frame: SvFrame, smp_cnt_modulus: int | None = None) -> RawFrame:
         _TAG_VOLTAGES, 12, *frame.voltages,
     )
     # app id is unused by the SV envelope; keep the header shape uniform.
-    return _frame(frame.dst, frame.src, SV_ETHERTYPE, 0, body)
+    raw = _frame(frame.dst, frame.src, SV_ETHERTYPE, 0, body)
+    # as in encode_goose: keep the frame only if it is its decode type by type
+    if (
+        type(frame) is SvFrame
+        and type(frame.sv_id) is str
+        and type(frame.smp_cnt) is int
+        and type(frame.currents) is tuple is type(frame.voltages)
+        and all(type(v) is int for v in frame.currents + frame.voltages)
+        and type(frame.dst.octets) is type(frame.src.octets) is bytes
+    ):
+        object.__setattr__(raw, "_decoded", frame)
+    return raw
 
 
 def decode_sv(raw: RawFrame) -> SvFrame:
@@ -399,13 +450,22 @@ def decode_sv(raw: RawFrame) -> SvFrame:
 # ---------------------------------------------------------------------------
 
 
-def next_publication(prev: GooseFrame, state_changed: bool, now: int) -> GooseFrame:
+def next_publication(
+    prev: GooseFrame, state_changed: bool, now: int, all_data: tuple[bool, ...] | None = None
+) -> GooseFrame:
     """Advance a publisher one step.
 
     A data change bumps the state number and resets the sequence number;
-    a plain retransmission increments the sequence number.
+    a plain retransmission increments the sequence number. ``all_data`` is
+    the new publication's points; by default it repeats ``prev``'s.
     """
     prev.validate()
     if state_changed:
-        return replace(prev, st_num=prev.st_num + 1, sq_num=0, timestamp=now)
-    return replace(prev, sq_num=prev.sq_num + 1, timestamp=now)
+        st_num, sq_num = prev.st_num + 1, 0
+    else:
+        st_num, sq_num = prev.st_num, prev.sq_num + 1
+    return GooseFrame(
+        prev.dst, prev.src, prev.app_id, prev.gocb_ref, prev.time_allowed_to_live,
+        st_num, sq_num, prev.test, now, prev.dataset_ref,
+        prev.all_data if all_data is None else all_data,
+    )

@@ -25,7 +25,7 @@ compromised relay transmitting on its interface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from gridshield import substation as sub
 from gridshield.codec import (
@@ -144,7 +144,7 @@ class PiedDevice:
     def _silence(self) -> None:
         self._silenced = True
 
-    def _build_first(self, now: SimTime) -> GooseFrame:
+    def _build_first(self, now: SimTime, all_data: tuple[bool, ...]) -> GooseFrame:
         return GooseFrame(
             dst=sub.GOOSE_DST,
             src=sub.PIED_MAC,
@@ -156,21 +156,22 @@ class PiedDevice:
             test=False,
             timestamp=now,
             dataset_ref=sub.DATASET_REF,
-            all_data=(False, False),
+            all_data=all_data,
         )
 
     def _publish(self, state_changed: bool, at: SimTime, trip: bool = False,
                  toggle: bool = False, note: str | None = None) -> None:
         if self._silenced:
             return
-        if self.current is None:
-            frame = self._build_first(at)
+        prev = self.current
+        points = (False, False) if prev is None else prev.all_data
+        if trip or toggle:
+            trip_point, flag_point = points
+            points = (trip_point or trip, flag_point != toggle)
+        if prev is None:
+            frame = self._build_first(at, points)
         else:
-            frame = next_publication(self.current, state_changed, now=at)
-        trip_point, flag_point = frame.all_data
-        points = (trip_point or trip, flag_point != toggle)
-        if points != frame.all_data:
-            frame = replace(frame, all_data=points)
+            frame = next_publication(prev, state_changed, now=at, all_data=points)
         self.current = frame
         raw = encode_goose(frame)
         for port in self.GOOSE_PORTS:

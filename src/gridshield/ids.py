@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from gridshield import substation as sub
 from gridshield.codec import (
@@ -74,8 +74,7 @@ RATE_MAX_FRAMES = 10
 RATE_WINDOW_US = 100_000
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     time: SimTime
     rule_id: str
     gocb_ref: str
@@ -85,10 +84,23 @@ class Alert:
 
 @dataclass
 class _PublisherState:
-    last_st: int
-    last_sq: int
-    last_timestamp: SimTime
+    """One publisher's sequencing position and its recent arrival times."""
+
+    last_st: int = 0  # 0 until a clean frame is seen
+    last_sq: int = 0
     arrivals: deque = field(default_factory=deque)  # times, for the rate rule
+
+    def record_arrival(self, at: SimTime) -> int:
+        """Count an arrival; return the arrivals within RATE_WINDOW_US of it."""
+        arrivals = self.arrivals
+        arrivals.append(at)
+        while arrivals[0] < at - RATE_WINDOW_US:
+            arrivals.popleft()
+        return len(arrivals)
+
+    def advance(self, frame: GooseFrame) -> None:
+        self.last_st = frame.st_num
+        self.last_sq = frame.sq_num
 
 
 class SubscriptionState:
@@ -102,43 +114,24 @@ class SubscriptionState:
     def __init__(self) -> None:
         self._by_gocb: dict[str, _PublisherState] = {}
 
-    def get(self, gocb_ref: str) -> _PublisherState | None:
-        return self._by_gocb.get(gocb_ref)
-
-    def _state(self, gocb_ref: str) -> _PublisherState:
-        st = self._by_gocb.get(gocb_ref)
-        if st is None:
-            st = self._by_gocb[gocb_ref] = _PublisherState(0, 0, 0)
-        return st
-
-    def record_arrival(self, gocb_ref: str, at: SimTime) -> int:
-        """Count an arrival; return the arrivals within RATE_WINDOW_US of it."""
-        st = self._state(gocb_ref)
-        st.arrivals.append(at)
-        while st.arrivals and st.arrivals[0] < at - RATE_WINDOW_US:
-            st.arrivals.popleft()
-        return len(st.arrivals)
-
-    def advance(self, gocb_ref: str, frame: GooseFrame, at: SimTime) -> None:
-        st = self._state(gocb_ref)
-        st.last_st = frame.st_num
-        st.last_sq = frame.sq_num
-        st.last_timestamp = max(st.last_timestamp, frame.timestamp)
+    def publisher(self, gocb_ref: str) -> _PublisherState:
+        pub = self._by_gocb.get(gocb_ref)
+        if pub is None:
+            pub = self._by_gocb[gocb_ref] = _PublisherState()
+        return pub
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One abnormal sighting: who it claims to be, where it was seen."""
+class ObservationRecord(NamedTuple):
+    """One abnormal sighting: who it claims to be, where it was seen.
+
+    ``Evidence.add`` checks that the port is one of the device's eight.
+    """
 
     origin_hypothesis: Origin
     ingress_port: int
     digest: str
     loop: bool
     time: SimTime
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.ingress_port <= 8:
-            raise ValueError(f"ingress port {self.ingress_port} outside 1..8")
 
 
 @dataclass(frozen=True)
@@ -179,25 +172,28 @@ def inspect(
     advances only when no rule fired.
     """
     fired: list[str] = []
-    prev = state.get(frame.gocb_ref)
-    if prev is not None and prev.last_st > 0:
-        st, sq = frame.st_num, frame.sq_num
-        if st < prev.last_st or (st == prev.last_st and sq < prev.last_sq):
+    gocb_ref = frame.gocb_ref
+    pub = state.publisher(gocb_ref)
+    last_st = pub.last_st
+    if last_st > 0:
+        st, sq, last_sq = frame.st_num, frame.sq_num, pub.last_sq
+        if st < last_st or (st == last_st and sq < last_sq):
             fired.append(SEQ_REGRESSION)
         # a new stNum restarts sqNum at 0
-        if (st == prev.last_st and sq - prev.last_sq > MAX_SQ_GAP) or (
-            st > prev.last_st and sq > MAX_SQ_GAP - 1
+        if (st == last_st and sq - last_sq > MAX_SQ_GAP) or (
+            st > last_st and sq > MAX_SQ_GAP - 1
         ):
             fired.append(SEQ_SKIP)
     if not TTL_MIN_MS <= frame.time_allowed_to_live <= TTL_MAX_MS:
         fired.append(TTL_BOUND)
     if bind_origin(frame) is not Origin.PIED:
         fired.append(PUBLISHER_WHITELIST)
-    if state.record_arrival(frame.gocb_ref, at) > RATE_MAX_FRAMES:
+    if pub.record_arrival(at) > RATE_MAX_FRAMES:
         fired.append(RATE_LIMIT)
     if not fired:
-        state.advance(frame.gocb_ref, frame, at)
-    return state, [Alert(at, rule_id, frame.gocb_ref, ingress, digest) for rule_id in fired]
+        pub.advance(frame)
+        return state, []
+    return state, [Alert(at, rule_id, gocb_ref, ingress, digest) for rule_id in fired]
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +210,33 @@ class LoopTracker:
     """Remembers re-forwarded digests for LOOP_WINDOW_US, to spot own echoes.
 
     Identical payloads may be re-forwarded several times in flight, so
-    every tag time within the window is kept, not just the latest.
+    every tag time within the window is kept, not just the latest. Tags
+    come in time order, and ``forget`` drops each digest once its last
+    window has closed, so the memory is bounded by the tags of one window.
     """
 
     def __init__(self) -> None:
         self._tags: dict[str, list[SimTime]] = {}
+        self._order: deque[tuple[SimTime, str]] = deque()  # every tag, oldest first
 
     def tag_loop(self, digest: str, at: SimTime) -> None:
         times = self._tags.setdefault(digest, [])
         times.append(at)
         self._tags[digest] = [t for t in times if t + LOOP_WINDOW_US >= at]
+        self._order.append((at, digest))
+
+    def forget(self, now: SimTime) -> None:
+        """Drop the digests whose every window closed before ``now``.
+
+        Time does not decrease, so no later ``is_loop`` can match them, and
+        a later ``tag_loop`` of one would drop its old times anyway.
+        """
+        order, tags = self._order, self._tags
+        while order and order[0][0] + LOOP_WINDOW_US < now:
+            _, digest = order.popleft()
+            times = tags.get(digest)
+            if times is not None and times[-1] + LOOP_WINDOW_US < now:
+                del tags[digest]
 
     def is_loop(self, digest: str, at: SimTime) -> bool:
         return any(
@@ -237,11 +250,14 @@ class LoopTracker:
 # ---------------------------------------------------------------------------
 
 
+_PIED_OCTETS = sub.PIED_MAC.octets
+
+
 def bind_origin(frame: GooseFrame) -> Origin:
     """Claimed-identity binding: a frame is the relay's only if both its
     control block reference and source address are the relay's; anything
     else materialized inside the station-bus fabric."""
-    if frame.gocb_ref == sub.GOCB_REF and frame.src == sub.PIED_MAC:
+    if frame.gocb_ref == sub.GOCB_REF and frame.src.octets == _PIED_OCTETS:
         return Origin.PIED
     return Origin.STATION_BUS_SWITCH
 
@@ -259,6 +275,8 @@ class Evidence:
 
     def add(self, o: ObservationRecord) -> None:
         """Record one observation; times must not decrease."""
+        if not 1 <= o.ingress_port <= 8:
+            raise ValueError(f"ingress port {o.ingress_port} outside 1..8")
         if self.observations and o.time < self.observations[-1].time:
             raise ValueError("observations must be added in time order")
         self.observations.append(o)
@@ -279,7 +297,7 @@ class Evidence:
             raise ValueError("localization needs at least one abnormal observation")
         if self.switch_digests:
             evidence = tuple(
-                replace(o, origin_hypothesis=Origin.STATION_BUS_SWITCH)
+                o._replace(origin_hypothesis=Origin.STATION_BUS_SWITCH)
                 if o.digest in self.switch_digests
                 else o
                 for o in obs
@@ -337,7 +355,8 @@ class IdsNode(SwitchNode):
     the loop echo and any in-flight forwards to land); when it fires, the
     decision table either names a culprit, which is logged and whose
     ``mitigate`` ports are disabled, or the evidence is logged as
-    inconclusive and the timer re-arms on the next abnormal sighting.
+    inconclusive and the timer re-arms on the next abnormal sighting. Once
+    a culprit is named, alerts are still logged but no longer observed.
     """
 
     def __init__(
@@ -356,11 +375,13 @@ class IdsNode(SwitchNode):
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
         self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
+        self._notes: dict[tuple[str, str], str] = {}  # (rule, gocb) -> alert note
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         if port in sub.IDS_MONITORED and raw.ethertype == GOOSE_ETHERTYPE:
             self._inspect_arrival(port, raw, at)
         if self._loop_out in self.process_frame(raw, port, at):
+            self.loops.forget(at)
             self.loops.tag_loop(raw.digest, at + self.processing_delay)
 
     # -- inspection ----------------------------------------------------------
@@ -384,18 +405,21 @@ class IdsNode(SwitchNode):
         self._observe(bind_origin(frame), port, digest, loop, at)
 
     def _raise_alerts(self, alerts: list[Alert]) -> None:
+        notes = self._notes
         for alert in alerts:
+            key = (alert.rule_id, alert.gocb_ref)
+            note = notes.get(key)
+            if note is None:
+                note = notes[key] = f"rule={alert.rule_id} gocb={alert.gocb_ref}"
             self.net.log_event(
-                "AlertRaised",
-                self.node_id,
-                alert.ingress_port,
-                alert.digest,
-                note=f"rule={alert.rule_id} gocb={alert.gocb_ref}",
+                "AlertRaised", self.node_id, alert.ingress_port, alert.digest, note
             )
 
     def _observe(self, origin: Origin, port: int, digest: str, loop: bool, at: SimTime) -> None:
+        if self.verdict is not None:
+            return  # nothing reads observations once the culprit is named
         self.evidence.add(ObservationRecord(origin, port, digest, loop, at))
-        if not self._decision_armed and self.verdict is None:
+        if not self._decision_armed:
             self._decision_armed = True
             self.net.call(at + self.decision_window_us, self._decide)
 

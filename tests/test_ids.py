@@ -9,12 +9,11 @@ position (an equal pair is a network duplicate and stays silent).
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridshield import codec
 from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
     LOOP_WINDOW_US,
@@ -36,6 +35,7 @@ from gridshield.ids import (
     mitigate,
 )
 from gridshield.netsim import PortRef
+from gridshield.scenarios import _build, load_scenario
 from gridshield.substation import (
     IDS,
     IDS_MAIN_FEED,
@@ -215,6 +215,69 @@ class TestLoopTracker:
         loops.tag_loop("abcd", at=5_000)
         assert not loops.is_loop("abcd", at=4_999)
 
+    def test_memory_is_bounded_at_a_2_ms_publish_interval(self):
+        """Driven as the device drives it for a simulated minute: every
+        re-forwarded publication tagged at its departure, 4 ms after it
+        arrived, and the injector's replays tagged again now and then."""
+        loops = LoopTracker()
+        most = 0
+        for i in range(30_000):
+            now = i * 2_000
+            loops.forget(now)
+            loops.tag_loop(f"pub{i}", now + 4_000)
+            if i % 97 == 0:
+                loops.tag_loop("replay", now + 4_000)
+            most = max(most, len(loops._tags), len(loops._order))
+        assert most <= (LOOP_WINDOW_US + 4_000) // 2_000 + 3
+
+    @settings(max_examples=300)
+    @given(
+        delay=st.sampled_from([0, 4_000, LOOP_WINDOW_US, 3 * LOOP_WINDOW_US]),
+        steps=st.lists(
+            st.tuples(
+                # time steps near the window's edges; 0 gives ties
+                st.one_of(
+                    st.sampled_from([0, 1, 2_000, LOOP_WINDOW_US - 1, LOOP_WINDOW_US + 1]),
+                    st.integers(0, 2 * LOOP_WINDOW_US),
+                ),
+                st.booleans(),  # tag or query
+                st.sampled_from(["d0", "d1", "d2"]),
+            ),
+            max_size=40,
+        ),
+    )
+    # a digest tagged again keeps its newest window when its oldest closes
+    @example(delay=0, steps=[(0, True, "d0"), (12_000, True, "d0"), (3_000, True, "d1"),
+                             (1_000, False, "d0")])
+    def test_forgetting_changes_no_answer(self, delay, steps):
+        """Against a tracker that never forgets, with tags ``delay`` after
+        the present as the device makes them."""
+        loops, remembers = LoopTracker(), RememberingLoopTracker()
+        now = 0
+        for step, tag, digest in steps:
+            now += step
+            if tag:
+                loops.forget(now)
+                loops.tag_loop(digest, now + delay)
+                remembers.tag_loop(digest, now + delay)
+            else:
+                assert loops.is_loop(digest, now) == remembers.is_loop(digest, now)
+
+
+class RememberingLoopTracker:
+    """LoopTracker before it forgot digests: one key per digest ever tagged."""
+
+    def __init__(self):
+        self._tags = {}
+
+    def tag_loop(self, digest, at):
+        times = self._tags.setdefault(digest, [])
+        times.append(at)
+        self._tags[digest] = [t for t in times if t + LOOP_WINDOW_US >= at]
+
+    def is_loop(self, digest, at):
+        return any(t <= at <= t + LOOP_WINDOW_US for t in self._tags.get(digest, ()))
+
 
 def obs(origin, port, digest="d0", loop=False, time=0):
     return ObservationRecord(origin, port, digest, loop, time)
@@ -282,7 +345,7 @@ def localize_by_rescan(observations):
     }
     if switch_digests:
         evidence = tuple(
-            dataclasses.replace(o, origin_hypothesis=Origin.STATION_BUS_SWITCH)
+            o._replace(origin_hypothesis=Origin.STATION_BUS_SWITCH)
             if o.digest in switch_digests
             else o
             for o in obs
@@ -347,6 +410,13 @@ class TestEvidence:
         with pytest.raises(ValueError):
             evidence.add(obs(Origin.PIED, IDS_MAIN_FEED, time=9))
 
+    @pytest.mark.parametrize("port", [0, 9, -1])
+    def test_a_port_the_device_does_not_have_is_rejected(self, port):
+        evidence = Evidence()
+        with pytest.raises(ValueError, match="outside 1..8"):
+            evidence.add(obs(Origin.PIED, port))
+        assert not evidence.observations
+
 
 class TestMitigate:
     def test_switch_culprit_keeps_only_delivery_and_relay_feed(self):
@@ -373,3 +443,32 @@ class TestInspectDigest:
         _, alerts = inspect_frame(frame, IDS_MAIN_FEED, SubscriptionState(), 0)
         assert alerts and alerts[0].digest == frame_digest(encode_goose(frame))
 
+
+class TestDeviceAtStormRate:
+    """The inspector in attack1 with the relay publishing every 2 ms."""
+
+    @pytest.fixture(scope="class")
+    def device(self):
+        def parse(data, layout):
+            raise AssertionError("a frame the simulator encoded was parsed")
+
+        spec = load_scenario("attack1", {"publish_interval_ms": 2, "samples_per_second": 100})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_read_body", parse)
+            net = _build(spec)
+            net.run_until(spec.duration_us)
+        return net.handlers[IDS]
+
+    def test_no_frame_is_parsed(self, device):
+        assert device.state.publisher(GOCB_REF).last_st > 0  # it inspected
+
+    def test_no_observation_is_kept_after_the_verdict(self, device):
+        assert device.verdict is not None
+        # the verdict may restate an origin, but holds every sighting
+        kept = [o[1:] for o in device.evidence.observations]
+        assert kept == [o[1:] for o in device.verdict.evidence]
+
+    def test_loop_memory_holds_only_the_last_window(self, device):
+        # about one tag per 2 ms publication, each remembered 10 ms after
+        # its 4 ms departure
+        assert 0 < len(device.loops._tags) <= 10
