@@ -1,13 +1,18 @@
 """Rule-based GOOSE inspection, source localization and mitigation.
 
 The inspection device watches three of its ports: the main feed from the
-station-bus switch, the relay's direct feed, and the loop return. Every
-monitored GOOSE frame runs through five fixed rules (sequence regression,
-sequence skip, TTL bounds, publisher whitelist, rate limit), whose ids and
-bounds are the constants below; a frame violating any rule is abnormal and
-becomes an :class:`ObservationRecord`.
-The only legitimate publisher is the relay, whose control block reference
-and source address are the ``substation.py`` identities.
+station-bus switch, the relay's direct feed, and the loop return. Each
+relay publication reaches it up to three times (on the direct and main
+feeds, then on the loop return), so the device inspects a digest once, on
+its first sighting: the five fixed rules (sequence regression, sequence
+skip, TTL bounds, publisher whitelist, rate limit), whose ids and bounds
+are the constants below, run over the decoded frame and update the
+subscription state. A copy of that digest within the loop window is not a
+new publication; it is neither decoded nor counted again, and takes the
+first sighting's rules. Every sighting of an abnormal digest, copies
+included, is alerted and becomes an :class:`ObservationRecord` with its
+own port. The only legitimate publisher is the relay, whose control block
+reference and source address are the ``substation.py`` identities.
 
 Frames received on the main feed are re-forwarded onto a loop through the
 station-bus switch and come back on the loop return port. The device
@@ -66,7 +71,8 @@ RATE_LIMIT = "rate_limit"
 MALFORMED_RULE_ID = "malformed"
 
 # Their bounds: the largest sqNum step within one stNum, the accepted
-# timeAllowedToLive, and the most frames of one publisher per window.
+# timeAllowedToLive, and the most publications of one publisher per window
+# beyond those its declared heartbeat accounts for.
 MAX_SQ_GAP = 1
 TTL_MIN_MS = 1
 TTL_MAX_MS = 60_000
@@ -91,7 +97,7 @@ class _PublisherState:
     arrivals: deque = field(default_factory=deque)  # times, for the rate rule
 
     def record_arrival(self, at: SimTime) -> int:
-        """Count an arrival; return the arrivals within RATE_WINDOW_US of it."""
+        """Count a publication; return those within RATE_WINDOW_US of it."""
         arrivals = self.arrivals
         arrivals.append(at)
         while arrivals[0] < at - RATE_WINDOW_US:
@@ -106,13 +112,21 @@ class _PublisherState:
 class SubscriptionState:
     """Per-publisher sequencing state; poisoning-resistant.
 
-    Sequencing fields advance only on clean frames, so an attacker's
-    abnormal frames cannot push the state and make subsequent legitimate
-    traffic look anomalous. Arrival times feed the rate rule regardless.
+    Sequencing fields advance only on frames that break no sequence, TTL or
+    whitelist rule, so an attacker's stale or foreign frames cannot push
+    the state and make subsequent legitimate traffic look anomalous. A
+    frame that breaks the rate rule alone still advances it. Each
+    inspected frame feeds the rate rule, whose bound is the
+    ``RATE_MAX_FRAMES`` floor plus the publications that the subscribed
+    heartbeat ``heartbeat_us`` (a substation configuration declares it)
+    puts in one ``RATE_WINDOW_US``; without one, the floor alone.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, heartbeat_us: SimTime | None = None) -> None:
         self._by_gocb: dict[str, _PublisherState] = {}
+        self.rate_max_frames = RATE_MAX_FRAMES
+        if heartbeat_us is not None:
+            self.rate_max_frames += -(-RATE_WINDOW_US // heartbeat_us)  # ceil
 
     def publisher(self, gocb_ref: str) -> _PublisherState:
         pub = self._by_gocb.get(gocb_ref)
@@ -168,8 +182,9 @@ def inspect(
     """Run the five rules over one decoded frame; update state; return alerts.
 
     ``digest`` is the wire digest of the frame's bytes. Alerts come in rule
-    order. Every arrival counts towards the rate rule; the sequencing state
-    advances only when no rule fired.
+    order. Each call is one publication towards the rate rule (the device
+    calls it once per digest, not per copy); the sequencing state advances
+    unless a sequence, TTL or whitelist rule fired.
     """
     fired: list[str] = []
     gocb_ref = frame.gocb_ref
@@ -188,10 +203,11 @@ def inspect(
         fired.append(TTL_BOUND)
     if bind_origin(frame) is not Origin.PIED:
         fired.append(PUBLISHER_WHITELIST)
-    if pub.record_arrival(at) > RATE_MAX_FRAMES:
-        fired.append(RATE_LIMIT)
     if not fired:
         pub.advance(frame)
+    if pub.record_arrival(at) > state.rate_max_frames:
+        fired.append(RATE_LIMIT)
+    if not fired:
         return state, []
     return state, [Alert(at, rule_id, gocb_ref, ingress, digest) for rule_id in fired]
 
@@ -201,23 +217,29 @@ def inspect(
 # ---------------------------------------------------------------------------
 
 
-# How long a re-forwarded digest is remembered: longer than the loop's
-# round trip (out, through the station-bus switch, and back).
+# How long a re-forwarded or first-seen digest is remembered: longer than
+# the loop's round trip (out, through the station-bus switch, and back).
 LOOP_WINDOW_US = 10_000
 
 
 class LoopTracker:
-    """Remembers re-forwarded digests for LOOP_WINDOW_US, to spot own echoes.
+    """Remembers digests for LOOP_WINDOW_US: the ones re-forwarded, to spot
+    own echoes, and the first sighting of each, so its copies are known.
 
     Identical payloads may be re-forwarded several times in flight, so
-    every tag time within the window is kept, not just the latest. Tags
-    come in time order, and ``forget`` drops each digest once its last
-    window has closed, so the memory is bounded by the tags of one window.
+    every tag time within the window is kept, not just the latest. A
+    sighting is kept with what the device made of it, until its window
+    closes. ``forget`` drops each digest once its last window has closed.
+    Tags are made a fixed delay ahead of sightings, so ``_order`` is in
+    time order up to that delay, and the memory is bounded by one window
+    and that delay.
     """
 
     def __init__(self) -> None:
         self._tags: dict[str, list[SimTime]] = {}
-        self._order: deque[tuple[SimTime, str]] = deque()  # every tag, oldest first
+        self._sightings: dict[str, tuple[SimTime, object]] = {}
+        # every tag and sighting, about oldest first
+        self._order: deque[tuple[SimTime, str]] = deque()
 
     def tag_loop(self, digest: str, at: SimTime) -> None:
         times = self._tags.setdefault(digest, [])
@@ -225,18 +247,34 @@ class LoopTracker:
         self._tags[digest] = [t for t in times if t + LOOP_WINDOW_US >= at]
         self._order.append((at, digest))
 
+    def sight(self, digest: str, at: SimTime, outcome: object) -> None:
+        """Remember the first sighting of ``digest`` and what it gave."""
+        self._sightings[digest] = (at, outcome)
+        self._order.append((at, digest))
+
+    def sighting(self, digest: str, at: SimTime) -> object | None:
+        """What ``sight`` kept for ``digest``, if its window holds ``at``."""
+        seen = self._sightings.get(digest)
+        if seen is not None and seen[0] + LOOP_WINDOW_US >= at:
+            return seen[1]
+        return None
+
     def forget(self, now: SimTime) -> None:
         """Drop the digests whose every window closed before ``now``.
 
-        Time does not decrease, so no later ``is_loop`` can match them, and
-        a later ``tag_loop`` of one would drop its old times anyway.
+        Time does not decrease, so no later ``is_loop`` or ``sighting`` can
+        match them, and a later ``tag_loop`` of one would drop its old times
+        anyway.
         """
-        order, tags = self._order, self._tags
+        order, tags, sightings = self._order, self._tags, self._sightings
         while order and order[0][0] + LOOP_WINDOW_US < now:
             _, digest = order.popleft()
             times = tags.get(digest)
             if times is not None and times[-1] + LOOP_WINDOW_US < now:
                 del tags[digest]
+            seen = sightings.get(digest)
+            if seen is not None and seen[0] + LOOP_WINDOW_US < now:
+                del sightings[digest]
 
     def is_loop(self, digest: str, at: SimTime) -> bool:
         return any(
@@ -342,15 +380,24 @@ def mitigate(culprit: Origin) -> list[PortRef]:
 # ---------------------------------------------------------------------------
 
 
+# What the device keeps of a first sighting: its alert notes, in rule
+# order, and the origin it claims (None when no rule fired).
+_Sighting = tuple[tuple[str, ...], Origin | None]
+_CLEAN: _Sighting = ((), None)
+
+
 class IdsNode(SwitchNode):
     """The IDS-integrated SDN device: a switch that also inspects.
 
     It is the ``sub.IDS`` node, and its monitored, loop-out and
     loop-return ports are the ``substation.py`` panel constants that
-    ``Evidence`` and ``mitigate`` read too. Monitored GOOSE arrivals are
-    inspected, then forwarded by the ordinary switch path; a frame
-    forwarded to the loop-out port is remembered so its echo on the loop
-    return is recognised. Abnormal arrivals accumulate as observations.
+    ``Evidence`` and ``mitigate`` read too. The first sighting of each
+    monitored GOOSE digest is inspected against the relay's declared
+    heartbeat ``heartbeat_us``; its copies within the loop window take
+    that sighting's alerts. Every arrival is then forwarded by the
+    ordinary switch path, and a frame forwarded to the loop-out port is
+    remembered so its echo on the loop return is recognised. Abnormal
+    arrivals, copies included, accumulate as observations.
     The first abnormal observation arms a decision timer (long enough for
     the loop echo and any in-flight forwards to land); when it fires, the
     decision table either names a culprit, which is logged and whose
@@ -366,16 +413,16 @@ class IdsNode(SwitchNode):
         *,
         processing_delay: SimTime,
         decision_window_us: SimTime,
+        heartbeat_us: SimTime,
     ):
         super().__init__(net, sub.IDS, table, processing_delay)
-        self.state = SubscriptionState()
+        self.state = SubscriptionState(heartbeat_us)
         self.loops = LoopTracker()
         self.decision_window_us = decision_window_us
         self.evidence = Evidence()
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
         self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
-        self._notes: dict[tuple[str, str], str] = {}  # (rule, gocb) -> alert note
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         if port in sub.IDS_MONITORED and raw.ethertype == GOOSE_ETHERTYPE:
@@ -388,32 +435,33 @@ class IdsNode(SwitchNode):
 
     def _inspect_arrival(self, port: int, raw: RawFrame, at: SimTime) -> None:
         digest = raw.digest
+        loops = self.loops
+        seen = loops.sighting(digest, at)
+        if seen is None:
+            seen = self._inspect_publication(port, raw, at)
+            loops.forget(at)
+            loops.sight(digest, at, seen)
+        notes, origin = seen
+        if not notes:
+            return
+        for note in notes:
+            self.net.log_event("AlertRaised", self.node_id, port, digest, note)
+        # a non-echo loop-return sighting names the switch in ``Evidence.add``
+        loop = port == sub.IDS_LOOP_RETURN and loops.is_loop(digest, at)
+        self._observe(origin, port, digest, loop, at)
+
+    def _inspect_publication(self, port: int, raw: RawFrame, at: SimTime) -> _Sighting:
+        """Inspect a first sighting: its alert notes, and its claimed origin."""
         try:
             frame = decode_goose(raw)
         except CodecError:
-            alert = Alert(at, MALFORMED_RULE_ID, "", port, digest)
-            self._raise_alerts([alert])
             # undecodable frames cannot bind to the relay's identity
-            self._observe(Origin.STATION_BUS_SWITCH, port, digest, loop=False, at=at)
-            return
-        _, alerts = inspect(frame, port, self.state, at, digest)
+            return (f"rule={MALFORMED_RULE_ID} gocb=",), Origin.STATION_BUS_SWITCH
+        _, alerts = inspect(frame, port, self.state, at, raw.digest)
         if not alerts:
-            return
-        self._raise_alerts(alerts)
-        # a non-echo loop-return sighting names the switch in ``Evidence.add``
-        loop = port == sub.IDS_LOOP_RETURN and self.loops.is_loop(digest, at)
-        self._observe(bind_origin(frame), port, digest, loop, at)
-
-    def _raise_alerts(self, alerts: list[Alert]) -> None:
-        notes = self._notes
-        for alert in alerts:
-            key = (alert.rule_id, alert.gocb_ref)
-            note = notes.get(key)
-            if note is None:
-                note = notes[key] = f"rule={alert.rule_id} gocb={alert.gocb_ref}"
-            self.net.log_event(
-                "AlertRaised", self.node_id, alert.ingress_port, alert.digest, note
-            )
+            return _CLEAN
+        notes = tuple(f"rule={a.rule_id} gocb={a.gocb_ref}" for a in alerts)
+        return notes, bind_origin(frame)
 
     def _observe(self, origin: Origin, port: int, digest: str, loop: bool, at: SimTime) -> None:
         if self.verdict is not None:

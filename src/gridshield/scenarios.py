@@ -400,6 +400,7 @@ def _build(spec: ScenarioSpec) -> Network:
             sub.ids_flow_table(with_ids=True),
             processing_delay=spec.delays.t_ids,
             decision_window_us=spec.decision_window_us,
+            heartbeat_us=spec.publish_interval_us,
         )
     else:
         SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)

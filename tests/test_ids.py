@@ -13,12 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridshield import codec
+from gridshield import codec, ids
 from gridshield.codec import GooseFrame, encode_goose, next_publication
 from gridshield.ids import (
     LOOP_WINDOW_US,
     PUBLISHER_WHITELIST,
     RATE_LIMIT,
+    RATE_MAX_FRAMES,
+    RATE_WINDOW_US,
     SEQ_REGRESSION,
     SEQ_SKIP,
     TTL_BOUND,
@@ -163,6 +165,50 @@ class TestRules:
             sequence_rule, TTL_BOUND, PUBLISHER_WHITELIST, RATE_LIMIT
         ]
 
+    @pytest.mark.parametrize("heartbeat_us, bound", [
+        (None, RATE_MAX_FRAMES),
+        (1_000_000, RATE_MAX_FRAMES + 1),
+        (2_000, RATE_MAX_FRAMES + 50),
+        (3_000, RATE_MAX_FRAMES + 34),  # a window holds up to 34 of them
+    ])
+    def test_rate_bound_adds_the_declared_heartbeat_to_the_floor(self, heartbeat_us, bound):
+        state = SubscriptionState(heartbeat_us)
+        frame = pied_frame()
+        spacing = RATE_WINDOW_US // (bound + 2)
+        alerts = feed(state, [frame] * (bound + 1), spacing=spacing)
+        assert not any(alerts[:bound])
+        assert [a.rule_id for a in alerts[bound]] == [RATE_LIMIT]
+
+    def test_a_rate_alert_alone_still_advances_the_sequence(self):
+        """A burst that breaks only the rate rule leaves no latch: the
+        publications after it are in sequence, not skips."""
+        state = SubscriptionState()
+        frame, chain = pied_frame(), []
+        for i in range(RATE_MAX_FRAMES + 5):
+            chain.append(frame)
+            frame = next_publication(frame, state_changed=False, now=(i + 1) * 1_000)
+        alerts = feed(state, chain, spacing=1_000)
+        assert {a.rule_id for batch in alerts for a in batch} == {RATE_LIMIT}
+        _, alerts = inspect_frame(frame, IDS_MAIN_FEED, state, 10**6)
+        assert not alerts
+
+    def test_a_stale_replay_never_advances_the_state(self):
+        """Replays that also break the rate rule leave the position where
+        the relay's last clean publication put it."""
+        state = SubscriptionState()
+        first = pied_frame()
+        frame = next_publication(first, state_changed=True, now=1_000)
+        feed(state, [first, frame])
+        pub = state.publisher(GOCB_REF)
+        position = (pub.last_st, pub.last_sq)
+        replays = feed(state, [first] * (RATE_MAX_FRAMES + 2), start_at=10**6, spacing=1_000)
+        assert all(SEQ_REGRESSION in {a.rule_id for a in batch} for batch in replays)
+        assert any(RATE_LIMIT in {a.rule_id for a in batch} for batch in replays)
+        assert (pub.last_st, pub.last_sq) == position
+        follow = next_publication(frame, state_changed=False, now=2 * 10**6)
+        _, alerts = inspect_frame(follow, IDS_MAIN_FEED, state, 2 * 10**6)
+        assert not alerts
+
 
 class TestSequenceOracle:
     """Brute-force oracle: replay the chain, compare lexicographic order."""
@@ -230,6 +276,29 @@ class TestLoopTracker:
             most = max(most, len(loops._tags), len(loops._order))
         assert most <= (LOOP_WINDOW_US + 4_000) // 2_000 + 3
 
+    def test_sighting_memory_is_bounded_at_a_2_ms_publish_interval(self):
+        """Driven as the device drives it for a simulated minute: each
+        publication first sighted on arrival, and tagged at its departure
+        4 ms later."""
+        loops = LoopTracker()
+        most_sightings = most_order = 0
+        for i in range(30_000):
+            now = i * 2_000
+            loops.forget(now)
+            loops.sight(f"pub{i}", now, "outcome")
+            loops.tag_loop(f"pub{i}", now + 4_000)
+            most_sightings = max(most_sightings, len(loops._sightings))
+            most_order = max(most_order, len(loops._order))
+        assert most_sightings <= LOOP_WINDOW_US // 2_000 + 2
+        assert most_order <= 2 * ((LOOP_WINDOW_US + 4_000) // 2_000 + 3)
+
+    def test_sighting_holds_for_one_window(self):
+        loops = LoopTracker()
+        loops.sight("abcd", 1_000, "outcome")
+        assert loops.sighting("abcd", 1_000 + LOOP_WINDOW_US) == "outcome"
+        assert loops.sighting("abcd", 1_000 + LOOP_WINDOW_US + 1) is None
+        assert loops.sighting("ffff", 1_000) is None
+
     @settings(max_examples=300)
     @given(
         delay=st.sampled_from([0, 4_000, LOOP_WINDOW_US, 3 * LOOP_WINDOW_US]),
@@ -263,12 +332,55 @@ class TestLoopTracker:
             else:
                 assert loops.is_loop(digest, now) == remembers.is_loop(digest, now)
 
+    @settings(max_examples=300)
+    @given(
+        delay=st.sampled_from([0, 4_000, LOOP_WINDOW_US]),
+        steps=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0, 1, 2_000, LOOP_WINDOW_US - 1, LOOP_WINDOW_US + 1]),
+                    st.integers(0, 2 * LOOP_WINDOW_US),
+                ),
+                st.sampled_from(["sight", "tag", "query"]),
+                st.sampled_from(["d0", "d1", "d2"]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_forgetting_changes_no_sighting(self, delay, steps):
+        """Sightings now and tags ``delay`` ahead share one forgetting
+        order, as the device makes them; no answer may change."""
+        loops, remembers = LoopTracker(), RememberingLoopTracker()
+        now = 0
+        for step, op, digest in steps:
+            now += step
+            if op == "query":
+                assert loops.sighting(digest, now) == remembers.sighting(digest, now)
+                assert loops.is_loop(digest, now) == remembers.is_loop(digest, now)
+                continue
+            loops.forget(now)
+            if op == "tag":
+                loops.tag_loop(digest, now + delay)
+                remembers.tag_loop(digest, now + delay)
+            elif loops.sighting(digest, now) is None:
+                loops.sight(digest, now, now)
+                remembers.sight(digest, now, now)
+
 
 class RememberingLoopTracker:
-    """LoopTracker before it forgot digests: one key per digest ever tagged."""
+    """LoopTracker before it forgot digests: one key per digest ever tagged
+    or sighted."""
 
     def __init__(self):
         self._tags = {}
+        self._sightings = {}
+
+    def sight(self, digest, at, outcome):
+        self._sightings[digest] = (at, outcome)
+
+    def sighting(self, digest, at):
+        seen = self._sightings.get(digest)
+        return seen[1] if seen is not None and seen[0] + LOOP_WINDOW_US >= at else None
 
     def tag_loop(self, digest, at):
         times = self._tags.setdefault(digest, [])
@@ -444,6 +556,87 @@ class TestInspectDigest:
         assert alerts and alerts[0].digest == frame_digest(encode_goose(frame))
 
 
+class TestFirstSighting:
+    """The device inspects each digest once and observes every sighting."""
+
+    @pytest.fixture
+    def device(self, monkeypatch):
+        decoded = []
+
+        def decode(raw):
+            decoded.append(raw.digest)
+            return codec.decode_goose(raw)
+
+        monkeypatch.setattr(ids, "decode_goose", decode)
+        device = _build(load_scenario("attack1")).handlers[IDS]
+        device.decoded = decoded
+        return device
+
+    @staticmethod
+    def arrive(device, arrivals):
+        for at, port, raw in sorted(arrivals, key=lambda a: a[0]):
+            device.on_frame(port, raw, at)
+
+    @staticmethod
+    def alerts(device):
+        return [(ev.port, ev.note) for ev in device.net.log if ev.kind == "AlertRaised"]
+
+    def test_copies_on_three_ports_count_once_towards_the_rate_rule(self, device):
+        """Publications at the heartbeat-derived bound, each seen on the
+        direct and main feeds and, 6 ms later, as its own loop echo."""
+        frame, raws = pied_frame(), []
+        for i in range(device.state.rate_max_frames):
+            raws.append(encode_goose(frame))
+            frame = next_publication(frame, state_changed=False, now=(i + 1) * 5_000)
+        self.arrive(device, [
+            arrival
+            for i, raw in enumerate(raws)
+            for arrival in (
+                (i * 5_000, IDS_PIED_FEED, raw),
+                (i * 5_000, IDS_MAIN_FEED, raw),
+                (i * 5_000 + 6_000, IDS_LOOP_RETURN, raw),
+            )
+        ])
+        assert self.alerts(device) == []
+        assert device.decoded == [raw.digest for raw in raws]
+        assert len(device.state.publisher(GOCB_REF).arrivals) == len(raws)
+
+    def test_an_abnormal_copy_is_alerted_and_observed_on_its_own_port(self, device):
+        first = pied_frame()
+        follow = encode_goose(next_publication(first, state_changed=True, now=1_000))
+        stale = encode_goose(first)
+        self.arrive(device, [
+            (0, IDS_MAIN_FEED, encode_goose(first)),
+            (1_000, IDS_MAIN_FEED, follow),
+            # the replay, seen on the main feed and, not as an echo, on the
+            # loop return before the main-feed copy's own echo
+            (50_000, IDS_MAIN_FEED, stale),
+            (51_000, IDS_LOOP_RETURN, stale),
+            (56_000, IDS_LOOP_RETURN, stale),
+        ])
+        note = f"rule={SEQ_REGRESSION} gocb={GOCB_REF}"
+        assert self.alerts(device) == [
+            (IDS_MAIN_FEED, note), (IDS_LOOP_RETURN, note), (IDS_LOOP_RETURN, note)
+        ]
+        assert device.decoded[2:] == [stale.digest]  # the replay, once
+        assert [(o.ingress_port, o.loop, o.digest) for o in device.evidence.observations] == [
+            (IDS_MAIN_FEED, False, stale.digest),
+            (IDS_LOOP_RETURN, False, stale.digest),
+            (IDS_LOOP_RETURN, True, stale.digest),
+        ]
+        assert device.evidence.decide().culprit is Origin.STATION_BUS_SWITCH
+
+    def test_a_copy_after_the_window_is_inspected_again(self, device):
+        raw = encode_goose(pied_frame(time_allowed_to_live=120_000))
+        self.arrive(device, [
+            (0, IDS_MAIN_FEED, raw),
+            (LOOP_WINDOW_US, IDS_PIED_FEED, raw),
+            (LOOP_WINDOW_US + 1, IDS_PIED_FEED, raw),
+        ])
+        assert device.decoded == [raw.digest, raw.digest]
+        assert len(self.alerts(device)) == 3
+
+
 class TestDeviceAtStormRate:
     """The inspector in attack1 with the relay publishing every 2 ms."""
 
@@ -469,6 +662,7 @@ class TestDeviceAtStormRate:
         assert kept == [o[1:] for o in device.verdict.evidence]
 
     def test_loop_memory_holds_only_the_last_window(self, device):
-        # about one tag per 2 ms publication, each remembered 10 ms after
-        # its 4 ms departure
-        assert 0 < len(device.loops._tags) <= 10
+        # one first sighting per 2 ms publication, each remembered for
+        # 10 ms; the verdict cut the loop, so no tag window is still open
+        assert 0 < len(device.loops._sightings) <= LOOP_WINDOW_US // 2_000 + 1
+        assert not device.loops._tags

@@ -248,7 +248,7 @@ class TestDeterminismAndPurity:
 # on purpose updates these values and says why in CHANGES.md.
 GOLDEN_LOG_SHA256 = {
     "baseline": "6f4b458f8e6d74044efff897b317d34276ae617bb09a0dcc8e5fbd0356d7828b",
-    "attack1": "e686d7212816e764f2307e4f3bc3a8ee754302896ca40192454f5144390f57d9",
+    "attack1": "14bc5084957b517f79ee40219a0250cc36a55b4afcf83c0137711fc6da330fea",
     "attack2": "c0886ff736e1dd6fda03f609d7c37273ce2ca19ddde3bf16d12747de1c454643",
 }
 
@@ -260,14 +260,14 @@ def test_fixture_log_matches_golden_digest(sid, request):
 
 
 # The attack fixtures at the goose_storm rate: the relay publishes every
-# 2 ms, so the inspector sees thousands of frames and raises about 10,000
-# alerts per run, against a fixture's few dozen frames. sha256 of each
-# events.jsonl (41,149 and 41,210 events). Detection at realistic GOOSE rates
-# (ROADMAP item 1) will move these on purpose; until then both runs FAIL.
+# 2 ms, so the inspector sees thousands of frames against a fixture's few
+# dozen, and inspects each publication once however many copies reach it.
+# Both runs PASS with the fixtures' alerts (15 and 10, all on injected
+# frames). sha256 of each events.jsonl (31,423 and 30,522 events).
 STORM_RATE = {"publish_interval_ms": 2, "samples_per_second": 100}
 GOLDEN_STORM_RATE_LOG_SHA256 = {
-    "attack1": "95c2d8c930a15b98de735ae5a9c0094d45c918880d38f77193b80399bdb9b261",
-    "attack2": "2bf2f1effb613f0a21e7704006d1022dac3ad9f6f7620a111b0a520413269e26",
+    "attack1": "b4a4ed008546a19b81921d5566bc7a20a8f8984f547362ccfc287faa259ec4bd",
+    "attack2": "ac4e42c12d66d9c0fd10644b7d4e5a63866ec05961d74ebcd9de86eac4ea0b0b",
 }
 
 
@@ -275,6 +275,25 @@ GOLDEN_STORM_RATE_LOG_SHA256 = {
 def test_storm_rate_log_matches_golden_digest(sid):
     text = run_scenario(load_scenario(sid, STORM_RATE)).log.to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_STORM_RATE_LOG_SHA256[sid]
+
+
+EXPECTED_CULPRIT = {"baseline": None, "attack1": "StationBusSwitch", "attack2": "PIED"}
+
+
+@pytest.mark.parametrize("sid", sorted(EXPECTED_CULPRIT))
+@pytest.mark.parametrize("interval_ms", [2, 10, 50, 1000])
+def test_detection_holds_at_every_publish_interval(sid, interval_ms):
+    """The shipped scenarios PASS, name their culprit and alert on nothing
+    but injected frames, whatever the relay's heartbeat."""
+    overrides = {"publish_interval_ms": interval_ms, "samples_per_second": 100}
+    result = run_scenario(load_scenario(sid, overrides))
+    injected = {ev.digest for ev in result.log if ev.note == "injected"}
+    false_alerts = [
+        ev for ev in result.log if ev.kind == "AlertRaised" and ev.digest not in injected
+    ]
+    assert result.passed, result.reasons
+    assert false_alerts == []
+    assert result.verdict_culprit == EXPECTED_CULPRIT[sid]
 
 
 class TestLogMemory:
