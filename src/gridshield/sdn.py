@@ -4,8 +4,9 @@ A frame is matched against *every* entry whose set fields all equal the
 frame's values; the union of the matching entries' actions is applied,
 with duplicate forwards to the same port coalesced into a single
 emission. This collect-all behavior is what lets one ingress frame be
-replicated to several monitor ports at once. An unmatched frame is
-dropped.
+replicated to several monitor ports at once. A frame that matches only
+explicit ``Drop`` actions is dropped as ``flow_drop``; an unmatched frame
+is dropped as ``no_forwarding_entry``.
 
 A switch's table is fixed when it is built; there is no controller
 channel. The only port-disable path is the inspector's mitigation
@@ -15,7 +16,8 @@ A :class:`SwitchNode` decides each flow once, as an OpenFlow switch's flow
 cache does. A decision depends only on the ingress port and the
 ethertype bytes (a frame too short to carry an ethertype has fewer than
 two of them, and no entry with an ethertype matches it), so the node
-caches the egress ports of ``match_frame`` under that key.
+caches the egress ports of ``match_frame``, and the reason it logs when
+there are none, under that key.
 """
 
 from __future__ import annotations
@@ -118,7 +120,9 @@ class SwitchNode:
     """A switch attached to the engine; forwards per its flow table.
 
     Each Forward action becomes a departure ``processing_delay`` after the
-    frame's arrival; a frame with no emission is logged as a Drop.
+    frame's arrival; a frame with no emission is logged as a Drop, with the
+    reason ``flow_drop`` when an entry matched it and ``no_forwarding_entry``
+    when none did.
     """
 
     def __init__(self, net: Network, node_id: str, table: FlowTable, processing_delay: SimTime):
@@ -134,8 +138,9 @@ class SwitchNode:
                     )
         self.table = table
         self.processing_delay = processing_delay
-        # (ingress, ethertype bytes) -> egress ports
-        self._decisions: dict[tuple[int, bytes], tuple[PortRef, ...]] = {}
+        # (ingress, ethertype bytes) -> egress ports, and the drop reason
+        # when there are none
+        self._decisions: dict[tuple[int, bytes], tuple[tuple[PortRef, ...], str | None]] = {}
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
         self.process_frame(raw, port, at)
@@ -143,18 +148,25 @@ class SwitchNode:
     def process_frame(self, raw: RawFrame, ingress: int, at: SimTime) -> tuple[PortRef, ...]:
         """Apply the flow's decision to one frame; return its egress ports."""
         key = (ingress, raw.data[12:14])  # the ethertype's bytes
-        egress = self._decisions.get(key)
-        if egress is None:
-            egress = self._decisions[key] = tuple(
-                PortRef(self.node_id, a.port)
-                for a in match_frame(self.table, raw, ingress)
-                if isinstance(a, Forward)
-            )
-        if not egress:
-            self.net.log_event(
-                "Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry"
-            )
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = self._flow_decision(raw, ingress)
+        egress, drop_reason = decision
+        if drop_reason is not None:
+            self.net.log_event("Drop", self.node_id, ingress, raw.digest, drop_reason)
         depart = at + self.processing_delay
         for port in egress:
             self.net.send(port, raw, depart)
         return egress
+
+    def _flow_decision(self, raw: RawFrame, ingress: int) -> tuple[tuple[PortRef, ...], str | None]:
+        egress = tuple(
+            PortRef(self.node_id, a.port)
+            for a in match_frame(self.table, raw, ingress)
+            if isinstance(a, Forward)
+        )
+        if egress:
+            return egress, None
+        if any(e.match.matches(raw, ingress) for e in self.table.entries):
+            return egress, "flow_drop"
+        return egress, "no_forwarding_entry"

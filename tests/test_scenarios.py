@@ -247,9 +247,9 @@ class TestDeterminismAndPurity:
 # sha256 of each shipped fixture's events.jsonl. A change that alters a log
 # on purpose updates these values and says why in CHANGES.md.
 GOLDEN_LOG_SHA256 = {
-    "baseline": "6f4b458f8e6d74044efff897b317d34276ae617bb09a0dcc8e5fbd0356d7828b",
-    "attack1": "14bc5084957b517f79ee40219a0250cc36a55b4afcf83c0137711fc6da330fea",
-    "attack2": "c0886ff736e1dd6fda03f609d7c37273ce2ca19ddde3bf16d12747de1c454643",
+    "baseline": "19dcdb99a2843163283256242465fd38ca5fb8ba5bd2693db8995314c1a29722",
+    "attack1": "7ef0c86228fc2c5102edcbcd7bc74b4eba0e2595ce11d1424f7ebff105d53426",
+    "attack2": "7266c470ae3bc48f4d6fb580b19e361351ec20a3026bf2cc2e108d1fe151d164",
 }
 
 
@@ -266,8 +266,8 @@ def test_fixture_log_matches_golden_digest(sid, request):
 # frames). sha256 of each events.jsonl (31,423 and 30,522 events).
 STORM_RATE = {"publish_interval_ms": 2, "samples_per_second": 100}
 GOLDEN_STORM_RATE_LOG_SHA256 = {
-    "attack1": "b4a4ed008546a19b81921d5566bc7a20a8f8984f547362ccfc287faa259ec4bd",
-    "attack2": "ac4e42c12d66d9c0fd10644b7d4e5a63866ec05961d74ebcd9de86eac4ea0b0b",
+    "attack1": "db16e485402a0f1b1906bd37fb1d0996e834ebd05729d9e0ebb90cf524689ff1",
+    "attack2": "354b9b90f55d7829e9be67df0958deb7467502bb16a43ad5a00acb36b7bf51d3",
 }
 
 

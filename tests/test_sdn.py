@@ -151,6 +151,20 @@ class TestSwitchNode:
         drops = [ev for ev in events_of_kind(log, "Drop") if ev.note == "no_forwarding_entry"]
         assert len(drops) == 1
 
+    def test_explicit_drop_is_logged_as_a_flow_drop(self):
+        table = FlowTable(entries=(
+            entry(100, [Drop()], ingress_port=6),
+            entry(90, [Forward(5)], ingress_port=3),
+        ))
+        net, _ = switch_net(table)
+        net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=0)
+        net.inject_ingress(PortRef("sw", 4), GOOSE_RAW, at=100)
+        log = net.run_until(10_000)
+        assert not events_of_kind(log, "FrameDeparture")
+        assert [(ev.port, ev.note) for ev in events_of_kind(log, "Drop")] == [
+            (6, "flow_drop"), (4, "no_forwarding_entry")
+        ]
+
     def test_forward_to_nonexistent_port_rejected(self):
         from gridshield.netsim import UnknownPort
 
@@ -237,7 +251,9 @@ class PerFrameSwitch(SwitchNode):
                 self.net.send(PortRef(self.node_id, action.port), raw, at + self.processing_delay)
                 emitted = True
         if not emitted:
-            self.net.log_event("Drop", self.node_id, ingress, raw.digest, "no_forwarding_entry")
+            matched = any(e.match.matches(raw, ingress) for e in self.table.entries)
+            reason = "flow_drop" if matched else "no_forwarding_entry"
+            self.net.log_event("Drop", self.node_id, ingress, raw.digest, reason)
 
 
 FLOW_MACS = (MacAddress.parse("00:30:A7:00:00:01"), OTHER_MAC)
