@@ -160,6 +160,7 @@ class SwitchNode:
         return egress
 
     def _flow_decision(self, raw: RawFrame, ingress: int) -> tuple[tuple[PortRef, ...], str | None]:
+        """The egress ports of the frame's flow, and its drop reason if none."""
         egress = tuple(
             PortRef(self.node_id, a.port)
             for a in match_frame(self.table, raw, ingress)
