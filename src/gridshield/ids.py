@@ -3,16 +3,19 @@
 The inspection device watches three of its ports: the main feed from the
 station-bus switch, the relay's direct feed, and the loop return. Each
 relay publication reaches it up to three times (on the direct and main
-feeds, then on the loop return), so the device inspects a digest once, on
-its first sighting: the five fixed rules (sequence regression, sequence
-skip, TTL bounds, publisher whitelist, rate limit), whose ids and bounds
-are the constants below, run over the decoded frame and update the
-subscription state. A copy of that digest within the loop window is not a
-new publication; it is neither decoded nor counted again, and takes the
-first sighting's rules. Every sighting of an abnormal digest, copies
-included, is alerted and becomes an :class:`ObservationRecord` with its
-own port. The only legitimate publisher is the relay, whose control block
-reference and source address are the ``substation.py`` identities.
+feeds, then on the loop return), at most once per port, so the device
+inspects a digest on its first sighting: the five fixed rules (sequence
+regression, sequence skip, TTL bounds, publisher whitelist, rate limit),
+whose ids and bounds are the constants below, run over the decoded frame
+and update the subscription state. Within the loop window, an arrival of
+that digest on a port that has not seen it yet, or the echo of a frame
+the device sent round the loop, is a copy of the same publication; it is
+neither decoded nor counted again, and takes the inspection's rules. Any
+other arrival on a port that already saw it is a new one, as in a flood
+of identical frames, and is inspected and counted again. Every sighting of an abnormal digest, copies included, is alerted
+and becomes an :class:`ObservationRecord` with its own port. The only
+legitimate publisher is the relay, whose control block reference and
+source address are the ``substation.py`` identities.
 
 Frames received on the main feed are re-forwarded onto a loop through the
 station-bus switch and come back on the loop return port. The device
@@ -119,14 +122,12 @@ class SubscriptionState:
     inspected frame feeds the rate rule, whose bound is the
     ``RATE_MAX_FRAMES`` floor plus the publications that the subscribed
     heartbeat ``heartbeat_us`` (a substation configuration declares it)
-    puts in one ``RATE_WINDOW_US``; without one, the floor alone.
+    puts in one ``RATE_WINDOW_US``.
     """
 
-    def __init__(self, heartbeat_us: SimTime | None = None) -> None:
+    def __init__(self, heartbeat_us: SimTime) -> None:
         self._by_gocb: dict[str, _PublisherState] = {}
-        self.rate_max_frames = RATE_MAX_FRAMES
-        if heartbeat_us is not None:
-            self.rate_max_frames += -(-RATE_WINDOW_US // heartbeat_us)  # ceil
+        self.rate_max_frames = RATE_MAX_FRAMES - (-RATE_WINDOW_US // heartbeat_us)  # ceil
 
     def publisher(self, gocb_ref: str) -> _PublisherState:
         pub = self._by_gocb.get(gocb_ref)
@@ -182,9 +183,9 @@ def inspect(
     """Run the five rules over one decoded frame; update state; return alerts.
 
     ``digest`` is the wire digest of the frame's bytes. Alerts come in rule
-    order. Each call is one publication towards the rate rule (the device
-    calls it once per digest, not per copy); the sequencing state advances
-    unless a sequence, TTL or whitelist rule fired.
+    order. Each call is one arrival towards the rate rule (the device calls
+    it once per arrival, not per copy on another port); the sequencing
+    state advances unless a sequence, TTL or whitelist rule fired.
     """
     fired: list[str] = []
     gocb_ref = frame.gocb_ref
@@ -224,7 +225,7 @@ LOOP_WINDOW_US = 10_000
 
 class LoopTracker:
     """Remembers digests for LOOP_WINDOW_US: the ones re-forwarded, to spot
-    own echoes, and the first sighting of each, so its copies are known.
+    own echoes, and the last inspection of each, so its copies are known.
 
     Identical payloads may be re-forwarded several times in flight, so
     every tag time within the window is kept, not just the latest. A
@@ -248,7 +249,7 @@ class LoopTracker:
         self._order.append((at, digest))
 
     def sight(self, digest: str, at: SimTime, outcome: object) -> None:
-        """Remember the first sighting of ``digest`` and what it gave."""
+        """Remember an inspection of ``digest`` at ``at`` and what it gave."""
         self._sightings[digest] = (at, outcome)
         self._order.append((at, digest))
 
@@ -380,10 +381,17 @@ def mitigate(culprit: Origin) -> list[PortRef]:
 # ---------------------------------------------------------------------------
 
 
-# What the device keeps of a first sighting: its alert notes, in rule
-# order, and the origin it claims (None when no rule fired).
-_Sighting = tuple[tuple[str, ...], Origin | None]
-_CLEAN: _Sighting = ((), None)
+class _Sighting:
+    """What the device made of a digest's last inspection: its alert notes,
+    in rule order, the origin it claims (None when no rule fired), and the
+    monitored ports that have seen the digest since."""
+
+    __slots__ = ("notes", "origin", "ports")
+
+    def __init__(self, notes: tuple[str, ...], origin: Origin | None, ports: set[int]):
+        self.notes = notes
+        self.origin = origin
+        self.ports = ports
 
 
 class IdsNode(SwitchNode):
@@ -393,12 +401,13 @@ class IdsNode(SwitchNode):
     loop-return ports are the ``substation.py`` panel constants that
     ``Evidence`` and ``mitigate`` read too. The first sighting of each
     monitored GOOSE digest is inspected against the relay's declared
-    heartbeat ``heartbeat_us``; its copies within the loop window take
-    that sighting's alerts. Every arrival is then forwarded by the
-    ordinary switch path, and a frame forwarded to the loop-out port is
-    remembered so its echo on the loop return is recognised. Abnormal
-    arrivals, copies included, accumulate as observations.
-    The first abnormal observation arms a decision timer (long enough for
+    heartbeat ``heartbeat_us``; within the loop window, its copies on the
+    other ports and its own loop echoes take that inspection's alerts, and
+    any other repeat on a port that already saw it is inspected again. Every arrival is then
+    forwarded by the ordinary switch path, and a frame forwarded to the
+    loop-out port is remembered so its echo on the loop return is
+    recognised. Abnormal arrivals, copies included, accumulate as
+    observations. The first abnormal observation arms a decision timer (long enough for
     the loop echo and any in-flight forwards to land); when it fires, the
     decision table either names a culprit, which is logged and whose
     ``mitigate`` ports are disabled, or the evidence is logged as
@@ -437,21 +446,29 @@ class IdsNode(SwitchNode):
         digest = raw.digest
         loops = self.loops
         seen = loops.sighting(digest, at)
-        if seen is None:
-            seen = self._inspect_publication(port, raw, at)
+        if seen is not None and port not in seen.ports:
+            seen.ports.add(port)  # a copy: a publication reaches each port once
+            notes = seen.notes
+        elif seen is not None and port == sub.IDS_LOOP_RETURN and loops.is_loop(digest, at):
+            notes = seen.notes  # the echo of a copy the device sent round the loop
+        else:
+            # a first sighting, or a repeat that no copy explains: a new arrival
+            notes, origin = self._inspect_frame(port, raw, at)
+            seen = _Sighting(notes, origin, {port} if seen is None else seen.ports)
             loops.forget(at)
             loops.sight(digest, at, seen)
-        notes, origin = seen
         if not notes:
             return
         for note in notes:
             self.net.log_event("AlertRaised", self.node_id, port, digest, note)
         # a non-echo loop-return sighting names the switch in ``Evidence.add``
         loop = port == sub.IDS_LOOP_RETURN and loops.is_loop(digest, at)
-        self._observe(origin, port, digest, loop, at)
+        self._observe(seen.origin, port, digest, loop, at)
 
-    def _inspect_publication(self, port: int, raw: RawFrame, at: SimTime) -> _Sighting:
-        """Inspect a first sighting: its alert notes, and its claimed origin."""
+    def _inspect_frame(
+        self, port: int, raw: RawFrame, at: SimTime
+    ) -> tuple[tuple[str, ...], Origin | None]:
+        """Decode and inspect one arrival: its alert notes, and its claimed origin."""
         try:
             frame = decode_goose(raw)
         except CodecError:
@@ -459,7 +476,7 @@ class IdsNode(SwitchNode):
             return (f"rule={MALFORMED_RULE_ID} gocb=",), Origin.STATION_BUS_SWITCH
         _, alerts = inspect(frame, port, self.state, at, raw.digest)
         if not alerts:
-            return _CLEAN
+            return (), None
         notes = tuple(f"rule={a.rule_id} gocb={a.gocb_ref}" for a in alerts)
         return notes, bind_origin(frame)
 

@@ -54,6 +54,7 @@ from gridshield.util import frame_digest
 from tests.test_codec import golden_goose_frame
 
 OTHER_GOCB = "OTHER/LLN0$GO$gcb9"
+HEARTBEAT_US = 1_000_000  # the shipped scenarios' publish interval
 
 
 def pied_frame(**overrides) -> GooseFrame:
@@ -84,36 +85,36 @@ class TestRules:
         for i in range(20):
             frame = next_publication(frame, state_changed=(i == 7), now=(i + 1) * 1_000_000)
             chain.append(frame)
-        alerts = feed(SubscriptionState(), chain)
+        alerts = feed(SubscriptionState(HEARTBEAT_US), chain)
         assert all(not a for a in alerts)
 
     def test_stale_st_num_is_regression(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         feed(state, [pied_frame(st_num=3, sq_num=2)])
         _, alerts = inspect_frame(pied_frame(st_num=2, sq_num=9), IDS_MAIN_FEED, state, 10**6)
         assert any(a.rule_id == "seq_regression" for a in alerts)
 
     def test_sq_rewind_without_st_change_is_regression(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         feed(state, [pied_frame(st_num=1, sq_num=5)])
         _, alerts = inspect_frame(pied_frame(st_num=1, sq_num=2), IDS_MAIN_FEED, state, 10**6)
         assert any(a.rule_id == "seq_regression" for a in alerts)
 
     def test_duplicate_copy_is_not_a_regression(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         frame = pied_frame(st_num=2, sq_num=4)
         feed(state, [frame])
         _, alerts = inspect_frame(frame, IDS_PIED_FEED, state, 10**6)
         assert not alerts
 
     def test_sq_jump_is_skip(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         feed(state, [pied_frame(st_num=1, sq_num=1)])
         _, alerts = inspect_frame(pied_frame(st_num=1, sq_num=4), IDS_MAIN_FEED, state, 10**6)
         assert any(a.rule_id == "seq_skip" for a in alerts)
 
     def test_abnormal_frame_does_not_poison_state(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         good = pied_frame(st_num=2, sq_num=3)
         feed(state, [good])
         inspect_frame(pied_frame(st_num=1, sq_num=0), IDS_MAIN_FEED, state, 10**6)
@@ -122,30 +123,30 @@ class TestRules:
         assert not alerts
 
     def test_ttl_outside_bounds(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         _, alerts = inspect_frame(
             pied_frame(time_allowed_to_live=120_000), IDS_MAIN_FEED, state, 0
         )
         assert any(a.rule_id == "ttl_bound" for a in alerts)
 
     def test_foreign_source_mac_hits_whitelist(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         bad = pied_frame(src=golden_goose_frame().dst)
         _, alerts = inspect_frame(bad, IDS_MAIN_FEED, state, 0)
         assert any(a.rule_id == "publisher_whitelist" for a in alerts)
 
     def test_unknown_gocb_hits_whitelist(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         _, alerts = inspect_frame(pied_frame(gocb_ref=OTHER_GOCB), IDS_MAIN_FEED, state, 0)
         assert any(a.rule_id == "publisher_whitelist" for a in alerts)
 
     def test_rate_limit_on_flood(self):
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         frame = pied_frame()
         flood = [frame] * 12
         alerts = feed(state, flood, spacing=1_000)  # 12 within 100ms
         assert any(any(a.rule_id == "rate_limit" for a in batch) for batch in alerts)
-        assert not any(a for a in alerts[:10])
+        assert not any(a for a in alerts[:state.rate_max_frames])
 
     @pytest.mark.parametrize("st_num, sq_num, sequence_rule", [
         (1, 0, SEQ_REGRESSION),
@@ -154,8 +155,8 @@ class TestRules:
     def test_alerts_come_in_rule_order(self, st_num, sq_num, sequence_rule):
         """A frame that breaks four rules at once gets their alerts in the
         fixed rule order, which is the order the device logs them."""
-        state = SubscriptionState()
-        feed(state, [pied_frame(st_num=2, sq_num=3)] * 10, spacing=1_000)
+        state = SubscriptionState(HEARTBEAT_US)
+        feed(state, [pied_frame(st_num=2, sq_num=3)] * state.rate_max_frames, spacing=1_000)
         bad = pied_frame(
             st_num=st_num, sq_num=sq_num, time_allowed_to_live=120_000,
             src=golden_goose_frame().dst,
@@ -166,7 +167,6 @@ class TestRules:
         ]
 
     @pytest.mark.parametrize("heartbeat_us, bound", [
-        (None, RATE_MAX_FRAMES),
         (1_000_000, RATE_MAX_FRAMES + 1),
         (2_000, RATE_MAX_FRAMES + 50),
         (3_000, RATE_MAX_FRAMES + 34),  # a window holds up to 34 of them
@@ -182,7 +182,7 @@ class TestRules:
     def test_a_rate_alert_alone_still_advances_the_sequence(self):
         """A burst that breaks only the rate rule leaves no latch: the
         publications after it are in sequence, not skips."""
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         frame, chain = pied_frame(), []
         for i in range(RATE_MAX_FRAMES + 5):
             chain.append(frame)
@@ -195,7 +195,7 @@ class TestRules:
     def test_a_stale_replay_never_advances_the_state(self):
         """Replays that also break the rate rule leave the position where
         the relay's last clean publication put it."""
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         first = pied_frame()
         frame = next_publication(first, state_changed=True, now=1_000)
         feed(state, [first, frame])
@@ -225,7 +225,7 @@ class TestSequenceOracle:
             frame = next_publication(frame, changed, now=(i + 1) * 1_000_000)
             chain.append(frame)
 
-        state = SubscriptionState()
+        state = SubscriptionState(HEARTBEAT_US)
         feed(state, chain, spacing=1_000_000)
 
         candidate = chain[pick.draw(st.integers(0, len(chain) - 1))]
@@ -552,7 +552,7 @@ class TestMitigate:
 class TestInspectDigest:
     def test_alert_digest_matches_wire_digest(self):
         frame = pied_frame(time_allowed_to_live=999_999)
-        _, alerts = inspect_frame(frame, IDS_MAIN_FEED, SubscriptionState(), 0)
+        _, alerts = inspect_frame(frame, IDS_MAIN_FEED, SubscriptionState(HEARTBEAT_US), 0)
         assert alerts and alerts[0].digest == frame_digest(encode_goose(frame))
 
 
@@ -625,6 +625,33 @@ class TestFirstSighting:
             (IDS_LOOP_RETURN, True, stale.digest),
         ]
         assert device.evidence.decide().culprit is Origin.STATION_BUS_SWITCH
+
+    @pytest.mark.parametrize("port", [IDS_MAIN_FEED, IDS_LOOP_RETURN])
+    def test_a_flood_of_identical_frames_on_one_port_trips_the_rate_rule(self, device, port):
+        """A repeat on a port that already saw the digest is a new arrival,
+        not a copy: the classic GOOSE flood of one replayed publication."""
+        raw = encode_goose(pied_frame())
+        flood = [(i * 1_000, port, raw) for i in range(12)]  # 12 within 100 ms
+        self.arrive(device, flood)
+        assert device.decoded == [raw.digest] * len(flood)
+        rate = (port, f"rule={RATE_LIMIT} gocb={GOCB_REF}")
+        assert self.alerts(device) == [rate] * (len(flood) - device.state.rate_max_frames)
+
+    def test_repeats_count_again_but_own_echoes_do_not(self, device):
+        """After its copies, a digest's repeat on the feeds is inspected and
+        counted again; the echo of a frame the device sent round the loop
+        is not, though the loop return has seen the digest already."""
+        raw = encode_goose(pied_frame())
+        self.arrive(device, [
+            (0, IDS_PIED_FEED, raw),
+            (0, IDS_MAIN_FEED, raw),  # sent round the loop, back 4 ms on
+            (6_000, IDS_LOOP_RETURN, raw),  # its echo: a copy
+            (7_000, IDS_PIED_FEED, raw),  # a repeat
+            (8_000, IDS_MAIN_FEED, raw),  # a repeat
+            (9_000, IDS_LOOP_RETURN, raw),  # inside a loop window: taken for an echo
+        ])
+        assert device.decoded == [raw.digest] * 3
+        assert len(device.state.publisher(GOCB_REF).arrivals) == 3
 
     def test_a_copy_after_the_window_is_inspected_again(self, device):
         raw = encode_goose(pied_frame(time_allowed_to_live=120_000))
