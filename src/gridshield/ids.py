@@ -7,23 +7,25 @@ feeds, then on the loop return), at most once per port, so the device
 inspects a digest on its first sighting: the five fixed rules (sequence
 regression, sequence skip, TTL bounds, publisher whitelist, rate limit),
 whose ids and bounds are the constants below, run over the decoded frame
-and update the subscription state. Within the loop window, an arrival of
-that digest on a port that has not seen it yet, or the echo of a frame
-the device sent round the loop, is a copy of the same publication; it is
-neither decoded nor counted again, and takes the inspection's rules. Any
-other arrival on a port that already saw it is a new one, as in a flood
-of identical frames, and is inspected and counted again. Every sighting of an abnormal digest, copies included, is alerted
-and becomes an :class:`ObservationRecord` with its own port. The only
-legitimate publisher is the relay, whose control block reference and
-source address are the ``substation.py`` identities.
+and update the subscription state. Frames received on the main feed are
+re-forwarded onto a loop through the station-bus switch and come back on
+the loop return port. The device keeps one memory per digest, for the
+loop window: its last inspection, the ports that have seen it since,
+and its departures round the loop. A loop-return arrival inside a
+departure's window is the device's own echo (``loop=True``); anything
+else on that port was put there by the switch itself. Within the window
+of the inspection, an arrival on a port that has not seen the digest
+yet, or an echo, is a copy of the same publication: it is neither
+decoded nor counted again, and takes the inspection's rules. Any other
+arrival on a port that already saw it is a new one, as in a flood of
+identical frames, and is inspected and counted again. Every sighting of
+an abnormal digest, copies included, is alerted and becomes an
+:class:`ObservationRecord` with its own port. The only legitimate
+publisher is the relay, whose control block reference and source address
+are the ``substation.py`` identities.
 
-Frames received on the main feed are re-forwarded onto a loop through the
-station-bus switch and come back on the loop return port. The device
-remembers the digests it re-forwards for a short window; a loop-return
-arrival with a remembered digest is its own echo (``loop=True``), anything
-else on that port was put there by the switch itself. That distinction,
-plus the publisher-identity binding of each frame, drives the two-row
-localization decision:
+The echo flag, plus the publisher-identity binding of each frame, drives
+the two-row localization decision:
 
   (a) an abnormal loop-return observation that is not an echo, or a
       main-feed abnormal bound to the switch's identity, names the
@@ -214,77 +216,6 @@ def inspect(
 
 
 # ---------------------------------------------------------------------------
-# Loop correlation
-# ---------------------------------------------------------------------------
-
-
-# How long a re-forwarded or first-seen digest is remembered: longer than
-# the loop's round trip (out, through the station-bus switch, and back).
-LOOP_WINDOW_US = 10_000
-
-
-class LoopTracker:
-    """Remembers digests for LOOP_WINDOW_US: the ones re-forwarded, to spot
-    own echoes, and the last inspection of each, so its copies are known.
-
-    Identical payloads may be re-forwarded several times in flight, so
-    every tag time within the window is kept, not just the latest. A
-    sighting is kept with what the device made of it, until its window
-    closes. ``forget`` drops each digest once its last window has closed.
-    Tags are made a fixed delay ahead of sightings, so ``_order`` is in
-    time order up to that delay, and the memory is bounded by one window
-    and that delay.
-    """
-
-    def __init__(self) -> None:
-        self._tags: dict[str, list[SimTime]] = {}
-        self._sightings: dict[str, tuple[SimTime, object]] = {}
-        # every tag and sighting, about oldest first
-        self._order: deque[tuple[SimTime, str]] = deque()
-
-    def tag_loop(self, digest: str, at: SimTime) -> None:
-        times = self._tags.setdefault(digest, [])
-        times.append(at)
-        self._tags[digest] = [t for t in times if t + LOOP_WINDOW_US >= at]
-        self._order.append((at, digest))
-
-    def sight(self, digest: str, at: SimTime, outcome: object) -> None:
-        """Remember an inspection of ``digest`` at ``at`` and what it gave."""
-        self._sightings[digest] = (at, outcome)
-        self._order.append((at, digest))
-
-    def sighting(self, digest: str, at: SimTime) -> object | None:
-        """What ``sight`` kept for ``digest``, if its window holds ``at``."""
-        seen = self._sightings.get(digest)
-        if seen is not None and seen[0] + LOOP_WINDOW_US >= at:
-            return seen[1]
-        return None
-
-    def forget(self, now: SimTime) -> None:
-        """Drop the digests whose every window closed before ``now``.
-
-        Time does not decrease, so no later ``is_loop`` or ``sighting`` can
-        match them, and a later ``tag_loop`` of one would drop its old times
-        anyway.
-        """
-        order, tags, sightings = self._order, self._tags, self._sightings
-        while order and order[0][0] + LOOP_WINDOW_US < now:
-            _, digest = order.popleft()
-            times = tags.get(digest)
-            if times is not None and times[-1] + LOOP_WINDOW_US < now:
-                del tags[digest]
-            seen = sightings.get(digest)
-            if seen is not None and seen[0] + LOOP_WINDOW_US < now:
-                del sightings[digest]
-
-    def is_loop(self, digest: str, at: SimTime) -> bool:
-        return any(
-            tagged <= at <= tagged + LOOP_WINDOW_US
-            for tagged in self._tags.get(digest, ())
-        )
-
-
-# ---------------------------------------------------------------------------
 # Localization and mitigation
 # ---------------------------------------------------------------------------
 
@@ -381,17 +312,21 @@ def mitigate(culprit: Origin) -> list[PortRef]:
 # ---------------------------------------------------------------------------
 
 
-class _Sighting:
-    """What the device made of a digest's last inspection: its alert notes,
-    in rule order, the origin it claims (None when no rule fired), and the
-    monitored ports that have seen the digest since."""
+# How long the device remembers a digest's inspection and its departures
+# round the loop: longer than the loop's round trip (out, through the
+# station-bus switch, and back).
+LOOP_WINDOW_US = 10_000
 
-    __slots__ = ("notes", "origin", "ports")
 
-    def __init__(self, notes: tuple[str, ...], origin: Origin | None, ports: set[int]):
-        self.notes = notes
-        self.origin = origin
-        self.ports = ports
+@dataclass(slots=True)
+class _Recent:
+    """What the device remembers of a digest."""
+
+    inspected: SimTime  # when it was last inspected
+    notes: tuple[str, ...]  # that inspection's alert notes, in rule order
+    origin: Origin | None  # the origin it claims; None when no rule fired
+    ports: set[int]  # the monitored ports that have seen it since
+    loops: list[SimTime]  # its departures round the loop, inside the window
 
 
 class IdsNode(SwitchNode):
@@ -399,16 +334,14 @@ class IdsNode(SwitchNode):
 
     It is the ``sub.IDS`` node, and its monitored, loop-out and
     loop-return ports are the ``substation.py`` panel constants that
-    ``Evidence`` and ``mitigate`` read too. The first sighting of each
-    monitored GOOSE digest is inspected against the relay's declared
-    heartbeat ``heartbeat_us``; within the loop window, its copies on the
-    other ports and its own loop echoes take that inspection's alerts, and
-    any other repeat on a port that already saw it is inspected again. Every arrival is then
-    forwarded by the ordinary switch path, and a frame forwarded to the
-    loop-out port is remembered so its echo on the loop return is
-    recognised. Abnormal arrivals, copies included, accumulate as
-    observations. The first abnormal observation arms a decision timer (long enough for
-    the loop echo and any in-flight forwards to land); when it fires, the
+    ``Evidence`` and ``mitigate`` read too. Each monitored GOOSE arrival
+    that is not a copy is inspected against the relay's declared
+    heartbeat ``heartbeat_us``, and every arrival is then forwarded by the
+    ordinary switch path. All the device remembers of a digest is one
+    ``_Recent`` record, forgotten once its every window has closed.
+    Abnormal arrivals, copies included, accumulate as observations. The
+    first abnormal observation arms a decision timer (long enough for the
+    loop echo and any in-flight forwards to land); when it fires, the
     decision table either names a culprit, which is logged and whose
     ``mitigate`` ports are disabled, or the evidence is logged as
     inconclusive and the timer re-arms on the next abnormal sighting. Once
@@ -426,44 +359,62 @@ class IdsNode(SwitchNode):
     ):
         super().__init__(net, sub.IDS, table, processing_delay)
         self.state = SubscriptionState(heartbeat_us)
-        self.loops = LoopTracker()
         self.decision_window_us = decision_window_us
         self.evidence = Evidence()
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
         self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
+        self._recent: dict[str, _Recent] = {}
+        # (start of a window, digest) for every inspection and departure,
+        # about oldest first: departures are a fixed delay ahead
+        self._expiry: deque[tuple[SimTime, str]] = deque()
 
     def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
+        self._forget(at)
         if port in sub.IDS_MONITORED and raw.ethertype == GOOSE_ETHERTYPE:
             self._inspect_arrival(port, raw, at)
         if self._loop_out in self.process_frame(raw, port, at):
-            self.loops.forget(at)
-            self.loops.tag_loop(raw.digest, at + self.processing_delay)
+            # only the main feed goes round the loop, so the frame has a record
+            departs = at + self.processing_delay
+            rec = self._recent[raw.digest]
+            rec.loops = [t for t in rec.loops if t + LOOP_WINDOW_US >= departs] + [departs]
+            self._expiry.append((departs, raw.digest))
+
+    def _forget(self, now: SimTime) -> None:
+        """Drop the records whose every window closed before ``now``; time
+        does not decrease, so no later arrival could match them."""
+        expiry, recent = self._expiry, self._recent
+        while expiry and expiry[0][0] + LOOP_WINDOW_US < now:
+            digest = expiry.popleft()[1]
+            rec = recent.get(digest)
+            if rec is not None and max([rec.inspected, *rec.loops]) + LOOP_WINDOW_US < now:
+                del recent[digest]
 
     # -- inspection ----------------------------------------------------------
 
     def _inspect_arrival(self, port: int, raw: RawFrame, at: SimTime) -> None:
         digest = raw.digest
-        loops = self.loops
-        seen = loops.sighting(digest, at)
-        if seen is not None and port not in seen.ports:
-            seen.ports.add(port)  # a copy: a publication reaches each port once
-            notes = seen.notes
-        elif seen is not None and port == sub.IDS_LOOP_RETURN and loops.is_loop(digest, at):
-            notes = seen.notes  # the echo of a copy the device sent round the loop
+        rec = self._recent.get(digest)
+        fresh = rec is not None and rec.inspected + LOOP_WINDOW_US >= at
+        # the echo of a frame the device sent round the loop; a loop-return
+        # arrival that is not one names the switch in ``Evidence.add``
+        echo = port == sub.IDS_LOOP_RETURN and rec is not None and any(
+            t <= at <= t + LOOP_WINDOW_US for t in rec.loops
+        )
+        if fresh and (echo or port not in rec.ports):
+            rec.ports.add(port)  # a copy: a publication reaches each port once
         else:
             # a first sighting, or a repeat that no copy explains: a new arrival
             notes, origin = self._inspect_frame(port, raw, at)
-            seen = _Sighting(notes, origin, {port} if seen is None else seen.ports)
-            loops.forget(at)
-            loops.sight(digest, at, seen)
-        if not notes:
+            ports = rec.ports if fresh else {port}
+            loops = [] if rec is None else rec.loops
+            rec = self._recent[digest] = _Recent(at, notes, origin, ports, loops)
+            self._expiry.append((at, digest))
+        if not rec.notes:
             return
-        for note in notes:
+        for note in rec.notes:
             self.net.log_event("AlertRaised", self.node_id, port, digest, note)
-        # a non-echo loop-return sighting names the switch in ``Evidence.add``
-        loop = port == sub.IDS_LOOP_RETURN and loops.is_loop(digest, at)
-        self._observe(seen.origin, port, digest, loop, at)
+        self._observe(rec.origin, port, digest, echo, at)
 
     def _inspect_frame(
         self, port: int, raw: RawFrame, at: SimTime

@@ -27,7 +27,6 @@ from gridshield.ids import (
     Evidence,
     Inconclusive,
     LocalizationVerdict,
-    LoopTracker,
     ObservationRecord,
     Origin,
     SubscriptionState,
@@ -238,157 +237,6 @@ class TestSequenceOracle:
         position = max((f.st_num, f.sq_num) for f in chain)
         expected_abnormal = (candidate.st_num, candidate.sq_num) < position
         assert bool(sequence_alerts) == expected_abnormal
-
-
-class TestLoopTracker:
-    def test_tagged_digest_within_window_is_loop(self):
-        loops = LoopTracker()
-        loops.tag_loop("abcd", at=1_000)
-        assert loops.is_loop("abcd", at=3_000)
-
-    def test_distinct_digest_is_not_loop(self):
-        loops = LoopTracker()
-        loops.tag_loop("abcd", at=1_000)
-        assert not loops.is_loop("ffff", at=3_000)
-
-    def test_expired_window_is_not_loop(self):
-        loops = LoopTracker()
-        loops.tag_loop("abcd", at=1_000)
-        assert not loops.is_loop("abcd", at=1_000 + LOOP_WINDOW_US + 1)
-
-    def test_arrival_before_tag_is_not_loop(self):
-        loops = LoopTracker()
-        loops.tag_loop("abcd", at=5_000)
-        assert not loops.is_loop("abcd", at=4_999)
-
-    def test_memory_is_bounded_at_a_2_ms_publish_interval(self):
-        """Driven as the device drives it for a simulated minute: every
-        re-forwarded publication tagged at its departure, 4 ms after it
-        arrived, and the injector's replays tagged again now and then."""
-        loops = LoopTracker()
-        most = 0
-        for i in range(30_000):
-            now = i * 2_000
-            loops.forget(now)
-            loops.tag_loop(f"pub{i}", now + 4_000)
-            if i % 97 == 0:
-                loops.tag_loop("replay", now + 4_000)
-            most = max(most, len(loops._tags), len(loops._order))
-        assert most <= (LOOP_WINDOW_US + 4_000) // 2_000 + 3
-
-    def test_sighting_memory_is_bounded_at_a_2_ms_publish_interval(self):
-        """Driven as the device drives it for a simulated minute: each
-        publication first sighted on arrival, and tagged at its departure
-        4 ms later."""
-        loops = LoopTracker()
-        most_sightings = most_order = 0
-        for i in range(30_000):
-            now = i * 2_000
-            loops.forget(now)
-            loops.sight(f"pub{i}", now, "outcome")
-            loops.tag_loop(f"pub{i}", now + 4_000)
-            most_sightings = max(most_sightings, len(loops._sightings))
-            most_order = max(most_order, len(loops._order))
-        assert most_sightings <= LOOP_WINDOW_US // 2_000 + 2
-        assert most_order <= 2 * ((LOOP_WINDOW_US + 4_000) // 2_000 + 3)
-
-    def test_sighting_holds_for_one_window(self):
-        loops = LoopTracker()
-        loops.sight("abcd", 1_000, "outcome")
-        assert loops.sighting("abcd", 1_000 + LOOP_WINDOW_US) == "outcome"
-        assert loops.sighting("abcd", 1_000 + LOOP_WINDOW_US + 1) is None
-        assert loops.sighting("ffff", 1_000) is None
-
-    @settings(max_examples=300)
-    @given(
-        delay=st.sampled_from([0, 4_000, LOOP_WINDOW_US, 3 * LOOP_WINDOW_US]),
-        steps=st.lists(
-            st.tuples(
-                # time steps near the window's edges; 0 gives ties
-                st.one_of(
-                    st.sampled_from([0, 1, 2_000, LOOP_WINDOW_US - 1, LOOP_WINDOW_US + 1]),
-                    st.integers(0, 2 * LOOP_WINDOW_US),
-                ),
-                st.booleans(),  # tag or query
-                st.sampled_from(["d0", "d1", "d2"]),
-            ),
-            max_size=40,
-        ),
-    )
-    # a digest tagged again keeps its newest window when its oldest closes
-    @example(delay=0, steps=[(0, True, "d0"), (12_000, True, "d0"), (3_000, True, "d1"),
-                             (1_000, False, "d0")])
-    def test_forgetting_changes_no_answer(self, delay, steps):
-        """Against a tracker that never forgets, with tags ``delay`` after
-        the present as the device makes them."""
-        loops, remembers = LoopTracker(), RememberingLoopTracker()
-        now = 0
-        for step, tag, digest in steps:
-            now += step
-            if tag:
-                loops.forget(now)
-                loops.tag_loop(digest, now + delay)
-                remembers.tag_loop(digest, now + delay)
-            else:
-                assert loops.is_loop(digest, now) == remembers.is_loop(digest, now)
-
-    @settings(max_examples=300)
-    @given(
-        delay=st.sampled_from([0, 4_000, LOOP_WINDOW_US]),
-        steps=st.lists(
-            st.tuples(
-                st.one_of(
-                    st.sampled_from([0, 1, 2_000, LOOP_WINDOW_US - 1, LOOP_WINDOW_US + 1]),
-                    st.integers(0, 2 * LOOP_WINDOW_US),
-                ),
-                st.sampled_from(["sight", "tag", "query"]),
-                st.sampled_from(["d0", "d1", "d2"]),
-            ),
-            max_size=40,
-        ),
-    )
-    def test_forgetting_changes_no_sighting(self, delay, steps):
-        """Sightings now and tags ``delay`` ahead share one forgetting
-        order, as the device makes them; no answer may change."""
-        loops, remembers = LoopTracker(), RememberingLoopTracker()
-        now = 0
-        for step, op, digest in steps:
-            now += step
-            if op == "query":
-                assert loops.sighting(digest, now) == remembers.sighting(digest, now)
-                assert loops.is_loop(digest, now) == remembers.is_loop(digest, now)
-                continue
-            loops.forget(now)
-            if op == "tag":
-                loops.tag_loop(digest, now + delay)
-                remembers.tag_loop(digest, now + delay)
-            elif loops.sighting(digest, now) is None:
-                loops.sight(digest, now, now)
-                remembers.sight(digest, now, now)
-
-
-class RememberingLoopTracker:
-    """LoopTracker before it forgot digests: one key per digest ever tagged
-    or sighted."""
-
-    def __init__(self):
-        self._tags = {}
-        self._sightings = {}
-
-    def sight(self, digest, at, outcome):
-        self._sightings[digest] = (at, outcome)
-
-    def sighting(self, digest, at):
-        seen = self._sightings.get(digest)
-        return seen[1] if seen is not None and seen[0] + LOOP_WINDOW_US >= at else None
-
-    def tag_loop(self, digest, at):
-        times = self._tags.setdefault(digest, [])
-        times.append(at)
-        self._tags[digest] = [t for t in times if t + LOOP_WINDOW_US >= at]
-
-    def is_loop(self, digest, at):
-        return any(t <= at <= t + LOOP_WINDOW_US for t in self._tags.get(digest, ()))
 
 
 def obs(origin, port, digest="d0", loop=False, time=0):
@@ -664,6 +512,96 @@ class TestFirstSighting:
         assert len(self.alerts(device)) == 3
 
 
+def ids_device(overrides=None):
+    """The inspector of a freshly built attack1 network, fed by hand."""
+    return _build(load_scenario("attack1", overrides)).handlers[IDS]
+
+
+def alerts_of(device):
+    return [(ev.time, ev.port, ev.digest, ev.note) for ev in device.net.log if ev.kind == "AlertRaised"]
+
+
+# three digests: a clean publication, one with a TTL out of bounds, and
+# one from a publisher off the whitelist
+MEMORY_RAWS = (
+    encode_goose(pied_frame()),
+    encode_goose(pied_frame(time_allowed_to_live=120_000)),
+    encode_goose(pied_frame(gocb_ref=OTHER_GOCB)),
+)
+
+
+class TestDeviceMemory:
+    """What the device remembers of each digest, seen through ``on_frame``."""
+
+    @pytest.mark.parametrize("after_departure, echo", [
+        (-1, False), (0, True), (LOOP_WINDOW_US, True), (LOOP_WINDOW_US + 1, False),
+    ])
+    def test_an_echo_is_a_loop_return_inside_a_departure_window(self, after_departure, echo):
+        device = ids_device()
+        raw = MEMORY_RAWS[1]  # abnormal, so every sighting is observed
+        device.on_frame(IDS_MAIN_FEED, raw, 0)  # sent round the loop
+        device.on_frame(IDS_LOOP_RETURN, raw, device.processing_delay + after_departure)
+        assert [(o.ingress_port, o.loop) for o in device.evidence.observations] == [
+            (IDS_MAIN_FEED, False), (IDS_LOOP_RETURN, echo)
+        ]
+
+    def test_memory_is_bounded_at_a_2_ms_publish_interval(self):
+        """Driven for a simulated 10 s: each publication seen on the direct
+        and main feeds and, 6 ms on, as its own echo, and the first one
+        replayed on the main feed now and then."""
+        device = ids_device({"publish_interval_ms": 2})
+        frame, raws = pied_frame(), []
+        most_recent = most_expiry = 0
+        for i in range(5_000):
+            now = i * 2_000
+            raws.append(encode_goose(frame))
+            frame = next_publication(frame, state_changed=False, now=now + 2_000)
+            if i >= 3:
+                device.on_frame(IDS_LOOP_RETURN, raws[i - 3], now)
+            device.on_frame(IDS_PIED_FEED, raws[i], now)
+            device.on_frame(IDS_MAIN_FEED, raws[i], now)
+            if i % 97 == 0:
+                device.on_frame(IDS_MAIN_FEED, raws[0], now)
+            most_recent = max(most_recent, len(device._recent))
+            most_expiry = max(most_expiry, len(device._expiry))
+        assert {digest for _, _, digest, _ in alerts_of(device)} == {raws[0].digest}
+        assert most_recent <= (LOOP_WINDOW_US + device.processing_delay) // 2_000 + 3
+        assert most_expiry <= 2 * ((LOOP_WINDOW_US + device.processing_delay) // 2_000 + 3)
+
+    @settings(max_examples=300)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                # time steps near the windows' edges; 0 gives ties
+                st.one_of(
+                    st.sampled_from(
+                        [0, 1, 2_000, 4_000, LOOP_WINDOW_US - 1, LOOP_WINDOW_US, LOOP_WINDOW_US + 1]
+                    ),
+                    st.integers(0, 2 * LOOP_WINDOW_US),
+                ),
+                st.sampled_from([IDS_MAIN_FEED, IDS_PIED_FEED, IDS_LOOP_RETURN]),
+                st.sampled_from(range(len(MEMORY_RAWS))),
+            ),
+            max_size=40,
+        ),
+    )
+    # a digest sent round the loop again keeps its newest departure window
+    # once the inspection's and the oldest departure's have closed
+    @example(steps=[(0, IDS_MAIN_FEED, 1), (10_000, IDS_PIED_FEED, 1), (9_000, IDS_MAIN_FEED, 1),
+                    (4_000, IDS_MAIN_FEED, 0), (1, IDS_LOOP_RETURN, 1)])
+    def test_forgetting_changes_no_alert_and_no_observation(self, steps):
+        """Against a device that never forgets a digest."""
+        device, reference = ids_device(), ids_device()
+        reference._forget = lambda now: None
+        now = 0
+        for step, port, which in steps:
+            now += step
+            device.on_frame(port, MEMORY_RAWS[which], now)
+            reference.on_frame(port, MEMORY_RAWS[which], now)
+        assert alerts_of(device) == alerts_of(reference)
+        assert device.evidence.observations == reference.evidence.observations
+
+
 class TestDeviceAtStormRate:
     """The inspector in attack1 with the relay publishing every 2 ms."""
 
@@ -690,6 +628,6 @@ class TestDeviceAtStormRate:
 
     def test_loop_memory_holds_only_the_last_window(self, device):
         # one first sighting per 2 ms publication, each remembered for
-        # 10 ms; the verdict cut the loop, so no tag window is still open
-        assert 0 < len(device.loops._sightings) <= LOOP_WINDOW_US // 2_000 + 1
-        assert not device.loops._tags
+        # 10 ms; the verdict cut the loop, so no departure is remembered
+        assert 0 < len(device._recent) <= LOOP_WINDOW_US // 2_000 + 1
+        assert not any(rec.loops for rec in device._recent.values())
