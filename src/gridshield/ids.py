@@ -13,12 +13,13 @@ the loop return port. The device keeps one memory per digest, for the
 loop window: its last inspection, the ports that have seen it since,
 and its departures round the loop. A loop-return arrival inside a
 departure's window is the device's own echo (``loop=True``); anything
-else on that port was put there by the switch itself. Within the window
-of the inspection, an arrival on a port that has not seen the digest
-yet, or an echo, is a copy of the same publication: it is neither
-decoded nor counted again, and takes the inspection's rules. Any other
-arrival on a port that already saw it is a new one, as in a flood of
-identical frames, and is inspected and counted again. Every sighting of
+else on that port was put there by the switch itself. An echo, however
+long after the inspection it comes back, and an arrival within the
+inspection's window on a port that has not seen the digest yet, are
+copies of the same publication: neither decoded nor counted again, they
+take the last inspection's rules. Any other arrival on a port that
+already saw it is a new one, as in a flood of identical frames, and is
+inspected and counted again. Every sighting of
 an abnormal digest, copies included, is alerted and becomes an
 :class:`ObservationRecord` with its own port. The only legitimate
 publisher is the relay, whose control block reference and source address
@@ -401,7 +402,7 @@ class IdsNode(SwitchNode):
         echo = port == sub.IDS_LOOP_RETURN and rec is not None and any(
             t <= at <= t + LOOP_WINDOW_US for t in rec.loops
         )
-        if fresh and (echo or port not in rec.ports):
+        if echo or (fresh and port not in rec.ports):
             rec.ports.add(port)  # a copy: a publication reaches each port once
         else:
             # a first sighting, or a repeat that no copy explains: a new arrival

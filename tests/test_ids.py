@@ -533,10 +533,15 @@ MEMORY_RAWS = (
 class TestDeviceMemory:
     """What the device remembers of each digest, seen through ``on_frame``."""
 
-    @pytest.mark.parametrize("after_departure, echo", [
-        (-1, False), (0, True), (LOOP_WINDOW_US, True), (LOOP_WINDOW_US + 1, False),
+    @pytest.mark.parametrize("after_departure, echo, inspections", [
+        (-1, False, 1),  # a copy on a port that has not seen it, but no echo
+        (0, True, 1),
+        (LOOP_WINDOW_US, True, 1),  # past the inspection's window, still an echo
+        (LOOP_WINDOW_US + 1, False, 2),
     ])
-    def test_an_echo_is_a_loop_return_inside_a_departure_window(self, after_departure, echo):
+    def test_an_echo_is_a_loop_return_inside_a_departure_window(
+        self, after_departure, echo, inspections
+    ):
         device = ids_device()
         raw = MEMORY_RAWS[1]  # abnormal, so every sighting is observed
         device.on_frame(IDS_MAIN_FEED, raw, 0)  # sent round the loop
@@ -544,6 +549,7 @@ class TestDeviceMemory:
         assert [(o.ingress_port, o.loop) for o in device.evidence.observations] == [
             (IDS_MAIN_FEED, False), (IDS_LOOP_RETURN, echo)
         ]
+        assert len(device.state.publisher(GOCB_REF).arrivals) == inspections
 
     def test_memory_is_bounded_at_a_2_ms_publish_interval(self):
         """Driven for a simulated 10 s: each publication seen on the direct
