@@ -16,8 +16,10 @@ parse the log a bounded chunk at a time (see ``netsim.EventLog``).
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
 an unknown ``GRIDSHIELD_LOG`` level, a usage error such as an unknown
-option, a missing subcommand or a ``--jobs`` below 1, and an ``--out``
-that cannot be written; each prints one ``error:`` line. Stdout is a
+option, a missing subcommand, a ``--jobs`` below 1 or both ``--scenario``
+and ``--config``, a list of scenarios two of which share an id (and so an
+output directory), and an ``--out`` that cannot be written; each prints
+one ``error:`` line. Stdout is a
 human-readable summary and may change; a reader that closes it early
 loses the rest of the summary, not the exit code.
 The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
@@ -192,6 +194,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ScenarioError("nothing to run; pass --scenario or --config")
         # every spec loads before any scenario runs, so a config error writes nothing
         specs = [load_scenario(name, overrides) for name in names]
+        ids = [spec.id for spec in specs]
+        for sid in ids:
+            if ids.count(sid) > 1:
+                raise ScenarioError(f"two scenarios would write {Path(args.out) / sid}")
         results = _run_staged(specs, Path(args.out), args.jobs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -251,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run scenario fixtures and write logs/reports")
-    run_p.add_argument("--scenario", help="builtin id (baseline, attack1, attack2), "
-                       "comma list, 'all', or a YAML path")
-    run_p.add_argument("--config", help="path to a scenario YAML (alternative to --scenario)")
+    source = run_p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="builtin id (baseline, attack1, attack2), "
+                        "comma list, 'all', or a YAML path")
+    source.add_argument("--config", help="path to a scenario YAML (alternative to --scenario)")
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable (e.g. t_ids=0, with_ids=true)")

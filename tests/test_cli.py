@@ -275,8 +275,9 @@ class TestRun:
     @pytest.mark.parametrize("argv", [
         ("run", "--scenario", "baseline", "--jobs", "0"),
         ("run", "--scenario", "baseline", "--no-such-option"),
+        ("run", "--scenario", "attack1", "--config", "baseline.yaml"),
         (),
-    ], ids=["jobs_below_one", "unknown_option", "missing_subcommand"])
+    ], ids=["jobs_below_one", "unknown_option", "scenario_and_config", "missing_subcommand"])
     def test_usage_error_is_one_error_line(self, tmp_path, argv):
         out = tmp_path / "o"
         assert_one_line_error(run_cli_process(*argv, *(("--out", str(out)) if argv else ())))
@@ -407,6 +408,22 @@ class TestJobs:
             )
             assert_one_line_error(proc)
             assert not out.exists() or not any(out.rglob("*"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scenarios_sharing_an_output_directory_run_nothing(self, tmp_path, jobs):
+        """Two scenarios with one id would write one directory, and the run
+        that finished last would replace the other's files."""
+        from gridshield.scenarios import _builtin_config_text
+
+        a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        a.write_text(_builtin_config_text("attack1"))
+        b.write_text(_builtin_config_text("attack1"))
+        out = tmp_path / "o"
+        for names, sid in ((f"{a},{b}", "attack1"), ("baseline,baseline", "baseline")):
+            proc = run_cli_process("run", "--scenario", names, "--jobs", jobs, "--out", str(out))
+            assert_one_line_error(proc)
+            assert str(out / sid) in proc.stderr
+            assert not out.exists()
 
     def test_worker_returns_the_result_without_its_log(self, tmp_path):
         result = cli._run_in_worker(load_scenario("attack1"), tmp_path, False)
