@@ -19,11 +19,11 @@ inspection's window on a port that has not seen the digest yet, are
 copies of the same publication: neither decoded nor counted again, they
 take the last inspection's rules. Any other arrival on a port that
 already saw it is a new one, as in a flood of identical frames, and is
-inspected and counted again. Every sighting of
-an abnormal digest, copies included, is alerted and becomes an
-:class:`ObservationRecord` with its own port. The only legitimate
-publisher is the relay, whose control block reference and source address
-are the ``substation.py`` identities.
+inspected and counted again. Every sighting of an abnormal digest,
+copies included, is alerted and becomes an :class:`ObservationRecord`
+with its own port. The only legitimate publisher is the relay, whose
+control block reference and source address are the ``substation.py``
+identities.
 
 The echo flag, plus the publisher-identity binding of each frame, drives
 the two-row localization decision:

@@ -538,7 +538,7 @@ class TestDeviceMemory:
         (0, True, 1),
         (LOOP_WINDOW_US, True, 1),  # past the inspection's window, still an echo
         (LOOP_WINDOW_US + 1, False, 2),
-    ])
+    ], ids=["before_departure", "at_departure", "at_window_end", "after_window_end"])
     def test_an_echo_is_a_loop_return_inside_a_departure_window(
         self, after_departure, echo, inspections
     ):
@@ -550,6 +550,14 @@ class TestDeviceMemory:
             (IDS_MAIN_FEED, False), (IDS_LOOP_RETURN, echo)
         ]
         assert len(device.state.publisher(GOCB_REF).arrivals) == inspections
+
+    def test_another_digest_is_not_an_echo(self):
+        device = ids_device()
+        device.on_frame(IDS_MAIN_FEED, MEMORY_RAWS[0], 0)
+        device.on_frame(IDS_LOOP_RETURN, MEMORY_RAWS[1], device.processing_delay)
+        assert [(o.ingress_port, o.loop) for o in device.evidence.observations] == [
+            (IDS_LOOP_RETURN, False)
+        ]
 
     def test_memory_is_bounded_at_a_2_ms_publish_interval(self):
         """Driven for a simulated 10 s: each publication seen on the direct
