@@ -416,7 +416,7 @@ class TestFirstSighting:
             return codec.decode_goose(raw)
 
         monkeypatch.setattr(ids, "decode_goose", decode)
-        device = _build(load_scenario("attack1")).handlers[IDS]
+        device = ids_device()
         device.decoded = decoded
         return device
 
@@ -599,10 +599,10 @@ class TestDeviceMemory:
             max_size=40,
         ),
     )
-    # a digest sent round the loop again keeps its newest departure window
-    # once the inspection's and the oldest departure's have closed
-    @example(steps=[(0, IDS_MAIN_FEED, 1), (10_000, IDS_PIED_FEED, 1), (9_000, IDS_MAIN_FEED, 1),
-                    (4_000, IDS_MAIN_FEED, 0), (1, IDS_LOOP_RETURN, 1)])
+    # a repeat sent round the loop keeps its departure's window open after
+    # its inspection's has closed, and its echo comes back in between
+    @example(steps=[(0, IDS_MAIN_FEED, 1), (0, IDS_PIED_FEED, 1), (8_000, IDS_MAIN_FEED, 1),
+                    (13_000, IDS_LOOP_RETURN, 1)])
     def test_forgetting_changes_no_alert_and_no_observation(self, steps):
         """Against a device that never forgets a digest."""
         device, reference = ids_device(), ids_device()
