@@ -20,7 +20,6 @@ from gridshield.codec import (
 from gridshield.delay import DelayComponents, DelayReport, measure, total
 from gridshield.ids import (
     Alert,
-    Evidence,
     Inconclusive,
     LocalizationVerdict,
     ObservationRecord,
@@ -61,7 +60,6 @@ __all__ = [
     "DelayComponents",
     "DelayReport",
     "EventLog",
-    "Evidence",
     "FlowEntry",
     "FlowTable",
     "GooseFrame",

@@ -16,10 +16,9 @@ parse the log a bounded chunk at a time (see ``netsim.EventLog``).
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
 an unknown ``GRIDSHIELD_LOG`` level, a usage error such as an unknown
-option, a missing subcommand, a ``--jobs`` below 1 or both ``--scenario``
-and ``--config``, a list of scenarios two of which share an id (and so an
-output directory), and an ``--out`` that cannot be written; each prints
-one ``error:`` line. Stdout is a
+option, a missing subcommand or a ``--jobs`` below 1, a list of scenarios
+two of which share an id (and so an output directory), and an ``--out``
+that cannot be written; each prints one ``error:`` line. Stdout is a
 human-readable summary and may change; a reader that closes it early
 loses the rest of the summary, not the exit code.
 The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
@@ -184,14 +183,12 @@ def _run_staged(specs: list[ScenarioSpec], out_root: Path, jobs: int) -> list[Sc
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         overrides = dict(_parse_override(o) for o in args.override or [])
-        if args.config:
-            names = [args.config]
-        elif args.scenario == "all":
+        if args.scenario == "all":
             names = list(SCENARIO_IDS)
         elif args.scenario:
             names = [s.strip() for s in args.scenario.split(",") if s.strip()]
         else:
-            raise ScenarioError("nothing to run; pass --scenario or --config")
+            raise ScenarioError("nothing to run; pass --scenario")
         # every spec loads before any scenario runs, so a config error writes nothing
         specs = [load_scenario(name, overrides) for name in names]
         ids = [spec.id for spec in specs]
@@ -257,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run scenario fixtures and write logs/reports")
-    source = run_p.add_mutually_exclusive_group()
-    source.add_argument("--scenario", help="builtin id (baseline, attack1, attack2), "
-                        "comma list, 'all', or a YAML path")
-    source.add_argument("--config", help="path to a scenario YAML (alternative to --scenario)")
+    run_p.add_argument("--scenario", help="builtin id (baseline, attack1, attack2), "
+                       "comma list, 'all', or a YAML path")
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable (e.g. t_ids=0, with_ids=true)")

@@ -25,7 +25,7 @@ compromised relay transmitting on its interface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from gridshield import substation as sub
 from gridshield.codec import (
@@ -144,32 +144,17 @@ class PiedDevice:
     def _silence(self) -> None:
         self._silenced = True
 
-    def _build_first(self, now: SimTime, all_data: tuple[bool, ...]) -> GooseFrame:
-        return GooseFrame(
-            dst=sub.GOOSE_DST,
-            src=sub.PIED_MAC,
-            app_id=sub.PIED_APP_ID,
-            gocb_ref=sub.GOCB_REF,
-            time_allowed_to_live=sub.PIED_TTL_MS,
-            st_num=1,
-            sq_num=0,
-            test=False,
-            timestamp=now,
-            dataset_ref=sub.DATASET_REF,
-            all_data=all_data,
-        )
-
     def _publish(self, state_changed: bool, at: SimTime, trip: bool = False,
                  toggle: bool = False, note: str | None = None) -> None:
         if self._silenced:
             return
         prev = self.current
-        points = (False, False) if prev is None else prev.all_data
+        points = (sub.RELAY_PUBLICATION if prev is None else prev).all_data
         if trip or toggle:
             trip_point, flag_point = points
             points = (trip_point or trip, flag_point != toggle)
         if prev is None:
-            frame = self._build_first(at, points)
+            frame = replace(sub.RELAY_PUBLICATION, timestamp=at, all_data=points)
         else:
             frame = next_publication(prev, state_changed, now=at, all_data=points)
         self.current = frame

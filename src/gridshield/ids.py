@@ -35,7 +35,7 @@ the two-row localization decision:
       identity, while every loop-return abnormal is an echo, names the
       relay.
 
-Evidence matching neither row is surfaced as inconclusive, never guessed.
+Observations matching neither row are surfaced as inconclusive, never guessed.
 Mitigation is a list of port-disable commands: for a compromised switch,
 every inspection port except the delivery and direct-relay ports; for a
 compromised relay, the two switch ports that face it.
@@ -142,7 +142,7 @@ class SubscriptionState:
 class ObservationRecord(NamedTuple):
     """One abnormal sighting: who it claims to be, where it was seen.
 
-    ``Evidence.add`` checks that the port is one of the device's eight.
+    ``localize`` checks that the port is one of the device's eight.
     """
 
     origin_hypothesis: Origin
@@ -233,65 +233,40 @@ def bind_origin(frame: GooseFrame) -> Origin:
     return Origin.STATION_BUS_SWITCH
 
 
-class Evidence:
-    """Running facts of the two-row decision table, fed in time order.
-
-    Each observation updates the set of digests that name the switch, so
-    a decision costs no rescan of the observations so far.
-    """
-
-    def __init__(self) -> None:
-        self.observations: list[ObservationRecord] = []
-        self.switch_digests: set[str] = set()
-
-    def add(self, o: ObservationRecord) -> None:
-        """Record one observation; times must not decrease."""
-        if not 1 <= o.ingress_port <= 8:
-            raise ValueError(f"ingress port {o.ingress_port} outside 1..8")
-        if self.observations and o.time < self.observations[-1].time:
-            raise ValueError("observations must be added in time order")
-        self.observations.append(o)
-        if (o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop) or (
-            o.origin_hypothesis is Origin.STATION_BUS_SWITCH
-        ):
-            self.switch_digests.add(o.digest)
-
-    def decide(self) -> LocalizationVerdict:
-        """Apply the decision table to the observations added so far.
-
-        Digest groups are settled as a whole: a non-echo loop-return
-        sighting convicts the switch for every copy of that digest. Raises
-        ``Inconclusive`` when neither row holds; never guesses.
-        """
-        obs = self.observations
-        if not obs:
-            raise ValueError("localization needs at least one abnormal observation")
-        if self.switch_digests:
-            evidence = tuple(
-                o._replace(origin_hypothesis=Origin.STATION_BUS_SWITCH)
-                if o.digest in self.switch_digests
-                else o
-                for o in obs
-            )
-            return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
-        # Row (a) failing means every sighting carries the relay's identity
-        # and every loop-return sighting is an echo, so of row (b) only
-        # where the abnormal traffic was first seen is left to check.
-        if obs[0].ingress_port == sub.IDS_MAIN_FEED:
-            return LocalizationVerdict(Origin.PIED, tuple(obs), obs[-1].time)
-        raise Inconclusive(len(obs))
-
-
 def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
     """Apply the two-row decision table to the abnormal observations.
 
-    The observations are taken in time order (ties keep their given
-    order) and decided by :meth:`Evidence.decide`.
+    The observations are taken in time order (ties keep their given order),
+    and each must be on one of the device's eight ports. Digest groups are
+    settled as a whole: a non-echo loop-return sighting convicts the switch
+    for every copy of that digest. Raises ``Inconclusive`` when neither row
+    holds; never guesses.
     """
-    evidence = Evidence()
-    for o in sorted(observations, key=lambda o: o.time):
-        evidence.add(o)
-    return evidence.decide()
+    obs = sorted(observations, key=lambda o: o.time)
+    if not obs:
+        raise ValueError("localization needs at least one abnormal observation")
+    switch_digests = set()
+    for o in obs:
+        if not 1 <= o.ingress_port <= 8:
+            raise ValueError(f"ingress port {o.ingress_port} outside 1..8")
+        if (o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop) or (
+            o.origin_hypothesis is Origin.STATION_BUS_SWITCH
+        ):
+            switch_digests.add(o.digest)
+    if switch_digests:
+        evidence = tuple(
+            o._replace(origin_hypothesis=Origin.STATION_BUS_SWITCH)
+            if o.digest in switch_digests
+            else o
+            for o in obs
+        )
+        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
+    # Row (a) failing means every sighting carries the relay's identity
+    # and every loop-return sighting is an echo, so of row (b) only
+    # where the abnormal traffic was first seen is left to check.
+    if obs[0].ingress_port == sub.IDS_MAIN_FEED:
+        return LocalizationVerdict(Origin.PIED, tuple(obs), obs[-1].time)
+    raise Inconclusive(len(obs))
 
 
 def mitigate(culprit: Origin) -> list[PortRef]:
@@ -335,7 +310,7 @@ class IdsNode(SwitchNode):
 
     It is the ``sub.IDS`` node, and its monitored, loop-out and
     loop-return ports are the ``substation.py`` panel constants that
-    ``Evidence`` and ``mitigate`` read too. Each monitored GOOSE arrival
+    ``localize`` and ``mitigate`` read too. Each monitored GOOSE arrival
     that is not a copy is inspected against the relay's declared
     heartbeat ``heartbeat_us``, and every arrival is then forwarded by the
     ordinary switch path. All the device remembers of a digest is one
@@ -361,7 +336,7 @@ class IdsNode(SwitchNode):
         super().__init__(net, sub.IDS, table, processing_delay)
         self.state = SubscriptionState(heartbeat_us)
         self.decision_window_us = decision_window_us
-        self.evidence = Evidence()
+        self.observations: list[ObservationRecord] = []
         self.verdict: LocalizationVerdict | None = None
         self._decision_armed = False
         self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
@@ -398,7 +373,7 @@ class IdsNode(SwitchNode):
         rec = self._recent.get(digest)
         fresh = rec is not None and rec.inspected + LOOP_WINDOW_US >= at
         # the echo of a frame the device sent round the loop; a loop-return
-        # arrival that is not one names the switch in ``Evidence.add``
+        # arrival that is not one names the switch in ``localize``
         echo = port == sub.IDS_LOOP_RETURN and rec is not None and any(
             t <= at <= t + LOOP_WINDOW_US for t in rec.loops
         )
@@ -435,7 +410,7 @@ class IdsNode(SwitchNode):
     def _observe(self, origin: Origin, port: int, digest: str, loop: bool, at: SimTime) -> None:
         if self.verdict is not None:
             return  # nothing reads observations once the culprit is named
-        self.evidence.add(ObservationRecord(origin, port, digest, loop, at))
+        self.observations.append(ObservationRecord(origin, port, digest, loop, at))
         if not self._decision_armed:
             self._decision_armed = True
             self.net.call(at + self.decision_window_us, self._decide)
@@ -448,7 +423,7 @@ class IdsNode(SwitchNode):
             return
         at = self.net.now
         try:
-            verdict = self.evidence.decide()
+            verdict = localize(self.observations)
         except Inconclusive as exc:
             self.net.log_event(
                 "ControlMsg", self.node_id, None, None,

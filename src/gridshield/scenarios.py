@@ -29,13 +29,13 @@ detect truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import islice
 from pathlib import Path
 
 from gridshield import substation as sub
-from gridshield.codec import CodecError, GooseFrame, MacAddress
+from gridshield.codec import CodecError, MacAddress
 from gridshield.delay import (
     BASELINE_TOTAL_US,
     COMPONENT_NAMES,
@@ -229,7 +229,7 @@ _SECTION_KEYS = {
     "mu": frozenset({"samples_per_second"}),
     "pied": frozenset({"publish_interval_ms", "toggle_point_at_ms", "silence_at_ms"}),
     "waveform": frozenset({"fault_at_ms"}),
-    "injection": frozenset({"host", "node", "port", "mode", "template", "times_ms"}),
+    "injection": frozenset({"node", "port", "mode", "template", "times_ms"}),
     "template": frozenset({"src_mac", "gocb_ref", "st_num", "sq_num", "timestamp_ms", "trip"}),
 }
 
@@ -333,23 +333,18 @@ def _injection_from_tree(tree: dict) -> InjectionPlan | None:
     gocb_ref = template_tree.get("gocb_ref", sub.GOCB_REF)
     if not isinstance(gocb_ref, str) or not isinstance(src, (str, type(None))):
         raise ValueError("the template's src_mac and gocb_ref must be strings")
-    template = GooseFrame(
-        dst=sub.GOOSE_DST,
+    template = replace(
+        sub.RELAY_PUBLICATION,
         src=sub.PIED_MAC if src is None else MacAddress.parse(src),
-        app_id=sub.PIED_APP_ID,
         gocb_ref=gocb_ref,
-        time_allowed_to_live=sub.PIED_TTL_MS,
         st_num=int(template_tree["st_num"]),
         sq_num=int(template_tree["sq_num"]),
-        test=False,
         timestamp=_ms(template_tree.get("timestamp_ms", 0)),
-        dataset_ref=sub.DATASET_REF,
         all_data=(bool(template_tree.get("trip", False)), False),
     )
     node = tree["node"]
-    host = Origin(tree["host"])
-    if _CULPRIT_AT.get(node) is not host:
-        raise ScenarioError(f"injection host {host.value} is not the device at node {node!r}")
+    if node not in _CULPRIT_AT:
+        raise ScenarioError(f"injection node {node!r} is not the station-bus switch or the relay")
     return InjectionPlan(
         port=PortRef(node, int(tree["port"])),
         mode=tree["mode"],
@@ -498,11 +493,10 @@ def score(log: EventLog) -> ScenarioResult:
 
     alert_times: dict[str, list[int]] = {}
     injected: list[SimEvent] = []
-    first_injected = 0
     states: dict[tuple[str, int], bool] = {}
     disabled_at: list[int] = []
     trips = 0
-    for i, ev in enumerate(log):
+    for ev in log:
         if ev.kind == "AlertRaised":
             alert_times.setdefault(ev.digest, []).append(ev.time)
         elif ev.kind == "PortStateChange":
@@ -512,8 +506,6 @@ def score(log: EventLog) -> ScenarioResult:
         elif ev.kind == "BreakerTrip":
             trips += 1
         if ev.note == "injected":
-            if not injected:
-                first_injected = i
             injected.append(ev)
     alerts = sum(map(len, alert_times.values()))
     injected_alerted = sum(
@@ -532,7 +524,7 @@ def score(log: EventLog) -> ScenarioResult:
 
     trace_ok: bool | None = None
     if injected:
-        trace_ok = _trace_from(log, first_injected, sub.MONITOR_LOOP)
+        trace_ok = verify_forwarding_trace(log, sub.MONITOR_LOOP)
         host = _CULPRIT_AT.get(injected[0].node)
         if host is None:
             reasons.append(f"injection at {injected[0].node!r}, which is no candidate culprit")
@@ -638,8 +630,6 @@ def verify_forwarding_trace(log: EventLog, expected: tuple[tuple[str, int, str],
     """True iff the log contains the hop sequence, in order, for the first
     injected frame, from its injection on."""
     start = next((i for i, ev in enumerate(log) if ev.note == "injected"), None)
-    return start is not None and _trace_from(log, start, expected)
-
-
-def _trace_from(log: EventLog, start: int, expected: tuple[tuple[str, int, str], ...]) -> bool:
+    if start is None:
+        return False
     return walk_hops(islice(log, start, None), log[start].digest, expected) is not None

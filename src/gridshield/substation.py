@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from gridshield.codec import GOOSE_ETHERTYPE, SV_ETHERTYPE, MacAddress
+from gridshield.codec import GOOSE_ETHERTYPE, SV_ETHERTYPE, GooseFrame, MacAddress
 from gridshield.netsim import TopologySpec
 from gridshield.sdn import Drop, FlowEntry, FlowTable, Forward, MatchFields
 
@@ -89,6 +89,15 @@ DATASET_REF = "PIED/LLN0$dataset1"
 PIED_APP_ID = 0x0001
 PIED_TTL_MS = 2_000
 SV_ID = "MU01"
+
+# The relay's first publication, before its timestamp is set: the identity
+# every relay frame carries, at the first state and sequence number, with
+# its two points (trip, supervision flag) clear.
+RELAY_PUBLICATION = GooseFrame(
+    dst=GOOSE_DST, src=PIED_MAC, app_id=PIED_APP_ID, gocb_ref=GOCB_REF,
+    time_allowed_to_live=PIED_TTL_MS, st_num=1, sq_num=0, test=False, timestamp=0,
+    dataset_ref=DATASET_REF, all_data=(False, False),
+)
 
 # The test set's steady per-phase magnitudes and the phase-A current of the
 # fault step, the relay's overcurrent pickup, and the time from a port-mod
@@ -175,22 +184,17 @@ def ids_flow_table(with_ids: bool) -> FlowTable:
     Without the module the device is a transparent wire on both feeds.
     The loop return and the sampled-value tap are terminal monitor ports.
     """
+    entries = [
+        _entry(90, [Forward(IDS_DELIVERY)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE),
+        _entry(100, [Forward(IDS_DELIVERY)], ingress_port=IDS_PIED_FEED, ethertype=GOOSE_ETHERTYPE),
+        _entry(100, [Drop()], ingress_port=IDS_LOOP_RETURN),
+        _entry(100, [Drop()], ingress_port=IDS_SV_TAP),
+    ]
     if with_ids:
-        entries = (
-            _entry(100, [Forward(IDS_LOOP_OUT)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE),
-            _entry(90, [Forward(IDS_DELIVERY)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE),
-            _entry(100, [Forward(IDS_DELIVERY)], ingress_port=IDS_PIED_FEED, ethertype=GOOSE_ETHERTYPE),
-            _entry(100, [Drop()], ingress_port=IDS_LOOP_RETURN),
-            _entry(100, [Drop()], ingress_port=IDS_SV_TAP),
+        entries.append(
+            _entry(100, [Forward(IDS_LOOP_OUT)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE)
         )
-    else:
-        entries = (
-            _entry(100, [Forward(IDS_DELIVERY)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE),
-            _entry(100, [Forward(IDS_DELIVERY)], ingress_port=IDS_PIED_FEED, ethertype=GOOSE_ETHERTYPE),
-            _entry(100, [Drop()], ingress_port=IDS_LOOP_RETURN),
-            _entry(100, [Drop()], ingress_port=IDS_SV_TAP),
-        )
-    return FlowTable(entries=entries)
+    return FlowTable(entries=tuple(entries))
 
 
 # Hops of the measured sampled-value -> trip chain, in order, as

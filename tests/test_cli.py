@@ -96,7 +96,7 @@ class TestRun:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)
         proc = run_cli_process(
-            "run", "--config", str(cfg), "--override", "publish_interval_ms=10",
+            "run", "--scenario", str(cfg), "--override", "publish_interval_ms=10",
             "--out", str(tmp_path / "o"),
         )
         assert_one_line_error(proc)
@@ -113,7 +113,7 @@ class TestRun:
         cfg = tmp_path / "s.yaml"
         cfg.write_text(_builtin_config_text("attack2"))
         out = tmp_path / "o"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["verdict"]["culprit"] == "PIED"
 
@@ -168,7 +168,7 @@ class TestRun:
         cfg = tmp_path / "missing.yaml"
         cfg.write_text(text.replace(old, new))
         out = tmp_path / "o"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: bad scenario config: missing key {key}\n"
         assert not out.exists()
 
@@ -219,7 +219,7 @@ class TestRun:
                 "with_ids: true\nflow_tables:\n  station_bus_switch:\n    entries:\n"
                 "      - {priority: 50, match: {ingress: 4}, actions: [{forward: 99}]}\n",
             ),
-            ("attack1", "host: StationBusSwitch", "host: PIED"),
+            ("attack1", "  node: station_bus_switch\n", "  node: station_bus_switch\n  host: PIED\n"),
             ("baseline", "with_ids: false\n", "with_ids: false\nwith_idz: true\n"),
             ("baseline", "with_ids: false\n", "with_ids: false\ninspection_passes: 2\n"),
             ("baseline", "with_ids: false\n", "with_ids: false\nact_on_flagged: true\n"),
@@ -269,7 +269,7 @@ class TestRun:
         cfg = tmp_path / "hostile.yaml"
         cfg.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))
         out = tmp_path / "o"
-        assert_one_line_error(run_cli_process("run", "--config", str(cfg), "--out", str(out)))
+        assert_one_line_error(run_cli_process("run", "--scenario", str(cfg), "--out", str(out)))
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -627,7 +627,7 @@ def short_logs(tmp_path_factory) -> dict[str, bytes]:
         config = root / f"{sid}.yaml"
         config.write_text(yaml.safe_dump(short_tree(sid)))
         with contextlib.redirect_stdout(io.StringIO()):
-            assert run_cli("run", "--config", str(config), "--out", str(root / sid)) in (0, 1)
+            assert run_cli("run", "--scenario", str(config), "--out", str(root / sid)) in (0, 1)
         logs[sid] = (root / sid / "events.jsonl").read_bytes()
     return logs
 
@@ -722,6 +722,7 @@ RETIRED_KEYS = (
     ("waveform", "currents_ma", [500, 500, 500]),
     ("waveform", "voltages_mv", [120000, 120000, 120000]),
     ("waveform", "fault_phase_a_ma", 5000),
+    ("injection", "host", "StationBusSwitch"),
 )
 HOSTILE_VALUES = (
     "text", [1, 2], None, True, False, -1, -2.5, 10**30, 1e300,
@@ -806,7 +807,7 @@ class TestConfigFuzz:
             load_scenario(str(config))
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["run", "--config", str(config), "--out", str(out)])
+            code = main(["run", "--scenario", str(config), "--out", str(out)])
         assert code in (0, 1, 2)
         if code == 2:
             lines = stderr.getvalue().splitlines()

@@ -24,7 +24,6 @@ from gridshield.ids import (
     SEQ_REGRESSION,
     SEQ_SKIP,
     TTL_BOUND,
-    Evidence,
     Inconclusive,
     LocalizationVerdict,
     ObservationRecord,
@@ -345,17 +344,15 @@ class TestEvidence:
     @settings(max_examples=300)
     @given(observation_steps)
     def test_running_decision_equals_localize_of_the_prefix(self, steps):
-        evidence = Evidence()
+        """As the device decides: on every prefix of its observations."""
         records = []
         time = 0
         for origin, port, digest, loop, step in steps:
             time += step
-            record = obs(origin, port, digest, loop=loop, time=time)
-            records.append(record)
-            evidence.add(record)
-            got = decision(evidence.decide)
-            assert got == decision(lambda: localize(records))
-            assert got == decision(lambda: localize_by_rescan(records))
+            records.append(obs(origin, port, digest, loop=loop, time=time))
+            assert decision(lambda: localize(records)) == decision(
+                lambda: localize_by_rescan(records)
+            )
 
     def test_localize_orders_by_time_before_deciding(self):
         records = [
@@ -364,18 +361,11 @@ class TestEvidence:
         ]
         assert localize(records).culprit is Origin.PIED
 
-    def test_out_of_order_add_is_rejected(self):
-        evidence = Evidence()
-        evidence.add(obs(Origin.PIED, IDS_MAIN_FEED, time=10))
-        with pytest.raises(ValueError):
-            evidence.add(obs(Origin.PIED, IDS_MAIN_FEED, time=9))
-
     @pytest.mark.parametrize("port", [0, 9, -1])
     def test_a_port_the_device_does_not_have_is_rejected(self, port):
-        evidence = Evidence()
+        records = [obs(Origin.PIED, IDS_MAIN_FEED, time=0), obs(Origin.PIED, port, time=1)]
         with pytest.raises(ValueError, match="outside 1..8"):
-            evidence.add(obs(Origin.PIED, port))
-        assert not evidence.observations
+            localize(records)
 
 
 class TestMitigate:
@@ -467,12 +457,12 @@ class TestFirstSighting:
             (IDS_MAIN_FEED, note), (IDS_LOOP_RETURN, note), (IDS_LOOP_RETURN, note)
         ]
         assert device.decoded[2:] == [stale.digest]  # the replay, once
-        assert [(o.ingress_port, o.loop, o.digest) for o in device.evidence.observations] == [
+        assert [(o.ingress_port, o.loop, o.digest) for o in device.observations] == [
             (IDS_MAIN_FEED, False, stale.digest),
             (IDS_LOOP_RETURN, False, stale.digest),
             (IDS_LOOP_RETURN, True, stale.digest),
         ]
-        assert device.evidence.decide().culprit is Origin.STATION_BUS_SWITCH
+        assert localize(device.observations).culprit is Origin.STATION_BUS_SWITCH
 
     @pytest.mark.parametrize("port", [IDS_MAIN_FEED, IDS_LOOP_RETURN])
     def test_a_flood_of_identical_frames_on_one_port_trips_the_rate_rule(self, device, port):
@@ -546,7 +536,7 @@ class TestDeviceMemory:
         raw = MEMORY_RAWS[1]  # abnormal, so every sighting is observed
         device.on_frame(IDS_MAIN_FEED, raw, 0)  # sent round the loop
         device.on_frame(IDS_LOOP_RETURN, raw, device.processing_delay + after_departure)
-        assert [(o.ingress_port, o.loop) for o in device.evidence.observations] == [
+        assert [(o.ingress_port, o.loop) for o in device.observations] == [
             (IDS_MAIN_FEED, False), (IDS_LOOP_RETURN, echo)
         ]
         assert len(device.state.publisher(GOCB_REF).arrivals) == inspections
@@ -555,7 +545,7 @@ class TestDeviceMemory:
         device = ids_device()
         device.on_frame(IDS_MAIN_FEED, MEMORY_RAWS[0], 0)
         device.on_frame(IDS_LOOP_RETURN, MEMORY_RAWS[1], device.processing_delay)
-        assert [(o.ingress_port, o.loop) for o in device.evidence.observations] == [
+        assert [(o.ingress_port, o.loop) for o in device.observations] == [
             (IDS_LOOP_RETURN, False)
         ]
 
@@ -613,7 +603,7 @@ class TestDeviceMemory:
             device.on_frame(port, MEMORY_RAWS[which], now)
             reference.on_frame(port, MEMORY_RAWS[which], now)
         assert alerts_of(device) == alerts_of(reference)
-        assert device.evidence.observations == reference.evidence.observations
+        assert device.observations == reference.observations
 
 
 class TestDeviceAtStormRate:
@@ -637,7 +627,7 @@ class TestDeviceAtStormRate:
     def test_no_observation_is_kept_after_the_verdict(self, device):
         assert device.verdict is not None
         # the verdict may restate an origin, but holds every sighting
-        kept = [o[1:] for o in device.evidence.observations]
+        kept = [o[1:] for o in device.observations]
         assert kept == [o[1:] for o in device.verdict.evidence]
 
     def test_loop_memory_holds_only_the_last_window(self, device):
