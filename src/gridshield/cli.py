@@ -16,9 +16,10 @@ parse the log a bounded chunk at a time (see ``netsim.EventLog``).
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
 an unknown ``GRIDSHIELD_LOG`` level, a usage error such as an unknown
-option, a missing subcommand or a ``--jobs`` below 1, a list of scenarios
-two of which share an id (and so an output directory), and an ``--out``
-that cannot be written; each prints one ``error:`` line. Stdout is a
+option, a missing subcommand or a ``--jobs`` below 1, a ``--scenario``
+that names no scenario, a list of scenarios two of which share an id (and
+so an output directory), and an ``--out`` that cannot be written; each
+prints one ``error:`` line. Stdout is a
 human-readable summary and may change; a reader that closes it early
 loses the rest of the summary, not the exit code.
 The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
@@ -185,10 +186,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides = dict(_parse_override(o) for o in args.override or [])
         if args.scenario == "all":
             names = list(SCENARIO_IDS)
-        elif args.scenario:
-            names = [s.strip() for s in args.scenario.split(",") if s.strip()]
         else:
-            raise ScenarioError("nothing to run; pass --scenario")
+            names = [s.strip() for s in (args.scenario or "").split(",") if s.strip()]
+        if not names:
+            raise ScenarioError(
+                "nothing to run; give --scenario an id, a comma list, 'all' or a YAML path"
+            )
         # every spec loads before any scenario runs, so a config error writes nothing
         specs = [load_scenario(name, overrides) for name in names]
         ids = [spec.id for spec in specs]

@@ -279,6 +279,17 @@ def _optional_ms(value) -> int | None:
     return None if value is None else _ms(value)
 
 
+def _exact(kind: type, tree: _Keys, key: str, default=None):
+    """``tree[key]``, or ``default`` when the key is absent and there is
+    one, if its type is exactly ``kind``: a bool is no whole number, and
+    neither a string nor a number is a bool."""
+    value = tree[key] if default is None else tree.get(key, default)
+    if type(value) is not kind:
+        what = "true or false" if kind is bool else "a whole number"
+        raise ValueError(f"{tree.prefix}{key} must be {what}, not {value!r}")
+    return value
+
+
 def _spec_from_tree(tree) -> ScenarioSpec:
     try:
         tree = _checked(tree, "", _CONFIG_KEYS)
@@ -292,10 +303,10 @@ def _spec_from_tree(tree) -> ScenarioSpec:
         spec = ScenarioSpec(
             id=sid,
             duration_us=_ms(tree["duration_ms"]),
-            with_ids=bool(tree["with_ids"]),
+            with_ids=_exact(bool, tree, "with_ids"),
             delays=DelayComponents(**{name: _ms(delays_ms[name]) for name in COMPONENT_NAMES}),
             decision_window_us=_ms(tree.get("decision_window_ms", 15)),
-            samples_per_second=int(mu.get("samples_per_second", 1000)),
+            samples_per_second=_exact(int, mu, "samples_per_second", 1000),
             publish_interval_us=_ms(pied.get("publish_interval_ms", 1000)),
             toggle_point_at_us=_optional_ms(pied.get("toggle_point_at_ms")),
             silence_at_us=_optional_ms(pied.get("silence_at_ms")),
@@ -337,16 +348,16 @@ def _injection_from_tree(tree: dict) -> InjectionPlan | None:
         sub.RELAY_PUBLICATION,
         src=sub.PIED_MAC if src is None else MacAddress.parse(src),
         gocb_ref=gocb_ref,
-        st_num=int(template_tree["st_num"]),
-        sq_num=int(template_tree["sq_num"]),
+        st_num=_exact(int, template_tree, "st_num"),
+        sq_num=_exact(int, template_tree, "sq_num"),
         timestamp=_ms(template_tree.get("timestamp_ms", 0)),
-        all_data=(bool(template_tree.get("trip", False)), False),
+        all_data=(_exact(bool, template_tree, "trip", False), False),
     )
     node = tree["node"]
     if node not in _CULPRIT_AT:
         raise ScenarioError(f"injection node {node!r} is not the station-bus switch or the relay")
     return InjectionPlan(
-        port=PortRef(node, int(tree["port"])),
+        port=PortRef(node, _exact(int, tree, "port")),
         mode=tree["mode"],
         template=template,
         times_us=tuple(_ms(t) for t in tree["times_ms"]),

@@ -138,10 +138,14 @@ class TestRun:
         ("baseline", "t_pied=1e30"),
         ("baseline", "duration_ms=1e12"),
         ("baseline", "publish_interval_ms=0.001"),
+        ("baseline", "samples_per_second=1000.9"),
+        ("baseline", "with_ids=no"),
+        ("baseline", "with_ids=1"),
     ])
     def test_hostile_number_is_config_error(self, tmp_path, capsys, sid, override):
-        """Infinite and negative times, and schedules of more ticks than
-        ``MAX_SCHEDULED_TICKS``, are refused at load time, and a delay that
+        """Infinite and negative times, schedules of more ticks than
+        ``MAX_SCHEDULED_TICKS``, a fractional sample rate and a ``with_ids``
+        that is not a boolean are refused at load time, and a delay that
         pushes a frame's timestamp out of its field stops the run: each is
         one error line, and nothing is written."""
         key, value = cli._parse_override(override)
@@ -248,6 +252,12 @@ class TestRun:
             ("baseline", "duration_ms: 5000\n", "duration_ms: .inf\n"),
             ("attack1", "    st_num: 1\n", "    st_num: 1\n    gocb_ref: [1, 2]\n"),
             ("attack1", "    st_num: 1\n", "    st_num: 1\n    src_mac: [1, 2]\n"),
+            ("baseline", "with_ids: false\n", 'with_ids: "false"\n'),
+            ("attack1", "    st_num: 1\n", '    st_num: 1\n    trip: "false"\n'),
+            ("attack1", "  samples_per_second: 1000\n", "  samples_per_second: 1000.9\n"),
+            ("attack1", "  port: 6\n", "  port: true\n"),
+            ("attack1", "    st_num: 1\n", "    st_num: 1.5\n"),
+            ("attack1", "    sq_num: 0\n", "    sq_num: false\n"),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
@@ -257,7 +267,9 @@ class TestRun:
              "misspelt_template_key", "retired_rules_section", "retired_loop_window_ms",
              "retired_controller_latency_ms", "retired_pickup_ma", "retired_currents_ma",
              "retired_voltages_mv", "retired_fault_phase_a_ma", "infinite_duration",
-             "gocb_ref_not_a_string", "src_mac_not_a_string"],
+             "gocb_ref_not_a_string", "src_mac_not_a_string", "with_ids_not_a_boolean",
+             "trip_not_a_boolean", "fractional_sample_rate", "port_a_boolean",
+             "fractional_st_num", "sq_num_a_boolean"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -276,8 +288,11 @@ class TestRun:
         ("run", "--scenario", "baseline", "--jobs", "0"),
         ("run", "--scenario", "baseline", "--no-such-option"),
         ("run", "--scenario", "attack1", "--config", "baseline.yaml"),
+        ("run", "--scenario", ","),
+        ("run",),
         (),
-    ], ids=["jobs_below_one", "unknown_option", "scenario_and_config", "missing_subcommand"])
+    ], ids=["jobs_below_one", "unknown_option", "scenario_and_config", "empty_scenario_list",
+            "no_scenario", "missing_subcommand"])
     def test_usage_error_is_one_error_line(self, tmp_path, argv):
         out = tmp_path / "o"
         assert_one_line_error(run_cli_process(*argv, *(("--out", str(out)) if argv else ())))
