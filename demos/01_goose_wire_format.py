@@ -4,8 +4,15 @@
 Run:  python3 demos/01_goose_wire_format.py
 """
 
-from gridshield import GooseFrame, MacAddress, RawFrame, decode_goose, encode_goose
-from gridshield.codec import CodecError, next_publication
+from gridshield.codec import (
+    CodecError,
+    GooseFrame,
+    MacAddress,
+    RawFrame,
+    decode_goose,
+    encode_goose,
+    next_publication,
+)
 
 
 def hexdump(data: bytes) -> str:

@@ -8,17 +8,9 @@ the inspection device simultaneously.
 Run:  python3 demos/02_flow_table_duplication.py
 """
 
-from gridshield import (
-    FlowEntry,
-    FlowTable,
-    GooseFrame,
-    MacAddress,
-    MatchFields,
-    match_frame,
-)
-from gridshield.codec import encode_goose
+from gridshield.codec import GooseFrame, MacAddress, encode_goose
 from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
-from gridshield.sdn import Forward, SwitchNode
+from gridshield.sdn import FlowEntry, FlowTable, Forward, MatchFields, SwitchNode, match_frame
 
 raw = encode_goose(
     GooseFrame(

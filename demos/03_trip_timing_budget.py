@@ -9,7 +9,8 @@ quarter cycle at 60 Hz, so protection timing is preserved).
 Run:  python3 demos/03_trip_timing_budget.py
 """
 
-from gridshield import load_scenario, measure, run_scenario
+from gridshield.delay import measure
+from gridshield.scenarios import load_scenario, run_scenario
 
 LABELS = {
     "t_mu": "merging unit internal",

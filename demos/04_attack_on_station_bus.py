@@ -9,7 +9,7 @@ down to its delivery and direct-relay ports.
 Run:  python3 demos/04_attack_on_station_bus.py
 """
 
-from gridshield import load_scenario, run_scenario
+from gridshield.scenarios import load_scenario, run_scenario
 
 result = run_scenario(load_scenario("attack1"))
 injected = next(ev for ev in result.log if ev.note == "injected")

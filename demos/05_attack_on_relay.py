@@ -9,8 +9,8 @@ alone and the two switch ports facing it are disabled.
 Run:  python3 demos/05_attack_on_relay.py
 """
 
-from gridshield import load_scenario, run_scenario
 from gridshield import substation as sub
+from gridshield.scenarios import load_scenario, run_scenario
 
 result = run_scenario(load_scenario("attack2"))
 

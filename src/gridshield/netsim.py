@@ -116,10 +116,6 @@ class SimEvent(NamedTuple):
     digest: str | None
     note: str | None
 
-    def to_json(self) -> str:
-        """The event's events.jsonl line, without its newline."""
-        return EventLog((self,)).to_jsonl()[:-1]
-
 
 class EventLog(list):
     """Append-only list of SimEvent, sorted by (time, seq)."""

@@ -39,6 +39,7 @@ from gridshield.codec import CodecError, MacAddress
 from gridshield.delay import (
     BASELINE_TOTAL_US,
     COMPONENT_NAMES,
+    MS,
     DelayComponents,
     DelayReport,
     IncompleteTrace,
@@ -59,8 +60,6 @@ from gridshield.netsim import (
     build_topology,
 )
 from gridshield.sdn import SwitchNode
-
-MS = 1_000
 
 SCENARIO_IDS = ("baseline", "attack1", "attack2")
 
