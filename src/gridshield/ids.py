@@ -247,7 +247,7 @@ def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
         raise ValueError("localization needs at least one abnormal observation")
     switch_digests = set()
     for o in obs:
-        if not 1 <= o.ingress_port <= 8:
+        if o.ingress_port not in sub.IDS_PORTS:
             raise ValueError(f"ingress port {o.ingress_port} outside 1..8")
         if (o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop) or (
             o.origin_hypothesis is Origin.STATION_BUS_SWITCH

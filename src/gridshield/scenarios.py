@@ -355,11 +355,14 @@ def _injection_from_tree(tree: dict) -> InjectionPlan | None:
     node = tree["node"]
     if node not in _CULPRIT_AT:
         raise ScenarioError(f"injection node {node!r} is not the station-bus switch or the relay")
+    times_us = tuple(_ms(t) for t in tree["times_ms"])
+    if not times_us:
+        raise ValueError("injection.times_ms names no injection time")
     return InjectionPlan(
         port=PortRef(node, _exact(int, tree, "port")),
         mode=tree["mode"],
         template=template,
-        times_us=tuple(_ms(t) for t in tree["times_ms"]),
+        times_us=times_us,
     )
 
 

@@ -258,6 +258,7 @@ class TestRun:
             ("attack1", "  port: 6\n", "  port: true\n"),
             ("attack1", "    st_num: 1\n", "    st_num: 1.5\n"),
             ("attack1", "    sq_num: 0\n", "    sq_num: false\n"),
+            ("attack1", "  times_ms: [2300, 2302, 2304, 2306, 2308]\n", "  times_ms: []\n"),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
@@ -269,7 +270,7 @@ class TestRun:
              "retired_voltages_mv", "retired_fault_phase_a_ma", "infinite_duration",
              "gocb_ref_not_a_string", "src_mac_not_a_string", "with_ids_not_a_boolean",
              "trip_not_a_boolean", "fractional_sample_rate", "port_a_boolean",
-             "fractional_st_num", "sq_num_a_boolean"],
+             "fractional_st_num", "sq_num_a_boolean", "empty_injection_schedule"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
