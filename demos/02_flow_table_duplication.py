@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Flow-table semantics: multi-entry duplication.
+"""Flow-table semantics: multi-row duplication.
 
-A frame matching several entries is replicated to every distinct forward
-port at once; that is how one ingress frame reaches both monitor feeds of
-the inspection device simultaneously.
+A frame matching several rows is replicated to every distinct egress port
+at once, in table order; that is how one ingress frame reaches both
+monitor feeds of the inspection device simultaneously.
 
 Run:  python3 demos/02_flow_table_duplication.py
 """
 
 from gridshield.codec import GooseFrame, MacAddress, encode_goose
 from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
-from gridshield.sdn import FlowEntry, FlowTable, Forward, MatchFields, SwitchNode, match_frame
+from gridshield.sdn import FlowEntry, SwitchNode, match_frame
 
 raw = encode_goose(
     GooseFrame(
@@ -28,17 +28,15 @@ raw = encode_goose(
     )
 )
 
-table = FlowTable(
-    entries=(
-        FlowEntry(100, MatchFields(ingress_port=6), (Forward(2),)),
-        FlowEntry(90, MatchFields(ingress_port=6), (Forward(3),)),
-        FlowEntry(80, MatchFields(ethertype=0x88B8), (Forward(2),)),  # coalesces
-    )
+table = (
+    FlowEntry(6, None, (2,)),
+    FlowEntry(6, None, (3,)),
+    FlowEntry(6, 0x88B8, (2,)),  # GOOSE only; port 2 coalesces
 )
 
-print("Actions for a GOOSE frame arriving on port 6:")
+print("Egress ports for a GOOSE frame arriving on port 6:")
 print(f"  {match_frame(table, raw, ingress=6)}")
-print("(three matching entries, but port 2 is emitted only once)\n")
+print("(three matching rows, but port 2 is emitted only once)\n")
 
 net = build_topology(
     TopologySpec(

@@ -1,12 +1,13 @@
-"""Static flow tables matched on ingress port and ethertype, with duplication.
+"""Static flow tables: ordered rows matched on ingress port and ethertype.
 
-A frame is matched against *every* entry whose set fields all equal the
-frame's values; the union of the matching entries' actions is applied,
-with duplicate forwards to the same port coalesced into a single
-emission. This collect-all behavior is what lets one ingress frame be
-replicated to several monitor ports at once. A frame that matches only
-explicit ``Drop`` actions is dropped as ``flow_drop``; an unmatched frame
-is dropped as ``no_forwarding_entry``.
+A flow table is a tuple of :class:`FlowEntry` rows. A row matches a frame
+that arrives on its ingress port and, when the row names an ethertype,
+carries that ethertype. The frame leaves by the egress ports of *every*
+matching row, in table order, each port once. This collect-all behavior
+is what lets one ingress frame be replicated to several monitor ports at
+once. A row with no egress port is an explicit drop: a frame whose
+matching rows name no egress port is dropped as ``flow_drop``, and a
+frame no row matches is dropped as ``no_forwarding_entry``.
 
 A switch's table is fixed when it is built; there is no controller
 channel. The only port-disable path is the inspector's mitigation
@@ -15,114 +16,48 @@ channel. The only port-disable path is the inspector's mitigation
 A :class:`SwitchNode` decides each flow once, as an OpenFlow switch's flow
 cache does. A decision depends only on the ingress port and the
 ethertype bytes (a frame too short to carry an ethertype has fewer than
-two of them, and no entry with an ethertype matches it), so the node
+two of them, and no row with an ethertype matches it), so the node
 caches the egress ports of ``match_frame``, and the reason it logs when
 there are none, under that key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gridshield.codec import RawFrame
 from gridshield.netsim import Network, PortRef, SimTime, UnknownPort
 
 
-class FlowTableError(Exception):
-    pass
+class FlowEntry(NamedTuple):
+    """Frames arriving on ``ingress_port`` with ``ethertype`` (any, when it
+    is None) leave by the ``egress`` ports; an empty ``egress`` drops them."""
+
+    ingress_port: int
+    ethertype: int | None
+    egress: tuple[int, ...]
 
 
-class DuplicateEntry(FlowTableError):
-    pass
+FlowTable = tuple[FlowEntry, ...]  # rows in emission order
 
 
-@dataclass(frozen=True)
-class MatchFields:
-    """Wildcard match: unset fields match anything, set fields must equal."""
-
-    ingress_port: int | None = None
-    ethertype: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.ingress_port is None and self.ethertype is None:
-            raise FlowTableError("a match needs at least one set field")
-
-    def matches(self, raw: RawFrame, ingress: int) -> bool:
-        if self.ingress_port is not None and self.ingress_port != ingress:
-            return False
-        return self.ethertype is None or self.ethertype == raw.ethertype
-
-
-@dataclass(frozen=True)
-class Forward:
-    port: int
-
-
-@dataclass(frozen=True)
-class Drop:
-    pass
-
-
-Action = Forward | Drop
-
-
-@dataclass(frozen=True)
-class FlowEntry:
-    priority: int
-    match: MatchFields
-    actions: tuple[Action, ...]
-
-    def __post_init__(self) -> None:
-        if not self.actions:
-            raise FlowTableError("entry needs actions; use an explicit Drop")
-        if not 0 <= self.priority <= 0xFFFF:
-            raise FlowTableError(f"priority {self.priority} outside u16")
-
-
-@dataclass(frozen=True)
-class FlowTable:
-    entries: tuple[FlowEntry, ...] = ()  # insertion order
-    # highest priority first, equal priorities in insertion order
-    by_priority: tuple[FlowEntry, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        keys = [(e.priority, e.match) for e in self.entries]
-        if len(keys) != len(set(keys)):
-            raise DuplicateEntry("two entries share (priority, match)")
-        order = sorted(self.entries, key=lambda e: -e.priority)  # stable
-        object.__setattr__(self, "by_priority", tuple(order))
-
-
-def match_frame(table: FlowTable, raw: RawFrame, ingress: int) -> list[Action]:
-    """Collect the actions of all matching entries (``[Drop()]`` if none match).
-
-    Actions are ordered by entry priority (highest first, then insertion
-    order); forwards to the same port appear once.
-    """
-    matching = [e for e in table.by_priority if e.match.matches(raw, ingress)]
-    if not matching:
-        return [Drop()]
-    out: list[Action] = []
-    seen_ports: set[int] = set()
-    for entry in matching:
-        for action in entry.actions:
-            if isinstance(action, Forward):
-                if action.port in seen_ports:
-                    continue
-                seen_ports.add(action.port)
-                out.append(action)
-            elif action not in out:
-                out.append(action)
-    return out
+def match_frame(table: FlowTable, raw: RawFrame, ingress: int) -> tuple[int, ...] | None:
+    """The distinct egress ports of every row matching the frame, in table
+    order, or None when no row matches it."""
+    wanted = (None, raw.ethertype)
+    rows = [row.egress for row in table if row.ingress_port == ingress and row.ethertype in wanted]
+    if not rows:
+        return None
+    return tuple(dict.fromkeys(port for egress in rows for port in egress))
 
 
 class SwitchNode:
     """A switch attached to the engine; forwards per its flow table.
 
-    Each Forward action becomes a departure ``processing_delay`` after the
-    frame's arrival; a frame with no emission is logged as a Drop, with the
-    reason ``flow_drop`` when an entry matched it and ``no_forwarding_entry``
-    when none did.
+    Each egress port of a frame's matching rows gets a departure
+    ``processing_delay`` after the frame's arrival; a frame with no
+    emission is logged as a Drop, with the reason ``flow_drop`` when a row
+    matched it and ``no_forwarding_entry`` when none did.
     """
 
     def __init__(self, net: Network, node_id: str, table: FlowTable, processing_delay: SimTime):
@@ -130,11 +65,11 @@ class SwitchNode:
         self.node_id = node_id
         net.register(node_id, self)
         port_count = net.nodes[node_id]
-        for entry in table.entries:
-            for action in entry.actions:
-                if isinstance(action, Forward) and not 1 <= action.port <= port_count:
+        for row in table:
+            for port in row.egress:
+                if not 1 <= port <= port_count:
                     raise UnknownPort(
-                        f"entry forwards to port {action.port}, but {node_id} has {port_count} ports"
+                        f"entry forwards to port {port}, but {node_id} has {port_count} ports"
                     )
         self.table = table
         self.processing_delay = processing_delay
@@ -150,7 +85,10 @@ class SwitchNode:
         key = (ingress, raw.data[12:14])  # the ethertype's bytes
         decision = self._decisions.get(key)
         if decision is None:
-            decision = self._decisions[key] = self._flow_decision(raw, ingress)
+            ports = match_frame(self.table, raw, ingress)
+            reason = "no_forwarding_entry" if ports is None else None if ports else "flow_drop"
+            egress = tuple(PortRef(self.node_id, port) for port in ports or ())
+            decision = self._decisions[key] = (egress, reason)
         egress, drop_reason = decision
         if drop_reason is not None:
             self.net.log_event("Drop", self.node_id, ingress, raw.digest, drop_reason)
@@ -158,16 +96,3 @@ class SwitchNode:
         for port in egress:
             self.net.send(port, raw, depart)
         return egress
-
-    def _flow_decision(self, raw: RawFrame, ingress: int) -> tuple[tuple[PortRef, ...], str | None]:
-        """The egress ports of the frame's flow, and its drop reason if none."""
-        egress = tuple(
-            PortRef(self.node_id, a.port)
-            for a in match_frame(self.table, raw, ingress)
-            if isinstance(a, Forward)
-        )
-        if egress:
-            return egress, None
-        if any(e.match.matches(raw, ingress) for e in self.table.entries):
-            return egress, "flow_drop"
-        return egress, "no_forwarding_entry"

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from gridshield.codec import GOOSE_ETHERTYPE, SV_ETHERTYPE, GooseFrame, MacAddress
 from gridshield.netsim import TopologySpec
-from gridshield.sdn import Drop, FlowEntry, FlowTable, Forward, MatchFields
+from gridshield.sdn import FlowEntry, FlowTable
 
 if TYPE_CHECKING:
     from gridshield.delay import DelayComponents
@@ -149,31 +149,19 @@ def default_topology(delays: DelayComponents) -> TopologySpec:
     )
 
 
-def _entry(priority: int, actions, **match) -> FlowEntry:
-    return FlowEntry(priority=priority, match=MatchFields(**match), actions=tuple(actions))
-
-
 def station_bus_flow_table() -> FlowTable:
     """Relay traffic goes to the main inspection feed; loop traffic returns
     on the loop feed; unexpected ingress is mirrored to both monitor feeds."""
-    return FlowTable(
-        entries=(
-            _entry(100, [Forward(SBS_TO_IDS)], ingress_port=SBS_PIED),
-            _entry(100, [Forward(SBS_LOOP_OUT)], ingress_port=SBS_LOOP_IN),
-            _entry(100, [Forward(SBS_TO_IDS)], ingress_port=SBS_INJECT),
-            _entry(90, [Forward(SBS_LOOP_OUT)], ingress_port=SBS_INJECT),
-        ),
+    return (
+        FlowEntry(SBS_PIED, None, (SBS_TO_IDS,)),
+        FlowEntry(SBS_LOOP_IN, None, (SBS_LOOP_OUT,)),
+        FlowEntry(SBS_INJECT, None, (SBS_TO_IDS, SBS_LOOP_OUT)),
     )
 
 
 def process_bus_flow_table() -> FlowTable:
     """Sampled values fan out to the relay and to the inspection tap."""
-    return FlowTable(
-        entries=(
-            _entry(100, [Forward(PBS_PIED)], ingress_port=PBS_FROM_MU, ethertype=SV_ETHERTYPE),
-            _entry(90, [Forward(PBS_IDS_TAP)], ingress_port=PBS_FROM_MU, ethertype=SV_ETHERTYPE),
-        ),
-    )
+    return (FlowEntry(PBS_FROM_MU, SV_ETHERTYPE, (PBS_PIED, PBS_IDS_TAP)),)
 
 
 def ids_flow_table(with_ids: bool) -> FlowTable:
@@ -184,17 +172,13 @@ def ids_flow_table(with_ids: bool) -> FlowTable:
     Without the module the device is a transparent wire on both feeds.
     The loop return and the sampled-value tap are terminal monitor ports.
     """
-    entries = [
-        _entry(90, [Forward(IDS_DELIVERY)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE),
-        _entry(100, [Forward(IDS_DELIVERY)], ingress_port=IDS_PIED_FEED, ethertype=GOOSE_ETHERTYPE),
-        _entry(100, [Drop()], ingress_port=IDS_LOOP_RETURN),
-        _entry(100, [Drop()], ingress_port=IDS_SV_TAP),
-    ]
-    if with_ids:
-        entries.append(
-            _entry(100, [Forward(IDS_LOOP_OUT)], ingress_port=IDS_MAIN_FEED, ethertype=GOOSE_ETHERTYPE)
-        )
-    return FlowTable(entries=tuple(entries))
+    main_feed = (IDS_LOOP_OUT, IDS_DELIVERY) if with_ids else (IDS_DELIVERY,)
+    return (
+        FlowEntry(IDS_MAIN_FEED, GOOSE_ETHERTYPE, main_feed),
+        FlowEntry(IDS_PIED_FEED, GOOSE_ETHERTYPE, (IDS_DELIVERY,)),
+        FlowEntry(IDS_LOOP_RETURN, None, ()),
+        FlowEntry(IDS_SV_TAP, None, ()),
+    )
 
 
 # Hops of the measured sampled-value -> trip chain, in order, as

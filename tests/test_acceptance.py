@@ -37,14 +37,7 @@ from gridshield.scenarios import (
     score,
     verify_forwarding_trace,
 )
-from gridshield.sdn import (
-    Drop,
-    FlowEntry,
-    FlowTable,
-    Forward,
-    MatchFields,
-    match_frame,
-)
+from gridshield.sdn import FlowEntry, match_frame
 from tests.test_codec import golden_goose_frame, hand_assembled_goose_bytes
 
 RUNTIME_CAP_S = 5.0
@@ -208,23 +201,14 @@ def test_criterion_6_flow_table_semantics():
     raw = encode_goose(golden_goose_frame())
 
     def random_table():
-        entries, seen = [], set()
-        for _ in range(rng.randrange(1, 8)):
-            ingress = rng.choice([None, rng.randrange(1, 9)])
-            ethertype = rng.choice([None, 0x88B8, 0x0800])
-            if ingress is None and ethertype is None:
-                ingress = rng.randrange(1, 9)
-            match = MatchFields(ingress_port=ingress, ethertype=ethertype)
-            priority = rng.randrange(0, 200)
-            if (priority, match) in seen:
-                continue
-            seen.add((priority, match))
-            actions = tuple(
-                Forward(rng.randrange(1, 9)) if rng.random() < 0.8 else Drop()
-                for _ in range(rng.randrange(1, 4))
+        return tuple(
+            FlowEntry(
+                rng.randrange(1, 9),
+                rng.choice([None, 0x88B8, 0x0800]),
+                tuple(rng.randrange(1, 9) for _ in range(rng.randrange(0, 4))),
             )
-            entries.append(FlowEntry(priority, match, actions))
-        return FlowTable(entries=tuple(entries))
+            for _ in range(rng.randrange(1, 8))
+        )
 
     cases = 2_000
     distinct_ok = purity_ok = 0
@@ -234,7 +218,7 @@ def test_criterion_6_flow_table_semantics():
         first = match_frame(table, raw, ingress)
         second = match_frame(table, raw, ingress)
         purity_ok += first == second
-        ports = [a.port for a in first if isinstance(a, Forward)]
+        ports = first or ()
         distinct_ok += len(ports) == len(set(ports))
     ok = distinct_ok == purity_ok == cases
     _report(

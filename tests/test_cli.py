@@ -314,11 +314,9 @@ class TestRun:
         stops the run, which is reported as one error line. Pool workers
         are forked from this process, so they run the patched table too."""
         from gridshield import substation as sub
-        from gridshield.sdn import FlowEntry, FlowTable, Forward, MatchFields
+        from gridshield.sdn import FlowEntry
 
-        unlinked = FlowTable(
-            entries=(FlowEntry(50, MatchFields(ingress_port=sub.SBS_PIED), (Forward(5),)),)
-        )
+        unlinked = (FlowEntry(sub.SBS_PIED, None, (5,)),)
         monkeypatch.setattr(sub, "station_bus_flow_table", lambda: unlinked)
         load_scenario("attack1")
         code = run_cli(

@@ -1,5 +1,6 @@
 """Flow-table semantics: multi-match duplication, coalescing, purity,
-switch timing, and the flow cache against a decision per frame."""
+switch timing, the flow cache against a decision per frame, and every
+decision of the panel's tables."""
 
 from __future__ import annotations
 
@@ -10,98 +11,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshield import substation as sub
 from gridshield.codec import (
     GOOSE_ETHERTYPE,
     MacAddress,
     RawFrame,
     encode_goose,
+    encode_sv,
 )
+from gridshield.delay import DelayComponents
 from gridshield.netsim import PortRef, TopologySpec, build_topology, events_of_kind
-from gridshield.sdn import (
-    Drop,
-    DuplicateEntry,
-    FlowEntry,
-    FlowTable,
-    FlowTableError,
-    Forward,
-    MatchFields,
-    SwitchNode,
-    match_frame,
-)
-from tests.test_codec import golden_goose_frame
+from gridshield.sdn import FlowEntry, SwitchNode, match_frame
+from tests.test_codec import golden_goose_frame, golden_sv_frame
 
 GOOSE_RAW = encode_goose(golden_goose_frame())
 OTHER_MAC = MacAddress.parse("AA:BB:CC:00:00:01")
 
 
-def entry(priority, actions, **match):
-    return FlowEntry(priority=priority, match=MatchFields(**match), actions=tuple(actions))
-
-
 class TestMatchFrame:
     def test_multi_match_forwards_to_both_ports(self):
-        table = FlowTable(
-            entries=(
-                entry(100, [Forward(3)], ingress_port=6),
-                entry(90, [Forward(7)], ingress_port=6),
-            )
-        )
-        actions = match_frame(table, GOOSE_RAW, ingress=6)
-        assert actions == [Forward(3), Forward(7)]
+        table = (FlowEntry(6, None, (3,)), FlowEntry(6, None, (7,)))
+        assert match_frame(table, GOOSE_RAW, ingress=6) == (3, 7)
 
     def test_no_match_falls_back_to_default(self):
-        table = FlowTable(entries=(entry(100, [Forward(3)], ingress_port=6),))
-        assert match_frame(table, GOOSE_RAW, ingress=1) == [Drop()]
+        table = (FlowEntry(6, None, (3,)),)
+        assert match_frame(table, GOOSE_RAW, ingress=1) is None
 
     def test_duplicate_forward_port_coalesced(self):
-        table = FlowTable(
-            entries=(
-                entry(100, [Forward(5)], ingress_port=6),
-                entry(90, [Forward(5)], ethertype=GOOSE_ETHERTYPE),
-            )
-        )
-        assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(5)]
+        table = (FlowEntry(6, None, (5,)), FlowEntry(6, GOOSE_ETHERTYPE, (5,)))
+        assert match_frame(table, GOOSE_RAW, ingress=6) == (5,)
 
-    def test_priority_orders_emissions(self):
-        table = FlowTable(
-            entries=(
-                entry(10, [Forward(1)], ingress_port=6),
-                entry(200, [Forward(2)], ingress_port=6),
-            )
+    def test_table_order_is_emission_order(self):
+        table = (
+            FlowEntry(6, None, (3,)),
+            FlowEntry(6, GOOSE_ETHERTYPE, (1, 3)),
+            FlowEntry(6, None, (2,)),
         )
-        assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(2), Forward(1)]
-
-    def test_equal_priorities_keep_insertion_order(self):
-        table = FlowTable(
-            entries=(
-                entry(50, [Forward(3)], ingress_port=6),
-                entry(50, [Forward(1)], ethertype=GOOSE_ETHERTYPE),
-                entry(60, [Forward(2)], ingress_port=6, ethertype=GOOSE_ETHERTYPE),
-            )
-        )
-        assert match_frame(table, GOOSE_RAW, ingress=6) == [Forward(2), Forward(3), Forward(1)]
+        assert match_frame(table, GOOSE_RAW, ingress=6) == (3, 1, 2)
 
     def test_unparseable_frame_matches_only_ingress_ethertype(self):
         blob = RawFrame(b"\x00" * 13)  # too short to carry an ethertype
-        table = FlowTable(
-            entries=(
-                entry(100, [Forward(1)], ingress_port=2),
-                entry(100, [Forward(2)], ethertype=0x0000),
-                entry(100, [Forward(3)], ingress_port=2, ethertype=0x0000),
-            )
+        table = (
+            FlowEntry(2, None, (1,)),
+            FlowEntry(2, 0x0000, (3,)),
         )
-        assert match_frame(table, blob, ingress=2) == [Forward(1)]
-
-    def test_match_needs_at_least_one_field(self):
-        with pytest.raises(FlowTableError):
-            MatchFields()
-
-
-class TestFlowTable:
-    def test_table_rejects_duplicate_keys_at_build(self):
-        e = entry(100, [Forward(1)], ingress_port=1)
-        with pytest.raises(DuplicateEntry):
-            FlowTable(entries=(e, entry(100, [Forward(2)], ingress_port=1)))
+        assert match_frame(table, blob, ingress=2) == (1,)
 
 
 def switch_net(table, processing_delay=1000):
@@ -121,12 +75,10 @@ def switch_net(table, processing_delay=1000):
 
 class TestSwitchNode:
     def test_duplication_emits_one_copy_per_port(self):
-        table = FlowTable(
-            entries=(
-                entry(100, [Forward(3)], ingress_port=6),
-                entry(90, [Forward(7)], ingress_port=6),
-                entry(80, [Forward(7)], ethertype=GOOSE_ETHERTYPE),
-            )
+        table = (
+            FlowEntry(6, None, (3,)),
+            FlowEntry(6, None, (7,)),
+            FlowEntry(6, GOOSE_ETHERTYPE, (7,)),
         )
         net, _ = switch_net(table)
         net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=0)
@@ -136,15 +88,14 @@ class TestSwitchNode:
         assert len({d.digest for d in departures}) == 1
 
     def test_departure_time_is_arrival_plus_processing_delay(self):
-        table = FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),))
-        net, _ = switch_net(table, processing_delay=777)
+        net, _ = switch_net((FlowEntry(6, None, (5,)),), processing_delay=777)
         net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=100)
         log = net.run_until(10_000)
         dep = events_of_kind(log, "FrameDeparture")[0]
         assert dep.time == 877
 
     def test_unmatched_frame_dropped_once(self):
-        net, _ = switch_net(FlowTable())
+        net, _ = switch_net(())
         net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=0)
         log = net.run_until(10_000)
         assert not events_of_kind(log, "FrameDeparture")
@@ -152,10 +103,7 @@ class TestSwitchNode:
         assert len(drops) == 1
 
     def test_explicit_drop_is_logged_as_a_flow_drop(self):
-        table = FlowTable(entries=(
-            entry(100, [Drop()], ingress_port=6),
-            entry(90, [Forward(5)], ingress_port=3),
-        ))
+        table = (FlowEntry(6, None, ()), FlowEntry(3, None, (5,)))
         net, _ = switch_net(table)
         net.inject_ingress(PortRef("sw", 6), GOOSE_RAW, at=0)
         net.inject_ingress(PortRef("sw", 4), GOOSE_RAW, at=100)
@@ -168,12 +116,11 @@ class TestSwitchNode:
     def test_forward_to_nonexistent_port_rejected(self):
         from gridshield.netsim import UnknownPort
 
-        table = FlowTable(entries=(entry(100, [Forward(99)], ingress_port=6),))
         with pytest.raises(UnknownPort):
-            switch_net(table)
+            switch_net((FlowEntry(6, None, (99,)),))
 
     def test_data_frames_never_mutate_the_table(self):
-        table = FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),))
+        table = (FlowEntry(6, None, (5,)),)
         net, sw = switch_net(table)
         before = sw.table
         for t in range(0, 5_000, 500):
@@ -186,53 +133,27 @@ class TestSwitchNode:
 # Properties
 # ---------------------------------------------------------------------------
 
-action_lists = st.lists(
-    st.one_of(st.builds(Forward, st.integers(1, 8)), st.just(Drop())),
-    min_size=1,
-    max_size=3,
-).map(tuple)
-
-matches = st.one_of(
-    st.builds(MatchFields, ingress_port=st.integers(1, 8)),
-    st.builds(MatchFields, ethertype=st.sampled_from([GOOSE_ETHERTYPE, 0x0800])),
+tables = st.lists(
     st.builds(
-        MatchFields,
-        ingress_port=st.integers(1, 8),
-        ethertype=st.sampled_from([GOOSE_ETHERTYPE, 0x0800]),
+        FlowEntry,
+        st.integers(1, 8),
+        st.none() | st.sampled_from([GOOSE_ETHERTYPE, 0x0800]),
+        st.lists(st.integers(1, 8), max_size=3).map(tuple),
     ),
-)
-
-entries = st.builds(
-    FlowEntry,
-    priority=st.integers(0, 0xFFFF),
-    match=matches,
-    actions=action_lists,
-)
-
-
-def tables():
-    def dedupe(es):
-        seen, out = set(), []
-        for e in es:
-            if (e.priority, e.match) not in seen:
-                seen.add((e.priority, e.match))
-                out.append(e)
-        return FlowTable(entries=tuple(out))
-
-    return st.lists(entries, max_size=8).map(dedupe)
+    max_size=8,
+).map(tuple)
 
 
 class TestFlowProperties:
-    @given(tables(), st.integers(1, 8))
+    @given(tables, st.integers(1, 8))
     def test_match_frame_is_pure(self, table, ingress):
         first = match_frame(table, GOOSE_RAW, ingress)
         second = match_frame(table, GOOSE_RAW, ingress)
         assert first == second
 
-    @given(tables(), st.integers(1, 8))
+    @given(tables, st.integers(1, 8))
     def test_forward_ports_are_distinct(self, table, ingress):
-        actions = match_frame(table, GOOSE_RAW, ingress)
-        ports = [a.port for a in actions if isinstance(a, Forward)]
+        ports = match_frame(table, GOOSE_RAW, ingress) or ()
         assert len(ports) == len(set(ports))
 
 
@@ -245,14 +166,11 @@ class PerFrameSwitch(SwitchNode):
     """A switch without its flow cache: ``match_frame`` on every frame."""
 
     def process_frame(self, raw, ingress, at):
-        emitted = False
-        for action in match_frame(self.table, raw, ingress):
-            if isinstance(action, Forward):
-                self.net.send(PortRef(self.node_id, action.port), raw, at + self.processing_delay)
-                emitted = True
-        if not emitted:
-            matched = any(e.match.matches(raw, ingress) for e in self.table.entries)
-            reason = "flow_drop" if matched else "no_forwarding_entry"
+        ports = match_frame(self.table, raw, ingress)
+        for port in ports or ():
+            self.net.send(PortRef(self.node_id, port), raw, at + self.processing_delay)
+        if not ports:
+            reason = "no_forwarding_entry" if ports is None else "flow_drop"
             self.net.log_event("Drop", self.node_id, ingress, raw.digest, reason)
 
 
@@ -262,13 +180,9 @@ FLOW_ETHERTYPES = (GOOSE_ETHERTYPE, 0x88BA, 0x08B8, 0x0800)
 
 flow_entries = st.builds(
     FlowEntry,
-    priority=st.integers(0, 3),
-    match=st.tuples(st.none() | st.integers(1, 3), st.none() | st.sampled_from(FLOW_ETHERTYPES))
-    .filter(lambda fields: fields != (None, None))
-    .map(lambda f: MatchFields(*f)),
-    actions=st.lists(
-        st.one_of(st.builds(Forward, st.integers(1, 8)), st.just(Drop())), min_size=1, max_size=3
-    ).map(tuple),
+    st.integers(1, 3),
+    st.none() | st.sampled_from(FLOW_ETHERTYPES),
+    st.lists(st.integers(1, 8), max_size=3).map(tuple),
 )
 
 # A frame is its header fields, a body and the length it is cut to; the
@@ -293,8 +207,7 @@ def flow_frame(f: dict) -> RawFrame:
 def switch_runs(draw):
     """A table, and the sweeps fed to the switch: every frame of a pool
     arrives on each of three ports, in a drawn order."""
-    entries = draw(st.lists(flow_entries, max_size=6))
-    table = FlowTable(entries=tuple({(e.priority, e.match): e for e in entries}.values()))
+    table = tuple(draw(st.lists(flow_entries, max_size=6)))
     # a frame, the frames that differ from it in one header field, and any
     # other frame
     base = draw(frame_fields)
@@ -335,7 +248,7 @@ class TestFlowCache:
 
         calls = []
         monkeypatch.setattr(sdn, "match_frame", lambda *a: calls.append(a) or match_frame(*a))
-        net, _ = switch_net(FlowTable(entries=(entry(100, [Forward(5)], ingress_port=6),)))
+        net, _ = switch_net((FlowEntry(6, None, (5,)),))
         other_src = encode_goose(dataclasses.replace(golden_goose_frame(), src=OTHER_MAC, app_id=2))
         for t in range(0, 5_000, 500):
             net.inject_ingress(PortRef("sw", 6), other_src if t % 1_000 else GOOSE_RAW, at=t)
@@ -344,3 +257,70 @@ class TestFlowCache:
         assert len(calls) == 2
         departures = events_of_kind(net.log, "FrameDeparture")
         assert len(departures) == 10 and {d.port for d in departures} == {5}
+
+
+# ---------------------------------------------------------------------------
+# Every decision of the panel's tables
+# ---------------------------------------------------------------------------
+
+PANEL_FRAMES = {
+    "goose": encode_goose(sub.RELAY_PUBLICATION),
+    "sv": encode_sv(golden_sv_frame()),
+    "ipv4": RawFrame(bytes(12) + struct.pack(">H", 0x0800) + bytes(20)),
+    "runt": RawFrame(bytes(13)),  # too short to carry an ethertype
+}
+ALL_KINDS = tuple(PANEL_FRAMES)
+
+# switch -> {ingress port: (frame kinds, egress ports, drop note)}; every
+# other frame on every other port is a no_forwarding_entry drop
+PANEL_DECISIONS = {
+    "station_bus": {
+        sub.SBS_LOOP_IN: (ALL_KINDS, (sub.SBS_LOOP_OUT,), None),
+        sub.SBS_PIED: (ALL_KINDS, (sub.SBS_TO_IDS,), None),
+        sub.SBS_INJECT: (ALL_KINDS, (sub.SBS_TO_IDS, sub.SBS_LOOP_OUT), None),
+    },
+    "process_bus": {
+        sub.PBS_FROM_MU: (("sv",), (sub.PBS_PIED, sub.PBS_IDS_TAP), None),
+    },
+    "ids_with_module": {
+        sub.IDS_SV_TAP: (ALL_KINDS, (), "flow_drop"),
+        sub.IDS_MAIN_FEED: (("goose",), (sub.IDS_LOOP_OUT, sub.IDS_DELIVERY), None),
+        sub.IDS_PIED_FEED: (("goose",), (sub.IDS_DELIVERY,), None),
+        sub.IDS_LOOP_RETURN: (ALL_KINDS, (), "flow_drop"),
+    },
+    "ids_without_module": {
+        sub.IDS_SV_TAP: (ALL_KINDS, (), "flow_drop"),
+        sub.IDS_MAIN_FEED: (("goose",), (sub.IDS_DELIVERY,), None),
+        sub.IDS_PIED_FEED: (("goose",), (sub.IDS_DELIVERY,), None),
+        sub.IDS_LOOP_RETURN: (ALL_KINDS, (), "flow_drop"),
+    },
+}
+
+PANEL_SWITCHES = {
+    "station_bus": (sub.STATION_BUS, sub.station_bus_flow_table),
+    "process_bus": (sub.PROCESS_BUS, sub.process_bus_flow_table),
+    "ids_with_module": (sub.IDS, lambda: sub.ids_flow_table(with_ids=True)),
+    "ids_without_module": (sub.IDS, lambda: sub.ids_flow_table(with_ids=False)),
+}
+
+
+@pytest.mark.parametrize("switch", list(PANEL_SWITCHES))
+def test_panel_tables_decide_every_ingress_port_and_frame_kind(switch):
+    """Four frame kinds on every ingress port of each switch: the egress
+    ports in order, and the drop note when there are none."""
+    node, table = PANEL_SWITCHES[switch]
+    net = build_topology(sub.default_topology(DelayComponents()))
+    sw = SwitchNode(net, node, table(), 0)
+    seen, expected = {}, {}
+    for port in range(1, net.nodes[node] + 1):
+        kinds, egress, note = PANEL_DECISIONS[switch].get(port, ((), (), None))
+        for kind, raw in PANEL_FRAMES.items():
+            before = len(net.log)
+            ports = tuple(p.port for p in sw.process_frame(raw, port, 0))
+            notes = tuple(ev.note for ev in list(net.log)[before:] if ev.kind == "Drop")
+            seen[port, kind] = ports, notes
+            if kind in kinds:
+                expected[port, kind] = egress, (note,) if note else ()
+            else:
+                expected[port, kind] = (), ("no_forwarding_entry",)
+    assert seen == expected
