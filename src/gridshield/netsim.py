@@ -49,10 +49,6 @@ class UnknownNode(TopologyError):
     pass
 
 
-class DanglingPort(TopologyError):
-    pass
-
-
 class DuplicateLink(TopologyError):
     pass
 
@@ -219,11 +215,8 @@ class Network:
         self.nodes[node] = ports
 
     def add_link(self, a: PortRef, b: PortRef, latency: SimTime) -> None:
-        for ref in (a, b):
-            if ref.node not in self.nodes:
-                raise UnknownNode(f"no such node {ref.node}")
-            if not 1 <= ref.port <= self.nodes[ref.node]:
-                raise DanglingPort(f"{ref} beyond the node's {self.nodes[ref.node]} ports")
+        self.check_port(a)
+        self.check_port(b)
         if a == b:
             raise TopologyError(f"link endpoints must differ, got {a} twice")
         for ref in (a, b):
@@ -239,7 +232,7 @@ class Network:
 
     # -- port state --------------------------------------------------------
 
-    def _check_port(self, port: PortRef) -> None:
+    def check_port(self, port: PortRef) -> None:
         if port.node not in self.nodes:
             raise UnknownNode(f"no such node {port.node}")
         if not 1 <= port.port <= self.nodes[port.node]:
@@ -247,7 +240,7 @@ class Network:
 
     def set_port_state(self, port: PortRef, enabled: bool, at: SimTime) -> None:
         """Schedule a port enable/disable; effective once processed."""
-        self._check_port(port)
+        self.check_port(port)
         self._schedule(at, self._apply_port_state, (port, enabled))
 
     def _apply_port_state(self, port: PortRef, enabled: bool) -> None:
@@ -270,7 +263,7 @@ class Network:
         while it is in flight.
         """
         if from_port not in self.links:
-            self._check_port(from_port)
+            self.check_port(from_port)
             raise UnlinkedPort(f"{from_port} has no link")
         self._schedule(at, self._depart, (from_port, raw, note))
 
@@ -292,7 +285,7 @@ class Network:
         This models ground-truth attack injection; the arrival is logged
         with the given note so detection can be scored against it.
         """
-        self._check_port(port)
+        self.check_port(port)
         self._schedule(at, self._arrive, (port, raw, note, True))
 
     def _arrive(self, port: PortRef, raw: RawFrame, note: str | None, check_enabled: bool = False) -> None:
@@ -346,7 +339,7 @@ class Network:
 def build_topology(spec: TopologySpec) -> Network:
     """Instantiate a network from a topology description.
 
-    Raises UnknownNode / DanglingPort / DuplicateLink when a link refers
+    Raises UnknownNode / UnknownPort / DuplicateLink when a link refers
     to a missing node, a port beyond a node's port count, or a port that
     is already wired.
     """

@@ -208,9 +208,13 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
     return tree
 
 
-def _ms(value) -> int:
-    """Milliseconds as whole microseconds; no config time is negative."""
-    us = int(round(float(value) * MS))
+def _ms(value, where: str) -> int:
+    """Milliseconds as whole microseconds. ``value`` is the config's number
+    at path ``where``: a bool or a string is none, and no config time is
+    negative."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{where} must be a number of milliseconds, not {value!r}")
+    us = int(round(value * MS))
     if us < 0:
         raise ValueError(f"{value!r} ms is negative")
     return us
@@ -274,8 +278,8 @@ def _section(tree: _Keys, key: str) -> _Keys:
     return _checked({} if section is None else section, tree.prefix + key, _SECTION_KEYS[key])
 
 
-def _optional_ms(value) -> int | None:
-    return None if value is None else _ms(value)
+def _optional_ms(value, where: str) -> int | None:
+    return None if value is None else _ms(value, where)
 
 
 def _exact(kind: type, tree: _Keys, key: str, default=None):
@@ -301,15 +305,21 @@ def _spec_from_tree(tree) -> ScenarioSpec:
         waveform = _section(tree, "waveform")
         spec = ScenarioSpec(
             id=sid,
-            duration_us=_ms(tree["duration_ms"]),
+            duration_us=_ms(tree["duration_ms"], "duration_ms"),
             with_ids=_exact(bool, tree, "with_ids"),
-            delays=DelayComponents(**{name: _ms(delays_ms[name]) for name in COMPONENT_NAMES}),
-            decision_window_us=_ms(tree.get("decision_window_ms", 15)),
+            delays=DelayComponents(**{
+                name: _ms(delays_ms[name], f"delays_ms.{name}") for name in COMPONENT_NAMES
+            }),
+            decision_window_us=_ms(tree.get("decision_window_ms", 15), "decision_window_ms"),
             samples_per_second=_exact(int, mu, "samples_per_second", 1000),
-            publish_interval_us=_ms(pied.get("publish_interval_ms", 1000)),
-            toggle_point_at_us=_optional_ms(pied.get("toggle_point_at_ms")),
-            silence_at_us=_optional_ms(pied.get("silence_at_ms")),
-            fault_at_us=_optional_ms(waveform.get("fault_at_ms")),
+            publish_interval_us=_ms(
+                pied.get("publish_interval_ms", 1000), "pied.publish_interval_ms"
+            ),
+            toggle_point_at_us=_optional_ms(
+                pied.get("toggle_point_at_ms"), "pied.toggle_point_at_ms"
+            ),
+            silence_at_us=_optional_ms(pied.get("silence_at_ms"), "pied.silence_at_ms"),
+            fault_at_us=_optional_ms(waveform.get("fault_at_ms"), "waveform.fault_at_ms"),
             injection=_injection_from_tree(_section(tree, "injection")),
         )
         if spec.duration_us <= 0:
@@ -349,13 +359,16 @@ def _injection_from_tree(tree: dict) -> InjectionPlan | None:
         gocb_ref=gocb_ref,
         st_num=_exact(int, template_tree, "st_num"),
         sq_num=_exact(int, template_tree, "sq_num"),
-        timestamp=_ms(template_tree.get("timestamp_ms", 0)),
+        timestamp=_ms(template_tree.get("timestamp_ms", 0), "injection.template.timestamp_ms"),
         all_data=(_exact(bool, template_tree, "trip", False), False),
     )
     node = tree["node"]
     if node not in _CULPRIT_AT:
         raise ScenarioError(f"injection node {node!r} is not the station-bus switch or the relay")
-    times_us = tuple(_ms(t) for t in tree["times_ms"])
+    times = tree["times_ms"]
+    if type(times) is not list:
+        raise ValueError(f"injection.times_ms must be a list of times, not {times!r}")
+    times_us = tuple(_ms(t, "injection.times_ms") for t in times)
     if not times_us:
         raise ValueError("injection.times_ms names no injection time")
     return InjectionPlan(

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from gridshield.codec import RawFrame
-from gridshield.netsim import Network, PortRef, SimTime, UnknownPort
+from gridshield.netsim import Network, PortRef, SimTime
 
 
 class FlowEntry(NamedTuple):
@@ -64,13 +64,9 @@ class SwitchNode:
         self.net = net
         self.node_id = node_id
         net.register(node_id, self)
-        port_count = net.nodes[node_id]
         for row in table:
             for port in row.egress:
-                if not 1 <= port <= port_count:
-                    raise UnknownPort(
-                        f"entry forwards to port {port}, but {node_id} has {port_count} ports"
-                    )
+                net.check_port(PortRef(node_id, port))
         self.table = table
         self.processing_delay = processing_delay
         # (ingress, ethertype bytes) -> egress ports, and the drop reason

@@ -141,9 +141,12 @@ class TestRun:
         ("baseline", "samples_per_second=1000.9"),
         ("baseline", "with_ids=no"),
         ("baseline", "with_ids=1"),
+        ("baseline", "duration_ms=true"),
+        ("attack1", "t_ids=true"),
+        ("baseline", "fault_at_ms=false"),
     ])
     def test_hostile_number_is_config_error(self, tmp_path, capsys, sid, override):
-        """Infinite and negative times, schedules of more ticks than
+        """Infinite, negative and boolean times, schedules of more ticks than
         ``MAX_SCHEDULED_TICKS``, a fractional sample rate and a ``with_ids``
         that is not a boolean are refused at load time, and a delay that
         pushes a frame's timestamp out of its field stops the run: each is
@@ -259,6 +262,12 @@ class TestRun:
             ("attack1", "    st_num: 1\n", "    st_num: 1.5\n"),
             ("attack1", "    sq_num: 0\n", "    sq_num: false\n"),
             ("attack1", "  times_ms: [2300, 2302, 2304, 2306, 2308]\n", "  times_ms: []\n"),
+            ("attack1", "  times_ms: [2300, 2302, 2304, 2306, 2308]\n", '  times_ms: "23"\n'),
+            ("attack1", "  times_ms: [2300, 2302, 2304, 2306, 2308]\n",
+             "  times_ms: [2300, true]\n"),
+            ("attack1", "  times_ms: [2300, 2302, 2304, 2306, 2308]\n", "  times_ms: {2300: 1}\n"),
+            ("attack1", "  t_ids: 4.0\n", '  t_ids: "4"\n'),
+            ("baseline", "duration_ms: 5000\n", "duration_ms: 5e3\n"),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
@@ -270,7 +279,9 @@ class TestRun:
              "retired_voltages_mv", "retired_fault_phase_a_ma", "infinite_duration",
              "gocb_ref_not_a_string", "src_mac_not_a_string", "with_ids_not_a_boolean",
              "trip_not_a_boolean", "fractional_sample_rate", "port_a_boolean",
-             "fractional_st_num", "sq_num_a_boolean", "empty_injection_schedule"],
+             "fractional_st_num", "sq_num_a_boolean", "empty_injection_schedule",
+             "injection_schedule_a_string", "injection_time_a_boolean",
+             "injection_schedule_a_mapping", "delay_a_string", "exponent_without_a_dot"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""

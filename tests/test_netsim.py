@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from gridshield import netsim
 from gridshield.codec import RawFrame
 from gridshield.netsim import (
-    DanglingPort,
     DuplicateLink,
     EventLog,
     Network,
@@ -115,7 +114,7 @@ class TestBuildTopology:
 
     def test_link_to_port_beyond_count(self):
         spec = TopologySpec(nodes={"a": 2, "ids": 8}, links=(("a", 1, "ids", 9, 10),))
-        with pytest.raises(DanglingPort):
+        with pytest.raises(UnknownPort):
             build_topology(spec)
 
     def test_two_links_sharing_a_port(self):
