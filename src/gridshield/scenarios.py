@@ -214,7 +214,7 @@ def _ms(value, where: str) -> int:
     negative."""
     if type(value) not in (int, float):
         raise ValueError(f"{where} must be a number of milliseconds, not {value!r}")
-    us = int(round(value * MS))
+    us = int(round(float(value) * MS))
     if us < 0:
         raise ValueError(f"{value!r} ms is negative")
     return us
