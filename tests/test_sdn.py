@@ -41,7 +41,13 @@ class TestMatchFrame:
         table = (FlowEntry(6, None, (5,)), FlowEntry(6, GOOSE_ETHERTYPE, (5,)))
         assert match_frame(table, GOOSE_RAW, ingress=6) == (5,)
 
-    def test_table_order_is_emission_order(self):
+    def test_priority_orders_emissions(self):
+        # A row's place in the table is its priority: earlier rows emit first.
+        first, second = FlowEntry(6, None, (1,)), FlowEntry(6, None, (2,))
+        assert match_frame((first, second), GOOSE_RAW, ingress=6) == (1, 2)
+        assert match_frame((second, first), GOOSE_RAW, ingress=6) == (2, 1)
+
+    def test_equal_priorities_keep_insertion_order(self):
         table = (
             FlowEntry(6, None, (3,)),
             FlowEntry(6, GOOSE_ETHERTYPE, (1, 3)),
