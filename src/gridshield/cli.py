@@ -22,8 +22,8 @@ so an output directory), and an ``--out`` that cannot be written; each
 prints one ``error:`` line. Stdout is a
 human-readable summary and may change; a reader that closes it early
 loses the rest of the summary, not the exit code.
-The ``GRIDSHIELD_LOG`` variable (DEBUG/INFO/WARNING/ERROR) controls
-diagnostic verbosity.
+The ``GRIDSHIELD_LOG`` variable must name a log level
+(DEBUG/INFO/WARNING/ERROR); nothing logs through it yet.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from gridshield import substation as sub
-from gridshield.netsim import EventLog, SimEvent, SimTime
+from gridshield.netsim import EventLog, SimEvent, SimTime, note_fields
 
 MS = 1_000  # microseconds per millisecond
 
@@ -128,15 +128,6 @@ def walk_hops(
     return found if hop is None else None
 
 
-def _note_field(note: str | None, key: str) -> str | None:
-    if not note:
-        return None
-    for part in note.split():
-        if part.startswith(key + "="):
-            return part[len(key) + 1 :]
-    return None
-
-
 def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport:
     """Attribute every hop and processing interval of the trip chain.
 
@@ -160,18 +151,19 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport:
     pied_dep, sbs_arr, sbs_dep, ids_arr, ids_dep, omicron_arr = goose_hops
 
     # Sampled-value side: the trip departure names its triggering sample.
-    trigger_digest = _note_field(pied_dep.note, "trigger")
-    if trigger_digest is None:
-        raise IncompleteTrace("trip departure names no triggering sample")
+    try:
+        trigger_digest = note_fields(pied_dep.note, "trip")["trigger"]
+    except (KeyError, ValueError) as exc:
+        raise IncompleteTrace("trip departure names no triggering sample") from exc
     sv_hops = walk_hops(events, trigger_digest, sub.TRIP_PATH[:4])
     if sv_hops is None:
         raise IncompleteTrace(f"the log misses a hop of triggering sample {trigger_digest}")
     mu_dep, pbs_arr, pbs_dep, pied_sv_arr = sv_hops
 
-    tick_text = _note_field(mu_dep.note, "tick_us")
-    if tick_text is None:
-        raise IncompleteTrace("sample departure names no tick time")
-    fault_sample = int(tick_text)
+    try:
+        fault_sample = int(note_fields(mu_dep.note)["tick_us"])
+    except (KeyError, ValueError) as exc:
+        raise IncompleteTrace("sample departure names no tick time") from exc
 
     components = {
         "t_mu": mu_dep.time - fault_sample,

@@ -357,3 +357,21 @@ def build_topology(spec: TopologySpec) -> Network:
 def events_of_kind(log: Iterable[SimEvent], kind: str) -> list[SimEvent]:
     return [ev for ev in log if ev.kind == kind]
 
+
+def note_fields(note: str | None, head: str | None = None) -> dict[str, str]:
+    """The ``key=value`` words of a log note, by key, after its first word
+    ``head`` when one is given. Raises ValueError for any other note: one
+    without that first word, or with a word that is no ``key=value``, a key
+    given twice or two spaces in a row."""
+    words = note.split(" ") if note else []
+    if head is not None:
+        if words[:1] != [head]:
+            raise ValueError(f"note {note!r} does not start with {head!r}")
+        words = words[1:]
+    fields: dict[str, str] = {}
+    for word in words:
+        key, sep, value = word.partition("=")
+        if not sep or not key or key in fields:
+            raise ValueError(f"note {note!r}: {word!r} is no key=value field, or repeats a key")
+        fields[key] = value
+    return fields

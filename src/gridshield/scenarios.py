@@ -58,6 +58,7 @@ from gridshield.netsim import (
     TopologyError,
     TopologySpec,
     build_topology,
+    note_fields,
 )
 from gridshield.sdn import SwitchNode
 
@@ -171,7 +172,9 @@ def _builtin_config_text(scenario_id: str) -> str:
 
 
 def load_scenario(name_or_path: str, overrides: dict | None = None) -> ScenarioSpec:
-    """Load a shipped fixture by id, or any scenario YAML by path."""
+    """Load a shipped fixture by id, or any scenario YAML by path;
+    ``overrides`` maps ``--override`` names to values that replace the
+    config's."""
     if name_or_path in SCENARIO_IDS:
         text = _builtin_config_text(name_or_path)
     else:
@@ -188,147 +191,159 @@ def load_scenario(name_or_path: str, overrides: dict | None = None) -> ScenarioS
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
-    if overrides:
-        tree = _apply_overrides(tree, overrides)
-    return _spec_from_tree(tree)
-
-
-def _apply_overrides(tree: dict, overrides: dict) -> dict:
-    for key, value in overrides.items():
-        path = _OVERRIDE_KEYS.get(key)
-        if path is None:
+    by_path = {}
+    for key, value in (overrides or {}).items():
+        if key not in _OVERRIDE_KEYS:
             raise ScenarioError(f"unknown override {key!r}")
-        node = tree
-        try:
-            for part in path[:-1]:
-                node = node.setdefault(part, {})
-            node[path[-1]] = value
-        except (AttributeError, TypeError) as exc:
-            raise ScenarioError(f"bad scenario config: cannot override {key!r}: {exc}") from exc
-    return tree
+        by_path[_OVERRIDE_KEYS[key]] = value
+    return _spec_from_tree(tree, by_path)
+
+
+# Readers of config values: each takes the value and its path in the
+# config, and returns what the spec holds or raises ValueError naming the
+# path. Nothing is coerced.
 
 
 def _ms(value, where: str) -> int:
-    """Milliseconds as whole microseconds. ``value`` is the config's number
-    at path ``where``: a bool or a string is none, and no config time is
-    negative."""
+    """Milliseconds as whole microseconds: a finite number, not negative; a
+    bool or a string is no number."""
     if type(value) not in (int, float):
         raise ValueError(f"{where} must be a number of milliseconds, not {value!r}")
-    us = int(round(float(value) * MS))
+    try:
+        us = int(round(float(value) * MS))
+    except (OverflowError, ValueError) as exc:  # infinite, or not a number
+        raise ValueError(f"{where}: {exc}") from exc
     if us < 0:
-        raise ValueError(f"{value!r} ms is negative")
+        raise ValueError(f"{where}: {value!r} ms is negative")
     return us
 
 
-# The keys of a scenario config and of each of its sections
-# (docs/SCHEMAS.md); any other key is an error, not a silently ignored
-# section or a setting that silently takes its default.
-_CONFIG_KEYS = frozenset({
-    "scenario", "duration_ms", "with_ids", "delays_ms", "decision_window_ms", "mu", "pied",
-    "waveform", "injection",
-})
-_SECTION_KEYS = {
-    "delays_ms": frozenset(COMPONENT_NAMES),
-    "mu": frozenset({"samples_per_second"}),
-    "pied": frozenset({"publish_interval_ms", "toggle_point_at_ms", "silence_at_ms"}),
-    "waveform": frozenset({"fault_at_ms"}),
-    "injection": frozenset({"node", "port", "mode", "template", "times_ms"}),
-    "template": frozenset({"src_mac", "gocb_ref", "st_num", "sq_num", "timestamp_ms", "trip"}),
-}
-
-# ``--override`` names: the top-level scalars and every key of the sections
-# that hold one setting per key, each with its path in the config.
-_OVERRIDE_KEYS = {
-    **{key: (key,) for key in ("with_ids", "duration_ms", "decision_window_ms")},
-    **{
-        key: (section, key)
-        for section in ("delays_ms", "mu", "pied", "waveform")
-        for key in sorted(_SECTION_KEYS[section])
-    },
-}
+def _times(value, where: str) -> tuple[int, ...]:
+    """A YAML list of at least one time."""
+    if type(value) is not list:
+        raise ValueError(f"{where} must be a list of times, not {value!r}")
+    if not value:
+        raise ValueError(f"{where} names no injection time")
+    return tuple(_ms(t, where) for t in value)
 
 
-class _Keys(dict):
-    """A checked config mapping that names a missing required key by its
-    path in the config; ``prefix`` is the mapping's own path and a dot."""
+def _typed(kind: type):
+    """The reader of a value whose type is exactly ``kind``: a bool is no
+    whole number, and neither a string nor a number is a bool."""
+    what = {bool: "true or false", int: "a whole number", str: "a string"}[kind]
 
-    def __init__(self, tree: dict, prefix: str):
-        super().__init__(tree)
-        self.prefix = prefix
+    def read(value, where: str):
+        if type(value) is not kind:
+            raise ValueError(f"{where} must be {what}, not {value!r}")
+        return value
 
-    def __missing__(self, key):
-        raise ScenarioError(f"bad scenario config: missing key {self.prefix}{key}")
-
-
-def _checked(tree, path: str, allowed: frozenset) -> _Keys:
-    """``tree`` if it is a mapping holding only ``allowed`` keys; ``path``
-    is where it sits in the config, empty for the config itself."""
-    where = path or "the config"
-    if not isinstance(tree, dict):
-        raise ScenarioError(f"bad scenario config: {where} is not a mapping of keys")
-    unknown = sorted(set(tree) - allowed, key=str)
-    if unknown:
-        raise ScenarioError(f"unknown config keys {unknown} in {where}")
-    return _Keys(tree, f"{path}." if path else "")
+    return read
 
 
-def _section(tree: _Keys, key: str) -> _Keys:
-    """The checked section ``key`` of ``tree``; an absent or null one is empty."""
-    section = tree.get(key)
-    return _checked({} if section is None else section, tree.prefix + key, _SECTION_KEYS[key])
+def _one_of(*choices: str):
+    """The reader of a string that is one of ``choices``."""
+
+    def read(value, where: str) -> str:
+        if value not in choices:
+            raise ValueError(f"{where} must be one of {', '.join(choices)}, not {value!r}")
+        return value
+
+    return read
 
 
-def _optional_ms(value, where: str) -> int | None:
-    return None if value is None else _ms(value, where)
-
-
-def _exact(kind: type, tree: _Keys, key: str, default=None):
-    """``tree[key]``, or ``default`` when the key is absent and there is
-    one, if its type is exactly ``kind``: a bool is no whole number, and
-    neither a string nor a number is a bool."""
-    value = tree[key] if default is None else tree.get(key, default)
-    if type(value) is not kind:
-        what = "true or false" if kind is bool else "a whole number"
-        raise ValueError(f"{tree.prefix}{key} must be {what}, not {value!r}")
-    return value
-
-
-def _spec_from_tree(tree) -> ScenarioSpec:
+def _mac(value, where: str) -> MacAddress:
+    """A MAC address string, such as ``01:0C:CD:01:00:01``."""
     try:
-        tree = _checked(tree, "", _CONFIG_KEYS)
-        sid = tree["scenario"]
-        if sid not in SCENARIO_IDS:
-            raise ScenarioError(f"unknown scenario id {sid!r}")
-        delays_ms = _section(tree, "delays_ms")
-        mu = _section(tree, "mu")
-        pied = _section(tree, "pied")
-        waveform = _section(tree, "waveform")
-        spec = ScenarioSpec(
-            id=sid,
-            duration_us=_ms(tree["duration_ms"], "duration_ms"),
-            with_ids=_exact(bool, tree, "with_ids"),
-            delays=DelayComponents(**{
-                name: _ms(delays_ms[name], f"delays_ms.{name}") for name in COMPONENT_NAMES
-            }),
-            decision_window_us=_ms(tree.get("decision_window_ms", 15), "decision_window_ms"),
-            samples_per_second=_exact(int, mu, "samples_per_second", 1000),
-            publish_interval_us=_ms(
-                pied.get("publish_interval_ms", 1000), "pied.publish_interval_ms"
-            ),
-            toggle_point_at_us=_optional_ms(
-                pied.get("toggle_point_at_ms"), "pied.toggle_point_at_ms"
-            ),
-            silence_at_us=_optional_ms(pied.get("silence_at_ms"), "pied.silence_at_ms"),
-            fault_at_us=_optional_ms(waveform.get("fault_at_ms"), "waveform.fault_at_ms"),
-            injection=_injection_from_tree(_section(tree, "injection")),
-        )
+        return MacAddress.parse(_typed(str)(value, where))
+    except CodecError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+_REQUIRED = object()  # the default of a key that every config sets
+
+# Every key a scenario config may hold (docs/SCHEMAS.md), by its path: the
+# name it is read into, its reader, and its default. A key the table does
+# not name is an error, not a silently ignored setting, and so is a
+# missing _REQUIRED one; a null value takes a default of None. Values are
+# read in this order once every mapping's keys are checked, and the first
+# fault found is reported.
+_SCHEMA = {
+    ("scenario",): ("id", _one_of(*SCENARIO_IDS), _REQUIRED),
+    ("duration_ms",): ("duration_us", _ms, _REQUIRED),
+    ("with_ids",): ("with_ids", _typed(bool), _REQUIRED),
+    **{("delays_ms", name): (name, _ms, _REQUIRED) for name in COMPONENT_NAMES},
+    ("decision_window_ms",): ("decision_window_us", _ms, 15),
+    ("mu", "samples_per_second"): ("samples_per_second", _typed(int), 1000),
+    ("pied", "publish_interval_ms"): ("publish_interval_us", _ms, 1000),
+    ("pied", "toggle_point_at_ms"): ("toggle_point_at_us", _ms, None),
+    ("pied", "silence_at_ms"): ("silence_at_us", _ms, None),
+    ("waveform", "fault_at_ms"): ("fault_at_us", _ms, None),
+    ("injection", "template", "src_mac"): ("src", _mac, None),  # None: the relay's
+    ("injection", "template", "gocb_ref"): ("gocb_ref", _typed(str), sub.GOCB_REF),
+    ("injection", "template", "st_num"): ("st_num", _typed(int), _REQUIRED),
+    ("injection", "template", "sq_num"): ("sq_num", _typed(int), _REQUIRED),
+    ("injection", "template", "timestamp_ms"): ("timestamp", _ms, 0),
+    ("injection", "template", "trip"): ("trip", _typed(bool), False),
+    ("injection", "node"): ("node", _one_of(*_CULPRIT_AT), _REQUIRED),
+    ("injection", "times_ms"): ("times_us", _times, _REQUIRED),
+    ("injection", "port"): ("port", _typed(int), _REQUIRED),
+    ("injection", "mode"): ("mode", _one_of("ingress", "egress"), _REQUIRED),
+}
+
+# The paths of the config's mappings, each after the one holding it: the
+# config itself, its sections and the injection's template.
+_MAPPINGS = tuple(dict.fromkeys(path[:depth] for path in _SCHEMA for depth in range(len(path))))
+
+# ``--override`` names: every key but the scenario id and the injection's,
+# so the top-level scalars and each key of the one-setting-per-key sections.
+_OVERRIDE_KEYS = {path[-1]: path for path in _SCHEMA if path[0] not in ("scenario", "injection")}
+
+
+def _read(tree, overrides: dict) -> dict:
+    """The value of each ``_SCHEMA`` key in the config ``tree``, by the name
+    it is read into; ``overrides`` maps a path to the value that replaces
+    the tree's. The injection is read when its section is a non-empty
+    mapping."""
+    mappings: dict[tuple, dict] = {}
+    for at in _MAPPINGS:
+        node = mappings[at[:-1]].get(at[-1]) if at else tree
+        where = ".".join(at) or "the config"
+        if at and node is None:  # an absent or null section is empty
+            node = {}
+        if not isinstance(node, dict):
+            raise ValueError(f"{where} is not a mapping of keys")
+        allowed = {path[len(at)] for path in _SCHEMA if path[:len(at)] == at}
+        unknown = sorted(set(node) - allowed, key=str)
+        if unknown:
+            raise ScenarioError(f"unknown config keys {unknown} in {where}")
+        mappings[at] = node
+    got = {}
+    for path, (name, read, default) in _SCHEMA.items():
+        if path[0] == "injection" and not mappings[path[:1]]:
+            continue
+        where = ".".join(path)
+        value = overrides.get(path, mappings[path[:-1]].get(path[-1], default))
+        if value is _REQUIRED:
+            raise ValueError(f"missing key {where}")
+        got[name] = None if value is None and default is None else read(value, where)
+    return got
+
+
+def _spec_from_tree(tree, overrides: dict) -> ScenarioSpec:
+    try:
+        got = _read(tree, overrides)
+        delays = DelayComponents(**{name: got.pop(name) for name in COMPONENT_NAMES})
+        injection = _injection(got)
+        spec = ScenarioSpec(delays=delays, injection=injection, **got)
         if spec.duration_us <= 0:
             raise ValueError("duration_ms must be positive")
         # a zero interval would republish at the same instant forever
         if spec.publish_interval_us <= 0:
-            raise ValueError("publish interval must be positive")
+            raise ValueError("pied.publish_interval_ms: a publish interval must be positive")
         if spec.samples_per_second <= 0 or 1_000_000 % spec.samples_per_second:
-            raise ValueError("samples_per_second must be positive and divide 1e6 for exact ticks")
+            raise ValueError(
+                "mu.samples_per_second must be positive and divide 1e6 for exact ticks"
+            )
         ticks = (
             spec.duration_us * spec.samples_per_second // 1_000_000
             + spec.duration_us // spec.publish_interval_us
@@ -345,37 +360,26 @@ def _spec_from_tree(tree) -> ScenarioSpec:
         raise ScenarioError(f"bad scenario config: {exc}") from exc
 
 
-def _injection_from_tree(tree: dict) -> InjectionPlan | None:
-    if not tree:
+def _injection(got: dict) -> InjectionPlan | None:
+    """The plan whose values ``_read`` put in ``got``, taking them out; None
+    for a config without an injection."""
+    if "node" not in got:
         return None
-    template_tree = _section(tree, "template")
-    src = template_tree.get("src_mac")
-    gocb_ref = template_tree.get("gocb_ref", sub.GOCB_REF)
-    if not isinstance(gocb_ref, str) or not isinstance(src, (str, type(None))):
-        raise ValueError("the template's src_mac and gocb_ref must be strings")
+    src = got.pop("src")
     template = replace(
         sub.RELAY_PUBLICATION,
-        src=sub.PIED_MAC if src is None else MacAddress.parse(src),
-        gocb_ref=gocb_ref,
-        st_num=_exact(int, template_tree, "st_num"),
-        sq_num=_exact(int, template_tree, "sq_num"),
-        timestamp=_ms(template_tree.get("timestamp_ms", 0), "injection.template.timestamp_ms"),
-        all_data=(_exact(bool, template_tree, "trip", False), False),
+        src=sub.PIED_MAC if src is None else src,
+        gocb_ref=got.pop("gocb_ref"),
+        st_num=got.pop("st_num"),
+        sq_num=got.pop("sq_num"),
+        timestamp=got.pop("timestamp"),
+        all_data=(got.pop("trip"), False),
     )
-    node = tree["node"]
-    if node not in _CULPRIT_AT:
-        raise ScenarioError(f"injection node {node!r} is not the station-bus switch or the relay")
-    times = tree["times_ms"]
-    if type(times) is not list:
-        raise ValueError(f"injection.times_ms must be a list of times, not {times!r}")
-    times_us = tuple(_ms(t, "injection.times_ms") for t in times)
-    if not times_us:
-        raise ValueError("injection.times_ms names no injection time")
     return InjectionPlan(
-        port=PortRef(node, _exact(int, tree, "port")),
-        mode=tree["mode"],
+        port=PortRef(got.pop("node"), got.pop("port")),
+        mode=got.pop("mode"),
         template=template,
-        times_us=times_us,
+        times_us=got.pop("times_us"),
     )
 
 
@@ -450,52 +454,14 @@ def _build(spec: ScenarioSpec) -> Network:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Banner:
-    scenario: str
-    with_ids: bool
-    expected_total_us: int
-    settle_us: int
-
-
-def _parse_banner(log: EventLog) -> _Banner:
-    if not log or log[0].kind != "ControlMsg" or not (log[0].note or "").startswith("run "):
-        raise ScenarioError("log carries no run banner")
-    try:
-        fields = dict(part.split("=", 1) for part in log[0].note.split()[1:])
-        return _Banner(
-            scenario=fields["scenario"],
-            with_ids=fields["with_ids"] == "1",
-            expected_total_us=int(fields["expected_total_us"]),
-            settle_us=int(fields["settle_us"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"malformed run banner {log[0].note!r}: {exc!r}") from exc
-
-
 def check_complete(log: EventLog) -> bool:
-    if not log:
+    """True iff the log ends in a completion record that counts it."""
+    if not log or log[-1].kind != "ControlMsg":
         return False
-    last = log[-1]
-    if last.kind != "ControlMsg" or not (last.note or "").startswith("run_complete"):
-        return False
-    _, _, declared = last.note.partition("events=")
     try:
-        return int(declared) == len(log)
-    except ValueError:
+        return int(note_fields(log[-1].note, "run_complete")["events"]) == len(log)
+    except (KeyError, ValueError):
         return False
-
-
-def _verdict_from_log(log: EventLog) -> tuple[str | None, tuple[int, ...]]:
-    for ev in log:
-        if ev.kind == "VerdictReached":
-            try:
-                fields = dict(part.split("=", 1) for part in (ev.note or "").split())
-                ports = tuple(int(p) for p in fields.get("ports", "").split(",") if p)
-                return fields["culprit"], ports
-            except (KeyError, ValueError) as exc:
-                raise ScenarioError(f"malformed verdict record {ev.note!r}: {exc!r}") from exc
-    return None, ()
 
 
 def _by_node(ports) -> dict[str, tuple[int, ...]]:
@@ -514,7 +480,16 @@ def score(log: EventLog) -> ScenarioResult:
     other log as a fault-only run. The banner's scenario id is reported,
     never consulted.
     """
-    banner = _parse_banner(log)
+    if not log or log[0].kind != "ControlMsg":
+        raise ScenarioError("log carries no run banner")
+    try:
+        banner = note_fields(log[0].note, "run")
+        scenario = banner["scenario"]
+        with_ids = banner["with_ids"] == "1"
+        expected_total_us = int(banner["expected_total_us"])
+        settle_us = int(banner["settle_us"])
+    except (KeyError, ValueError) as exc:
+        raise ScenarioError(f"malformed run banner {log[0].note!r}: {exc!r}") from exc
     reasons: list[str] = []
 
     alert_times: dict[str, list[int]] = {}
@@ -522,6 +497,7 @@ def score(log: EventLog) -> ScenarioResult:
     states: dict[tuple[str, int], bool] = {}
     disabled_at: list[int] = []
     trips = 0
+    culprit, evidence_ports = None, ()
     for ev in log:
         if ev.kind == "AlertRaised":
             alert_times.setdefault(ev.digest, []).append(ev.time)
@@ -531,6 +507,13 @@ def score(log: EventLog) -> ScenarioResult:
                 disabled_at.append(ev.time)
         elif ev.kind == "BreakerTrip":
             trips += 1
+        elif ev.kind == "VerdictReached" and culprit is None:
+            try:
+                verdict = note_fields(ev.note)
+                culprit = verdict["culprit"]
+                evidence_ports = tuple(int(p) for p in verdict.get("ports", "").split(",") if p)
+            except (KeyError, ValueError) as exc:
+                raise ScenarioError(f"malformed verdict record {ev.note!r}: {exc!r}") from exc
         if ev.note == "injected":
             injected.append(ev)
     alerts = sum(map(len, alert_times.values()))
@@ -538,10 +521,9 @@ def score(log: EventLog) -> ScenarioResult:
         any(inj.time <= t <= inj.time + RECALL_WINDOW_US for t in alert_times.get(inj.digest, ()))
         for inj in injected
     )
-    culprit, evidence_ports = _verdict_from_log(log)
     enabled_ids = tuple(p for p in sub.IDS_PORTS if states.get((sub.IDS, p), True))
     disabled_ports = _by_node(ref for ref, enabled in states.items() if not enabled)
-    cutoff = max(disabled_at) + banner.settle_us if disabled_at else None
+    cutoff = max(disabled_at) + settle_us if disabled_at else None
 
     try:
         delay_report = measure(log)
@@ -560,10 +542,10 @@ def score(log: EventLog) -> ScenarioResult:
                 disabled_ports, set(alert_times), cutoff, trace_ok,
             )
     else:
-        _score_baseline(reasons, alerts, trips, delay_report, banner)
+        _score_baseline(reasons, alerts, trips, delay_report, expected_total_us, with_ids)
 
     return ScenarioResult(
-        scenario=banner.scenario,
+        scenario=scenario,
         passed=not reasons,
         reasons=tuple(reasons),
         verdict_culprit=culprit,
@@ -580,7 +562,7 @@ def score(log: EventLog) -> ScenarioResult:
     )
 
 
-def _score_baseline(reasons, alerts, trips, delay_report, banner) -> None:
+def _score_baseline(reasons, alerts, trips, delay_report, expected_total_us, with_ids) -> None:
     if alerts:
         reasons.append(f"{alerts} alerts on legal-only traffic")
     if trips != 1:
@@ -588,15 +570,14 @@ def _score_baseline(reasons, alerts, trips, delay_report, banner) -> None:
     if delay_report is None:
         reasons.append("no measurable fault-to-trip chain")
         return
-    if delay_report.total_us != banner.expected_total_us:
+    if delay_report.total_us != expected_total_us:
         reasons.append(
-            f"trip latency {delay_report.total_us}us != configured "
-            f"{banner.expected_total_us}us"
+            f"trip latency {delay_report.total_us}us != configured {expected_total_us}us"
         )
     checks = delay_report.checks
     if not checks["additivity_exact"]:
         reasons.append("component sum does not equal end-to-end latency")
-    if banner.with_ids:
+    if with_ids:
         if not checks["with_ids_leq_27ms"]:
             reasons.append(f"with-module latency {delay_report.total_us}us above cap")
         if not checks["ids_added_leq_4ms"]:

@@ -24,7 +24,7 @@ from gridshield import cli, netsim
 from gridshield import substation as sub
 from gridshield.cli import main
 from gridshield.netsim import EventLog, SimEvent
-from gridshield.scenarios import ScenarioError, load_scenario
+from gridshield.scenarios import _OVERRIDE_KEYS, _SCHEMA, ScenarioError, _ms, _times, load_scenario
 
 SRC = Path(gridshield.__file__).resolve().parents[1]
 
@@ -41,6 +41,22 @@ def run_cli_process(*argv, **env_vars) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "gridshield.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def schema_refusals():
+    """For every config key, a value of the wrong type (a boolean, or a
+    string where a boolean belongs) and, for each time, a negative one."""
+    for path, (_name, read, _default) in _SCHEMA.items():
+        where = ".".join(path)
+        try:
+            read(True, where)
+            wrong = "true"
+        except ValueError:
+            wrong = True
+        yield pytest.param(path, wrong, id=f"{where}={wrong!r}")
+        if read in (_ms, _times):
+            negative = -1 if read is _ms else [2300, -1]
+            yield pytest.param(path, negative, id=f"{where}={negative!r}")
 
 
 def assert_one_line_error(proc: subprocess.CompletedProcess) -> None:
@@ -268,6 +284,8 @@ class TestRun:
             ("attack1", "  times_ms: [2300, 2302, 2304, 2306, 2308]\n", "  times_ms: {2300: 1}\n"),
             ("attack1", "  t_ids: 4.0\n", '  t_ids: "4"\n'),
             ("baseline", "duration_ms: 5000\n", "duration_ms: 5e3\n"),
+            ("baseline", "with_ids: false\n", "with_ids: false\ninjection: {template: {}}\n"),
+            ("baseline", "with_ids: false\n", 'with_ids: false\n"delays_ms.t_mu": 3\n'),
         ],
         ids=["not_utf8", "unknown_node", "port_beyond_the_node", "negative_time",
              "bad_source_mac", "topology_without_links", "forward_beyond_the_switch",
@@ -281,7 +299,8 @@ class TestRun:
              "trip_not_a_boolean", "fractional_sample_rate", "port_a_boolean",
              "fractional_st_num", "sq_num_a_boolean", "empty_injection_schedule",
              "injection_schedule_a_string", "injection_time_a_boolean",
-             "injection_schedule_a_mapping", "delay_a_string", "exponent_without_a_dot"],
+             "injection_schedule_a_mapping", "delay_a_string", "exponent_without_a_dot",
+             "injection_with_an_empty_template", "dotted_top_level_key"],
     )
     def test_hostile_config_is_config_error(self, tmp_path, edit):
         """Each edit of a shipped config is reported at load time, so nothing is written."""
@@ -295,6 +314,38 @@ class TestRun:
         out = tmp_path / "o"
         assert_one_line_error(run_cli_process("run", "--scenario", str(cfg), "--out", str(out)))
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, value", schema_refusals())
+    def test_a_refused_value_names_its_path(self, tmp_path, capsys, path, value):
+        import yaml
+
+        from gridshield.scenarios import _builtin_config_text
+
+        tree = yaml.safe_load(_builtin_config_text("attack1"))
+        *sections, key = path
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        cfg = tmp_path / "refused.yaml"
+        cfg.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert ".".join(path) in lines[0]
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, path in _OVERRIDE_KEYS.items() if _SCHEMA[path][1] is _ms)
+    )
+    def test_a_negative_override_names_its_path(self, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        argv = ("run", "--scenario", "baseline", "--override", f"{name}=-1", "--out", str(out))
+        assert run_cli(*argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and ".".join(_OVERRIDE_KEYS[name]) in lines[0]
 
     @pytest.mark.parametrize("argv", [
         ("run", "--scenario", "baseline", "--jobs", "0"),
@@ -590,6 +641,26 @@ class TestReplay:
         cut = tmp_path / "cut.jsonl"
         cut.write_text(kept.to_jsonl())
         proc = run_cli_process("replay", str(cut))
+        assert proc.returncode == 1
+        assert "reason: no measurable fault-to-trip chain" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_unreadable_tick_fails_without_traceback(self, tmp_path):
+        """The trip's triggering sample names its tick as no number: the
+        chain is unmeasured, not a crash."""
+        live = tmp_path / "live"
+        assert run_cli("run", "--scenario", "baseline", "--out", str(live)) == 0
+        log = EventLog.from_jsonl((live / "events.jsonl").read_text())
+        trip = next(ev for ev in log if (ev.note or "").startswith("trip trigger="))
+        trigger = trip.note.split("=")[1]
+        edited = EventLog(
+            ev._replace(note="tick_us=abc") if ev.digest == trigger and ev.node == sub.MU else ev
+            for ev in log
+        )
+        assert edited != log
+        bad = tmp_path / "tick.jsonl"
+        bad.write_text(edited.to_jsonl())
+        proc = run_cli_process("replay", str(bad))
         assert proc.returncode == 1
         assert "reason: no measurable fault-to-trip chain" in proc.stdout
         assert "Traceback" not in proc.stderr

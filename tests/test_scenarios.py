@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import operator
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from gridshield.delay import COMPONENT_NAMES
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
     _OVERRIDE_KEYS,
+    _SCHEMA,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -404,3 +407,22 @@ class TestLoading:
         path = tmp_path / "null_mu.yaml"
         path.write_text(text)
         assert load_scenario(str(path)) == load_scenario("attack1")
+
+
+def documented_config_section() -> str:
+    """The "Scenario config" section of docs/SCHEMAS.md."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "SCHEMAS.md").read_text()
+    return text.split("## Scenario config (YAML)\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestDocumentedConfig:
+    def test_the_example_loads_and_passes(self, tmp_path):
+        block = documented_config_section().split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "documented.yaml"
+        path.write_text(block)
+        result = run_scenario(load_scenario(str(path)))
+        assert result.passed, result.reasons
+
+    def test_every_key_is_documented(self):
+        words = set(re.findall(r"\w+", documented_config_section()))
+        assert [path for path in _SCHEMA if not set(path) <= words] == []
