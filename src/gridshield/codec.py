@@ -44,9 +44,9 @@ SV_ETHERTYPE = 0x88BA
 ETH_HEADER_LEN = 14
 FRAME_HEADER_LEN = 18  # ethernet header + app id + body length
 
-_MAX_U16 = 0xFFFF
-_MAX_U32 = 0xFFFFFFFF
-_MAX_U64 = 0xFFFFFFFFFFFFFFFF
+MAX_U16 = 0xFFFF
+MAX_U32 = 0xFFFFFFFF
+MAX_U64 = 0xFFFFFFFFFFFFFFFF
 
 # GOOSE body tags, in mandatory order.
 _TAG_GOCB_REF = 0x80
@@ -130,17 +130,17 @@ class GooseFrame:
     all_data: tuple[bool, ...]
 
     def validate(self) -> None:
-        if not 0 <= self.app_id <= _MAX_U16:
+        if not 0 <= self.app_id <= MAX_U16:
             raise InvariantViolation(f"app_id {self.app_id} outside u16")
-        if not 1 <= self.st_num <= _MAX_U32:
+        if not 1 <= self.st_num <= MAX_U32:
             raise InvariantViolation(f"st_num must be >= 1, got {self.st_num}")
-        if not 0 <= self.sq_num <= _MAX_U32:
+        if not 0 <= self.sq_num <= MAX_U32:
             raise InvariantViolation(f"sq_num {self.sq_num} outside u32")
-        if not 1 <= self.time_allowed_to_live <= _MAX_U32:
+        if not 1 <= self.time_allowed_to_live <= MAX_U32:
             raise InvariantViolation(
                 f"time_allowed_to_live must be positive, got {self.time_allowed_to_live}"
             )
-        if not 0 <= self.timestamp <= _MAX_U64:
+        if not 0 <= self.timestamp <= MAX_U64:
             raise InvariantViolation(f"timestamp {self.timestamp} outside u64")
         if not self.all_data:
             raise InvariantViolation("all_data must carry at least one point")
@@ -162,7 +162,7 @@ class SvFrame:
     voltages: tuple[int, int, int]  # millivolts, signed
 
     def validate(self, smp_cnt_modulus: int | None = None) -> None:
-        if not 0 <= self.smp_cnt <= _MAX_U16:
+        if not 0 <= self.smp_cnt <= MAX_U16:
             raise InvariantViolation(f"smp_cnt {self.smp_cnt} outside u16")
         if smp_cnt_modulus is not None and self.smp_cnt >= smp_cnt_modulus:
             raise InvariantViolation(
@@ -238,7 +238,7 @@ _SV_BODY = ((_TAG_SV_ID, _STR), (_TAG_SMP_CNT, 2), (_TAG_CURRENTS, _BYTES), (_TA
 
 
 def _tlv(tag: int, value: bytes) -> bytes:
-    if len(value) > _MAX_U16:
+    if len(value) > MAX_U16:
         raise InvariantViolation(f"TLV value too long ({len(value)} bytes)")
     return _TLV_HEAD.pack(tag, len(value)) + value
 
@@ -251,7 +251,7 @@ def _encode_str(value: str) -> bytes:
 
 
 def _frame(dst: MacAddress, src: MacAddress, ethertype: int, app_id: int, body: bytes) -> RawFrame:
-    if len(body) > _MAX_U16:
+    if len(body) > MAX_U16:
         raise InvariantViolation(f"body too long ({len(body)} bytes)")
     return RawFrame(_HEADER.pack(dst.octets, src.octets, ethertype, app_id, len(body)) + body)
 

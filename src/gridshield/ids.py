@@ -21,19 +21,18 @@ take the last inspection's rules. Any other arrival on a port that
 already saw it is a new one, as in a flood of identical frames, and is
 inspected and counted again. Every sighting of an abnormal digest,
 copies included, is alerted and becomes an :class:`ObservationRecord`
-with its own port. The only legitimate publisher is the relay, whose
-control block reference and source address are the ``substation.py``
-identities.
+of its port, echo flag and time. The only legitimate publisher is the
+relay, whose control block reference and source address are the
+``substation.py`` identities; the whitelist rule is the one place they
+are checked, because a frame's sender sets both.
 
-The echo flag, plus the publisher-identity binding of each frame, drives
-the two-row localization decision:
+Localization reads where each abnormal sighting came in and whether it
+was an echo, never what the frame claims to be:
 
-  (a) an abnormal loop-return observation that is not an echo, or a
-      main-feed abnormal bound to the switch's identity, names the
+  (a) an abnormal loop-return sighting that is not an echo names the
       station-bus switch;
-  (b) abnormal traffic first seen on the main feed with the relay's
-      identity, while every loop-return abnormal is an echo, names the
-      relay.
+  (b) otherwise, an abnormal sighting first seen on the main feed names
+      the relay.
 
 Observations matching neither row are surfaced as inconclusive, never guessed.
 Mitigation is a list of port-disable commands: for a compromised switch,
@@ -140,14 +139,13 @@ class SubscriptionState:
 
 
 class ObservationRecord(NamedTuple):
-    """One abnormal sighting: who it claims to be, where it was seen.
+    """One abnormal sighting: the port it came in on, whether it was the
+    device's own loop echo, and when.
 
     ``localize`` checks that the port is one of the device's eight.
     """
 
-    origin_hypothesis: Origin
     ingress_port: int
-    digest: str
     loop: bool
     time: SimTime
 
@@ -156,7 +154,6 @@ class ObservationRecord(NamedTuple):
 class LocalizationVerdict:
     culprit: Origin
     evidence: tuple[ObservationRecord, ...]
-    decided_at: SimTime
 
     def __post_init__(self) -> None:
         if not self.evidence:
@@ -174,6 +171,9 @@ class Inconclusive(Exception):
 # ---------------------------------------------------------------------------
 # Rule evaluation
 # ---------------------------------------------------------------------------
+
+
+_PIED_OCTETS = sub.PIED_MAC.octets
 
 
 def inspect(
@@ -205,7 +205,7 @@ def inspect(
             fired.append(SEQ_SKIP)
     if not TTL_MIN_MS <= frame.time_allowed_to_live <= TTL_MAX_MS:
         fired.append(TTL_BOUND)
-    if bind_origin(frame) is not Origin.PIED:
+    if frame.gocb_ref != sub.GOCB_REF or frame.src.octets != _PIED_OCTETS:
         fired.append(PUBLISHER_WHITELIST)
     if not fired:
         pub.advance(frame)
@@ -221,51 +221,24 @@ def inspect(
 # ---------------------------------------------------------------------------
 
 
-_PIED_OCTETS = sub.PIED_MAC.octets
-
-
-def bind_origin(frame: GooseFrame) -> Origin:
-    """Claimed-identity binding: a frame is the relay's only if both its
-    control block reference and source address are the relay's; anything
-    else materialized inside the station-bus fabric."""
-    if frame.gocb_ref == sub.GOCB_REF and frame.src.octets == _PIED_OCTETS:
-        return Origin.PIED
-    return Origin.STATION_BUS_SWITCH
-
-
 def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
     """Apply the two-row decision table to the abnormal observations.
 
     The observations are taken in time order (ties keep their given order),
-    and each must be on one of the device's eight ports. Digest groups are
-    settled as a whole: a non-echo loop-return sighting convicts the switch
-    for every copy of that digest. Raises ``Inconclusive`` when neither row
-    holds; never guesses.
+    and each must be on one of the device's eight ports; all of them are
+    the verdict's evidence. Raises ``Inconclusive`` when neither row holds;
+    never guesses.
     """
-    obs = sorted(observations, key=lambda o: o.time)
+    obs = tuple(sorted(observations, key=lambda o: o.time))
     if not obs:
         raise ValueError("localization needs at least one abnormal observation")
-    switch_digests = set()
     for o in obs:
         if o.ingress_port not in sub.IDS_PORTS:
             raise ValueError(f"ingress port {o.ingress_port} outside 1..8")
-        if (o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop) or (
-            o.origin_hypothesis is Origin.STATION_BUS_SWITCH
-        ):
-            switch_digests.add(o.digest)
-    if switch_digests:
-        evidence = tuple(
-            o._replace(origin_hypothesis=Origin.STATION_BUS_SWITCH)
-            if o.digest in switch_digests
-            else o
-            for o in obs
-        )
-        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
-    # Row (a) failing means every sighting carries the relay's identity
-    # and every loop-return sighting is an echo, so of row (b) only
-    # where the abnormal traffic was first seen is left to check.
+    if any(o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop for o in obs):
+        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, obs)
     if obs[0].ingress_port == sub.IDS_MAIN_FEED:
-        return LocalizationVerdict(Origin.PIED, tuple(obs), obs[-1].time)
+        return LocalizationVerdict(Origin.PIED, obs)
     raise Inconclusive(len(obs))
 
 
@@ -300,7 +273,6 @@ class _Recent:
 
     inspected: SimTime  # when it was last inspected
     notes: tuple[str, ...]  # that inspection's alert notes, in rule order
-    origin: Origin | None  # the origin it claims; None when no rule fired
     ports: set[int]  # the monitored ports that have seen it since
     loops: list[SimTime]  # its departures round the loop, inside the window
 
@@ -381,36 +353,30 @@ class IdsNode(SwitchNode):
             rec.ports.add(port)  # a copy: a publication reaches each port once
         else:
             # a first sighting, or a repeat that no copy explains: a new arrival
-            notes, origin = self._inspect_frame(port, raw, at)
+            notes = self._inspect_frame(port, raw, at)
             ports = rec.ports if fresh else {port}
             loops = [] if rec is None else rec.loops
-            rec = self._recent[digest] = _Recent(at, notes, origin, ports, loops)
+            rec = self._recent[digest] = _Recent(at, notes, ports, loops)
             self._expiry.append((at, digest))
         if not rec.notes:
             return
         for note in rec.notes:
             self.net.log_event("AlertRaised", self.node_id, port, digest, note)
-        self._observe(rec.origin, port, digest, echo, at)
+        self._observe(port, echo, at)
 
-    def _inspect_frame(
-        self, port: int, raw: RawFrame, at: SimTime
-    ) -> tuple[tuple[str, ...], Origin | None]:
-        """Decode and inspect one arrival: its alert notes, and its claimed origin."""
+    def _inspect_frame(self, port: int, raw: RawFrame, at: SimTime) -> tuple[str, ...]:
+        """Decode and inspect one arrival; return its alert notes."""
         try:
             frame = decode_goose(raw)
         except CodecError:
-            # undecodable frames cannot bind to the relay's identity
-            return (f"rule={MALFORMED_RULE_ID} gocb=",), Origin.STATION_BUS_SWITCH
+            return (f"rule={MALFORMED_RULE_ID} gocb=",)
         _, alerts = inspect(frame, port, self.state, at, raw.digest)
-        if not alerts:
-            return (), None
-        notes = tuple(f"rule={a.rule_id} gocb={a.gocb_ref}" for a in alerts)
-        return notes, bind_origin(frame)
+        return tuple(f"rule={a.rule_id} gocb={a.gocb_ref}" for a in alerts)
 
-    def _observe(self, origin: Origin, port: int, digest: str, loop: bool, at: SimTime) -> None:
+    def _observe(self, port: int, loop: bool, at: SimTime) -> None:
         if self.verdict is not None:
             return  # nothing reads observations once the culprit is named
-        self.observations.append(ObservationRecord(origin, port, digest, loop, at))
+        self.observations.append(ObservationRecord(port, loop, at))
         if not self._decision_armed:
             self._decision_armed = True
             self.net.call(at + self.decision_window_us, self._decide)

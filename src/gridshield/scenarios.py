@@ -35,7 +35,7 @@ from itertools import islice
 from pathlib import Path
 
 from gridshield import substation as sub
-from gridshield.codec import CodecError, MacAddress
+from gridshield.codec import MAX_U32, MAX_U64, CodecError, MacAddress
 from gridshield.delay import (
     BASELINE_TOTAL_US,
     COMPONENT_NAMES,
@@ -57,6 +57,7 @@ from gridshield.netsim import (
     SimEvent,
     TopologyError,
     TopologySpec,
+    UnknownPort,
     build_topology,
     note_fields,
 )
@@ -218,6 +219,15 @@ def _ms(value, where: str) -> int:
     return us
 
 
+def _timestamp(value, where: str) -> int:
+    """A frame timestamp: a time that fits the frame's u64 of microseconds."""
+    us = _ms(value, where)
+    if us > MAX_U64:
+        last_ms = MAX_U64 // MS
+        raise ValueError(f"{where}: {value!r} ms is past the frame's last timestamp, {last_ms} ms")
+    return us
+
+
 def _times(value, where: str) -> tuple[int, ...]:
     """A YAML list of at least one time."""
     if type(value) is not list:
@@ -235,6 +245,17 @@ def _typed(kind: type):
     def read(value, where: str):
         if type(value) is not kind:
             raise ValueError(f"{where} must be {what}, not {value!r}")
+        return value
+
+    return read
+
+
+def _whole(low: int, high: int):
+    """The reader of a whole number from ``low`` to ``high``; a bool is none."""
+
+    def read(value, where: str) -> int:
+        if type(value) is not int or not low <= value <= high:
+            raise ValueError(f"{where} must be a whole number from {low} to {high}, not {value!r}")
         return value
 
     return read
@@ -280,9 +301,9 @@ _SCHEMA = {
     ("waveform", "fault_at_ms"): ("fault_at_us", _ms, None),
     ("injection", "template", "src_mac"): ("src", _mac, None),  # None: the relay's
     ("injection", "template", "gocb_ref"): ("gocb_ref", _typed(str), sub.GOCB_REF),
-    ("injection", "template", "st_num"): ("st_num", _typed(int), _REQUIRED),
-    ("injection", "template", "sq_num"): ("sq_num", _typed(int), _REQUIRED),
-    ("injection", "template", "timestamp_ms"): ("timestamp", _ms, 0),
+    ("injection", "template", "st_num"): ("st_num", _whole(1, MAX_U32), _REQUIRED),
+    ("injection", "template", "sq_num"): ("sq_num", _whole(0, MAX_U32), _REQUIRED),
+    ("injection", "template", "timestamp_ms"): ("timestamp", _timestamp, 0),
     ("injection", "template", "trip"): ("trip", _typed(bool), False),
     ("injection", "node"): ("node", _one_of(*_CULPRIT_AT), _REQUIRED),
     ("injection", "times_ms"): ("times_us", _times, _REQUIRED),
@@ -354,7 +375,10 @@ def _spec_from_tree(tree, overrides: dict) -> ScenarioSpec:
                 f"above the cap of {MAX_SCHEDULED_TICKS}"
             )
         # wiring, ports and schedules fail here, before anything runs or is written
-        _build(spec)
+        try:
+            _build(spec)
+        except UnknownPort as exc:  # the wiring is fixed: only the injection names a port
+            raise ValueError(f"injection.port: {exc}") from exc
         return spec
     except (KeyError, TypeError, ValueError, OverflowError, TopologyError, CodecError) as exc:
         raise ScenarioError(f"bad scenario config: {exc}") from exc

@@ -244,9 +244,7 @@ def test_criterion_7_ids_soundness(attack1, attack2):
     recall_1 = attack1[0].recall
     recall_2 = attack2[0].recall
     try:
-        localize(
-            [ObservationRecord(Origin.PIED, sub.IDS_PIED_FEED, "feedcafe00000000", False, 7)]
-        )
+        localize([ObservationRecord(sub.IDS_PIED_FEED, False, 7)])
         inconclusive_ok = False
     except Inconclusive:
         inconclusive_ok = True

@@ -24,7 +24,15 @@ from gridshield import cli, netsim
 from gridshield import substation as sub
 from gridshield.cli import main
 from gridshield.netsim import EventLog, SimEvent
-from gridshield.scenarios import _OVERRIDE_KEYS, _SCHEMA, ScenarioError, _ms, _times, load_scenario
+from gridshield.scenarios import (
+    _OVERRIDE_KEYS,
+    _SCHEMA,
+    ScenarioError,
+    _ms,
+    _times,
+    _timestamp,
+    load_scenario,
+)
 
 SRC = Path(gridshield.__file__).resolve().parents[1]
 
@@ -45,7 +53,8 @@ def run_cli_process(*argv, **env_vars) -> subprocess.CompletedProcess:
 
 def schema_refusals():
     """For every config key, a value of the wrong type (a boolean, or a
-    string where a boolean belongs) and, for each time, a negative one."""
+    string where a boolean belongs) and, for each time, a negative one;
+    then the injection's numbers that its frame or the wiring cannot hold."""
     for path, (_name, read, _default) in _SCHEMA.items():
         where = ".".join(path)
         try:
@@ -54,9 +63,16 @@ def schema_refusals():
         except ValueError:
             wrong = True
         yield pytest.param(path, wrong, id=f"{where}={wrong!r}")
-        if read in (_ms, _times):
-            negative = -1 if read is _ms else [2300, -1]
+        if read in (_ms, _timestamp, _times):
+            negative = [2300, -1] if read is _times else -1
             yield pytest.param(path, negative, id=f"{where}={negative!r}")
+    for path, value in (
+        (("injection", "port"), 9),
+        (("injection", "template", "st_num"), 0),
+        (("injection", "template", "sq_num"), 99_999_999_999),
+        (("injection", "template", "timestamp_ms"), 1.0e30),
+    ):
+        yield pytest.param(path, value, id=f"{'.'.join(path)}={value!r}")
 
 
 def assert_one_line_error(proc: subprocess.CompletedProcess) -> None:
@@ -336,6 +352,8 @@ class TestRun:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert ".".join(path) in lines[0]
+        if type(value) in (int, float):  # quoted as the config gives it, in ms for a time
+            assert repr(value) in lines[0]
 
     @pytest.mark.parametrize(
         "name", sorted(name for name, path in _OVERRIDE_KEYS.items() if _SCHEMA[path][1] is _ms)

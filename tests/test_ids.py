@@ -29,7 +29,6 @@ from gridshield.ids import (
     ObservationRecord,
     Origin,
     SubscriptionState,
-    bind_origin,
     inspect,
     localize,
     mitigate,
@@ -238,84 +237,63 @@ class TestSequenceOracle:
         assert bool(sequence_alerts) == expected_abnormal
 
 
-def obs(origin, port, digest="d0", loop=False, time=0):
-    return ObservationRecord(origin, port, digest, loop, time)
+def obs(port, loop=False, time=0):
+    return ObservationRecord(port, loop, time)
 
 
 class TestLocalize:
     def test_switch_convicted_by_non_echo_loop_return(self):
         records = [
-            obs(Origin.PIED, IDS_MAIN_FEED, "d1", time=10),
-            obs(Origin.PIED, IDS_LOOP_RETURN, "d1", loop=False, time=11),
-            obs(Origin.PIED, IDS_LOOP_RETURN, "d1", loop=True, time=17),
+            obs(IDS_MAIN_FEED, time=10),
+            obs(IDS_LOOP_RETURN, loop=False, time=11),
+            obs(IDS_LOOP_RETURN, loop=True, time=17),
         ]
         verdict = localize(records)
         assert verdict.culprit is Origin.STATION_BUS_SWITCH
-        ports = {(o.ingress_port, o.origin_hypothesis) for o in verdict.evidence}
-        assert (IDS_MAIN_FEED, Origin.STATION_BUS_SWITCH) in ports
-        assert (IDS_LOOP_RETURN, Origin.STATION_BUS_SWITCH) in ports
+        assert verdict.evidence == tuple(records)
 
-    def test_switch_convicted_by_identity_binding_on_main_feed(self):
-        records = [obs(Origin.STATION_BUS_SWITCH, IDS_MAIN_FEED, "d2", time=5)]
-        verdict = localize(records)
-        assert verdict.culprit is Origin.STATION_BUS_SWITCH
+    def test_foreign_identity_alone_on_main_feed_names_the_relay(self):
+        """A main-feed sighting that breaks only the whitelist rule is
+        evidence of where it came in, not of who it claims to be."""
+        state = SubscriptionState(HEARTBEAT_US)
+        foreign = pied_frame(src=golden_goose_frame().dst, gocb_ref=OTHER_GOCB)
+        _, alerts = inspect_frame(foreign, IDS_MAIN_FEED, state, 5)
+        assert [a.rule_id for a in alerts] == [PUBLISHER_WHITELIST]
+        verdict = localize([obs(alerts[0].ingress_port, time=5)])
+        assert verdict.culprit is Origin.PIED
 
     def test_relay_convicted_when_loops_all_echo(self):
         records = [
-            obs(Origin.PIED, IDS_MAIN_FEED, "d3", time=10),
-            obs(Origin.PIED, IDS_LOOP_RETURN, "d3", loop=True, time=16),
+            obs(IDS_MAIN_FEED, time=10),
+            obs(IDS_LOOP_RETURN, loop=True, time=16),
         ]
         verdict = localize(records)
         assert verdict.culprit is Origin.PIED
-        assert any(
-            o.ingress_port == IDS_MAIN_FEED and o.origin_hypothesis is Origin.PIED
-            for o in verdict.evidence
-        )
+        assert verdict.evidence == tuple(records)
 
     def test_empty_observations_is_a_precondition_violation(self):
         with pytest.raises(ValueError):
             localize([])
 
     def test_direct_feed_only_evidence_is_inconclusive(self):
-        records = [obs(Origin.PIED, IDS_PIED_FEED, "d4", time=3)]
+        records = [obs(IDS_PIED_FEED, time=3)]
         with pytest.raises(Inconclusive):
             localize(records)
 
     def test_echoes_only_evidence_is_inconclusive(self):
-        records = [obs(Origin.PIED, IDS_LOOP_RETURN, "d5", loop=True, time=3)]
+        records = [obs(IDS_LOOP_RETURN, loop=True, time=3)]
         with pytest.raises(Inconclusive):
             localize(records)
-
-    def test_bind_origin(self):
-        assert bind_origin(pied_frame()) is Origin.PIED
-        foreign = pied_frame(src=golden_goose_frame().dst)
-        assert bind_origin(foreign) is Origin.STATION_BUS_SWITCH
-        assert bind_origin(pied_frame(gocb_ref=OTHER_GOCB)) is Origin.STATION_BUS_SWITCH
 
 
 def localize_by_rescan(observations):
     """Reference decision table: sort, then rescan every observation."""
     obs = tuple(sorted(observations, key=lambda o: o.time))
-    switch_digests = {
-        o.digest
-        for o in obs
-        if (o.ingress_port == IDS_LOOP_RETURN and not o.loop)
-        or o.origin_hypothesis is Origin.STATION_BUS_SWITCH
-    }
-    if switch_digests:
-        evidence = tuple(
-            o._replace(origin_hypothesis=Origin.STATION_BUS_SWITCH)
-            if o.digest in switch_digests
-            else o
-            for o in obs
-        )
-        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, evidence, obs[-1].time)
-    main_feed_pied = any(
-        o.ingress_port == IDS_MAIN_FEED and o.origin_hypothesis is Origin.PIED for o in obs
-    )
+    if any(o.ingress_port == IDS_LOOP_RETURN and not o.loop for o in obs):
+        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, obs)
     loop_returns_all_echo = all(o.loop for o in obs if o.ingress_port == IDS_LOOP_RETURN)
-    if obs[0].ingress_port == IDS_MAIN_FEED and main_feed_pied and loop_returns_all_echo:
-        return LocalizationVerdict(Origin.PIED, obs, obs[-1].time)
+    if obs[0].ingress_port == IDS_MAIN_FEED and loop_returns_all_echo:
+        return LocalizationVerdict(Origin.PIED, obs)
     raise Inconclusive(len(obs))
 
 
@@ -329,9 +307,7 @@ def decision(decide):
 
 observation_steps = st.lists(
     st.tuples(
-        st.sampled_from(list(Origin)),
         st.sampled_from([IDS_MAIN_FEED, IDS_PIED_FEED, IDS_LOOP_RETURN, 1, 8]),
-        st.sampled_from(["d0", "d1", "d2"]),
         st.booleans(),
         st.integers(min_value=0, max_value=3),  # time step; 0 gives ties
     ),
@@ -347,23 +323,23 @@ class TestEvidence:
         """As the device decides: on every prefix of its observations."""
         records = []
         time = 0
-        for origin, port, digest, loop, step in steps:
+        for port, loop, step in steps:
             time += step
-            records.append(obs(origin, port, digest, loop=loop, time=time))
+            records.append(obs(port, loop=loop, time=time))
             assert decision(lambda: localize(records)) == decision(
                 lambda: localize_by_rescan(records)
             )
 
     def test_localize_orders_by_time_before_deciding(self):
         records = [
-            obs(Origin.PIED, IDS_LOOP_RETURN, "d3", loop=True, time=16),
-            obs(Origin.PIED, IDS_MAIN_FEED, "d3", time=10),
+            obs(IDS_LOOP_RETURN, loop=True, time=16),
+            obs(IDS_MAIN_FEED, time=10),
         ]
         assert localize(records).culprit is Origin.PIED
 
     @pytest.mark.parametrize("port", [0, 9, -1])
     def test_a_port_the_device_does_not_have_is_rejected(self, port):
-        records = [obs(Origin.PIED, IDS_MAIN_FEED, time=0), obs(Origin.PIED, port, time=1)]
+        records = [obs(IDS_MAIN_FEED, time=0), obs(port, time=1)]
         with pytest.raises(ValueError, match="outside 1..8"):
             localize(records)
 
@@ -457,10 +433,10 @@ class TestFirstSighting:
             (IDS_MAIN_FEED, note), (IDS_LOOP_RETURN, note), (IDS_LOOP_RETURN, note)
         ]
         assert device.decoded[2:] == [stale.digest]  # the replay, once
-        assert [(o.ingress_port, o.loop, o.digest) for o in device.observations] == [
-            (IDS_MAIN_FEED, False, stale.digest),
-            (IDS_LOOP_RETURN, False, stale.digest),
-            (IDS_LOOP_RETURN, True, stale.digest),
+        assert device.observations == [
+            obs(IDS_MAIN_FEED, loop=False, time=50_000),
+            obs(IDS_LOOP_RETURN, loop=False, time=51_000),
+            obs(IDS_LOOP_RETURN, loop=True, time=56_000),
         ]
         assert localize(device.observations).culprit is Origin.STATION_BUS_SWITCH
 

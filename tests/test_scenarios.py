@@ -14,6 +14,7 @@ import pytest
 from gridshield import substation as sub
 from gridshield.cli import _write_outputs
 from gridshield.delay import COMPONENT_NAMES
+from gridshield.ids import Origin, mitigate
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
     _OVERRIDE_KEYS,
@@ -284,8 +285,8 @@ EXPECTED_CULPRIT = {"baseline": None, "attack1": "StationBusSwitch", "attack2": 
 
 
 def assert_detected(sid, overrides):
-    """``sid`` PASSes, names its culprit and alerts on nothing but
-    injected frames."""
+    """``sid``, a scenario id or config path, PASSes, names its culprit and
+    alerts on nothing but injected frames; return its result."""
     result = run_scenario(load_scenario(sid, overrides))
     injected = {ev.digest for ev in result.log if ev.note == "injected"}
     false_alerts = [
@@ -293,7 +294,8 @@ def assert_detected(sid, overrides):
     ]
     assert result.passed, result.reasons
     assert false_alerts == []
-    assert result.verdict_culprit == EXPECTED_CULPRIT[sid]
+    assert result.verdict_culprit == EXPECTED_CULPRIT[result.scenario]
+    return result
 
 
 @pytest.mark.parametrize("sid", sorted(EXPECTED_CULPRIT))
@@ -313,6 +315,35 @@ def test_detection_holds_when_echoes_return_after_the_inspection_window(sid, ove
     LOOP_WINDOW_US after its publication was inspected; it is still a
     copy, not a new arrival to count towards the rate rule."""
     assert_detected(sid, overrides)
+
+
+@pytest.mark.parametrize("sid", ["attack1", "attack2"])
+@pytest.mark.parametrize("key, value", [
+    ("src_mac", "00:30:A7:00:00:99"),
+    ("gocb_ref", "EVIL/LLN0$GO$gcb1"),
+], ids=["src_mac", "gocb_ref"])
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"publish_interval_ms": 2, "samples_per_second": 100},
+], ids=["1000ms", "2ms"])
+def test_a_spoofed_identity_does_not_move_the_verdict(tmp_path, sid, key, value, overrides):
+    """The injected frames claim another publisher: they break the
+    whitelist rule, but where they were seen names the culprit. The relay
+    is still convicted from the main feed, and the switch from its
+    loop-return sightings."""
+    import yaml
+
+    from gridshield.scenarios import _builtin_config_text, _by_node
+
+    tree = yaml.safe_load(_builtin_config_text(sid))
+    tree["injection"]["template"][key] = value
+    path = tmp_path / "spoofed.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    result = assert_detected(str(path), overrides)
+    assert any(
+        ev.kind == "AlertRaised" and "rule=publisher_whitelist" in ev.note for ev in result.log
+    )
+    assert result.disabled_ports == _by_node(mitigate(Origin(EXPECTED_CULPRIT[sid])))
 
 
 class TestLogMemory:
