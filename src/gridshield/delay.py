@@ -6,12 +6,15 @@ switch (t_sp), relay protection computation (t_pied), station-bus switch
 (t_ss), GOOSE communication (t_gs), test-set internal (t_oc), and, when
 the inspection module is active, its routing/processing term (t_ids).
 
-``measure`` reconstructs every component from an event log alone by
-walking ``substation.TRIP_PATH`` with ``walk_hops``: its last six hops
-follow the tripping GOOSE frame, and its first four the sampled-value
-frame that triggered it. The reported total is exactly the breaker-trip
-time minus the fault sample time, and additivity holds to the
-microsecond.
+``measure`` reconstructs every component from an event log alone. Each
+row of ``substation.TRIP_PATH`` names a hop and the term of the interval
+that ends there, so the measured chain is a list of event times, from the
+fault sample's tick through the ten hops to the breaker trip, and each
+consecutive pair adds to one term. The terms telescope: their sum is
+exactly the breaker-trip time minus the fault sample time, to the
+microsecond. The chain is walked back from the log's first breaker trip,
+so it is the one that explains that trip; a log without one measures
+as None.
 
 The default split is one admissible decomposition of the configured
 aggregates (any split with the same sums would do); it is pinned here and
@@ -38,14 +41,6 @@ IDS_ADDED_CAP_US = 4_000
 QUARTER_CYCLE_60HZ_US = 4_167
 
 COMPONENT_NAMES = ("t_mu", "t_sv", "t_sp", "t_pied", "t_ss", "t_gs", "t_oc", "t_ids")
-
-
-class NoTripFound(Exception):
-    pass
-
-
-class IncompleteTrace(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -84,100 +79,85 @@ class DelayReport:
     with_ids: bool
     checks: dict[str, bool] = field(default_factory=dict)
 
+    def as_dict(self) -> dict:
+        return {
+            "components_us": self.components,
+            "total_us": self.total_us,
+            "fault_sample_us": self.fault_sample_us,
+            "breaker_trip_us": self.breaker_trip_us,
+            "with_ids": self.with_ids,
+            "checks": self.checks,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "components_us": self.components,
-                "total_us": self.total_us,
-                "fault_sample_us": self.fault_sample_us,
-                "breaker_trip_us": self.breaker_trip_us,
-                "with_ids": self.with_ids,
-                "checks": self.checks,
-            },
-            indent=2,
-        )
+        return json.dumps(self.as_dict(), indent=2)
 
 
 _HOP_KINDS = {"in": "FrameArrival", "out": "FrameDeparture"}
+_TERMS = tuple(row[3] for row in sub.TRIP_PATH) + (sub.BREAKER_TERM,)
 
 
 def walk_hops(
-    events: Iterable[SimEvent], digest: str, hops: Iterable[tuple[str, int, str]]
+    events: Iterable[SimEvent], digest: str, hops: Iterable[tuple]
 ) -> list[SimEvent] | None:
-    """Match ``(node, port, "in"|"out")`` hops of one frame, in order.
+    """Match the ``(node, port, "in"|"out", ...)`` hops of one frame, in order.
 
     Each hop takes the first arrival or departure of ``digest`` at its
     node and port that comes after the previous hop's match. Returns the
-    matched events, or None if some hop has no such event.
+    matched events, or None if some hop has no such event. An iterator
+    ``events`` is consumed only up to the last match, so another walk can
+    go on from there.
     """
-    want = iter(hops)
-    hop = next(want, None)
+    events = iter(events)
     found: list[SimEvent] = []
-    for ev in events:
+    for node, port, direction, *_term in hops:
+        kind = _HOP_KINDS[direction]
+        hop = next(
+            (ev for ev in events
+             if ev.digest == digest and ev.node == node and ev.port == port and ev.kind == kind),
+            None,
+        )
         if hop is None:
-            break
-        node, port, direction = hop
-        if (
-            ev.digest == digest
-            and ev.node == node
-            and ev.port == port
-            and ev.kind == _HOP_KINDS[direction]
-        ):
-            found.append(ev)
-            hop = next(want, None)
-    return found if hop is None else None
+            return None
+        found.append(hop)
+    return found
 
 
-def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport:
-    """Attribute every hop and processing interval of the trip chain.
+def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport | None:
+    """Attribute every interval of the first breaker trip's chain to its term.
 
-    Requires a log holding a breaker trip; the first one is measured.
-    Raises NoTripFound otherwise, and IncompleteTrace if the chain's hops
-    are missing.
+    The GOOSE rows of ``substation.TRIP_PATH`` are walked back from the
+    trip, and the sampled-value rows back from the relay's trip departure
+    that walk found, so the chain is the one that ends at this trip
+    whatever digests repeat earlier in the log. Returns None when the log
+    holds no trip, the trip names no frame, or a hop or note of its chain
+    is missing.
     """
     events = list(log)
-    trips = [ev for ev in events if ev.kind == "BreakerTrip"]
-    if not trips:
-        raise NoTripFound("log holds no breaker trip")
-    trip_event = trips[0]
-    trip_digest = trip_event.digest
-    if trip_digest is None:
-        raise IncompleteTrace("breaker trip carries no frame digest")
-
-    # GOOSE side of the chain.
-    goose_hops = walk_hops(events, trip_digest, sub.TRIP_PATH[4:])
-    if goose_hops is None:
-        raise IncompleteTrace(f"the log misses a GOOSE hop of trip frame {trip_digest}")
-    pied_dep, sbs_arr, sbs_dep, ids_arr, ids_dep, omicron_arr = goose_hops
-
-    # Sampled-value side: the trip departure names its triggering sample.
+    end = next((i for i, ev in enumerate(events) if ev.kind == "BreakerTrip"), None)
+    if end is None or events[end].digest is None:
+        return None
+    trip = events[end]
+    earlier = reversed(events[:end])  # both walks go back from the trip, in turn
+    goose = walk_hops(earlier, trip.digest, reversed(sub.TRIP_PATH[4:]))
+    if goose is None:
+        return None
     try:
-        trigger_digest = note_fields(pied_dep.note, "trip")["trigger"]
-    except (KeyError, ValueError) as exc:
-        raise IncompleteTrace("trip departure names no triggering sample") from exc
-    sv_hops = walk_hops(events, trigger_digest, sub.TRIP_PATH[:4])
-    if sv_hops is None:
-        raise IncompleteTrace(f"the log misses a hop of triggering sample {trigger_digest}")
-    mu_dep, pbs_arr, pbs_dep, pied_sv_arr = sv_hops
+        # the trip departure names its triggering sample, and the sample's
+        # departure its tick
+        trigger = note_fields(goose[-1].note, "trip")["trigger"]
+        sv = walk_hops(earlier, trigger, reversed(sub.TRIP_PATH[:4]))
+        if sv is None:
+            return None
+        fault_sample = int(note_fields(sv[-1].note)["tick_us"])
+    except (KeyError, ValueError):
+        return None
 
-    try:
-        fault_sample = int(note_fields(mu_dep.note)["tick_us"])
-    except (KeyError, ValueError) as exc:
-        raise IncompleteTrace("sample departure names no tick time") from exc
-
-    components = {
-        "t_mu": mu_dep.time - fault_sample,
-        "t_sv": (pbs_arr.time - mu_dep.time) + (pied_sv_arr.time - pbs_dep.time),
-        "t_sp": pbs_dep.time - pbs_arr.time,
-        "t_pied": pied_dep.time - pied_sv_arr.time,
-        "t_ss": sbs_dep.time - sbs_arr.time,
-        "t_gs": (sbs_arr.time - pied_dep.time)
-        + (ids_arr.time - sbs_dep.time)
-        + (omicron_arr.time - ids_dep.time),
-        "t_oc": trip_event.time - omicron_arr.time,
-        "t_ids": ids_dep.time - ids_arr.time,
-    }
-    total_us = trip_event.time - fault_sample
+    times = [fault_sample, *(ev.time for ev in reversed(goose + sv)), trip.time]
+    components = dict.fromkeys(COMPONENT_NAMES, 0)
+    for term, start, stop in zip(_TERMS, times, times[1:]):
+        components[term] += stop - start
+    total_us = trip.time - fault_sample
     with_ids = components["t_ids"] > 0
     checks = {
         "additivity_exact": sum(components.values()) == total_us,
@@ -190,7 +170,7 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport:
         components=components,
         total_us=total_us,
         fault_sample_us=fault_sample,
-        breaker_trip_us=trip_event.time,
+        breaker_trip_us=trip.time,
         with_ids=with_ids,
         checks=checks,
     )

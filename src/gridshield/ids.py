@@ -34,7 +34,9 @@ was an echo, never what the frame claims to be:
   (b) otherwise, an abnormal sighting first seen on the main feed names
       the relay.
 
-Observations matching neither row are surfaced as inconclusive, never guessed.
+``localize`` returns the culprit of the first row that holds, or None
+when neither does; the device then logs the evidence as inconclusive and
+never guesses.
 Mitigation is a list of port-disable commands: for a compromised switch,
 every inspection port except the delivery and direct-relay ports; for a
 compromised relay, the two switch ports that face it.
@@ -150,24 +152,6 @@ class ObservationRecord(NamedTuple):
     time: SimTime
 
 
-@dataclass(frozen=True)
-class LocalizationVerdict:
-    culprit: Origin
-    evidence: tuple[ObservationRecord, ...]
-
-    def __post_init__(self) -> None:
-        if not self.evidence:
-            raise ValueError("a verdict needs evidence")
-
-
-class Inconclusive(Exception):
-    """Raised when the observations satisfy neither decision row."""
-
-    def __init__(self, count: int):
-        super().__init__("observations match neither decision row")
-        self.count = count  # observations decided on
-
-
 # ---------------------------------------------------------------------------
 # Rule evaluation
 # ---------------------------------------------------------------------------
@@ -221,13 +205,13 @@ def inspect(
 # ---------------------------------------------------------------------------
 
 
-def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
+def localize(observations: Iterable[ObservationRecord]) -> Origin | None:
     """Apply the two-row decision table to the abnormal observations.
 
     The observations are taken in time order (ties keep their given order),
-    and each must be on one of the device's eight ports; all of them are
-    the verdict's evidence. Raises ``Inconclusive`` when neither row holds;
-    never guesses.
+    and each must be on one of the device's eight ports. Returns the
+    culprit of the first row that holds, or None when neither does; never
+    guesses.
     """
     obs = tuple(sorted(observations, key=lambda o: o.time))
     if not obs:
@@ -236,10 +220,10 @@ def localize(observations: Iterable[ObservationRecord]) -> LocalizationVerdict:
         if o.ingress_port not in sub.IDS_PORTS:
             raise ValueError(f"ingress port {o.ingress_port} outside 1..8")
     if any(o.ingress_port == sub.IDS_LOOP_RETURN and not o.loop for o in obs):
-        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, obs)
+        return Origin.STATION_BUS_SWITCH
     if obs[0].ingress_port == sub.IDS_MAIN_FEED:
-        return LocalizationVerdict(Origin.PIED, obs)
-    raise Inconclusive(len(obs))
+        return Origin.PIED
+    return None
 
 
 def mitigate(culprit: Origin) -> list[PortRef]:
@@ -290,10 +274,11 @@ class IdsNode(SwitchNode):
     Abnormal arrivals, copies included, accumulate as observations. The
     first abnormal observation arms a decision timer (long enough for the
     loop echo and any in-flight forwards to land); when it fires, the
-    decision table either names a culprit, which is logged and whose
-    ``mitigate`` ports are disabled, or the evidence is logged as
-    inconclusive and the timer re-arms on the next abnormal sighting. Once
-    a culprit is named, alerts are still logged but no longer observed.
+    decision table either names a culprit, which is logged with the count
+    and ports of the observations it was decided on and whose ``mitigate``
+    ports are disabled, or the evidence is logged as inconclusive and the
+    timer re-arms on the next abnormal sighting. Once a culprit is named,
+    alerts are still logged but no longer observed.
     """
 
     def __init__(
@@ -309,7 +294,7 @@ class IdsNode(SwitchNode):
         self.state = SubscriptionState(heartbeat_us)
         self.decision_window_us = decision_window_us
         self.observations: list[ObservationRecord] = []
-        self.verdict: LocalizationVerdict | None = None
+        self.culprit: Origin | None = None
         self._decision_armed = False
         self._loop_out = PortRef(sub.IDS, sub.IDS_LOOP_OUT)
         self._recent: dict[str, _Recent] = {}
@@ -374,7 +359,7 @@ class IdsNode(SwitchNode):
         return tuple(f"rule={a.rule_id} gocb={a.gocb_ref}" for a in alerts)
 
     def _observe(self, port: int, loop: bool, at: SimTime) -> None:
-        if self.verdict is not None:
+        if self.culprit is not None:
             return  # nothing reads observations once the culprit is named
         self.observations.append(ObservationRecord(port, loop, at))
         if not self._decision_armed:
@@ -384,25 +369,24 @@ class IdsNode(SwitchNode):
     # -- decision ------------------------------------------------------------
 
     def _decide(self) -> None:
+        # ``_observe`` arms the timer only while no culprit is named
         self._decision_armed = False
-        if self.verdict is not None:
-            return
         at = self.net.now
-        try:
-            verdict = localize(self.observations)
-        except Inconclusive as exc:
+        observations = self.observations
+        culprit = localize(observations)
+        if culprit is None:
             self.net.log_event(
                 "ControlMsg", self.node_id, None, None,
-                note=f"localization_inconclusive observations={exc.count}",
+                note=f"localization_inconclusive observations={len(observations)}",
             )
             return
-        self.verdict = verdict
-        ports = sorted({o.ingress_port for o in verdict.evidence})
+        self.culprit = culprit
+        ports = sorted({o.ingress_port for o in observations})
         self.net.log_event(
             "VerdictReached", self.node_id, None, None,
-            note=f"culprit={verdict.culprit.value} evidence={len(verdict.evidence)} "
+            note=f"culprit={culprit.value} evidence={len(observations)} "
             f"ports={','.join(str(p) for p in ports)}",
         )
-        for port in mitigate(verdict.culprit):
+        for port in mitigate(culprit):
             self.net.log_event("ControlMsg", port.node, port.port, None, note="port_mod disable")
             self.net.set_port_state(port, False, at + sub.CONTROLLER_LATENCY_US)

@@ -42,8 +42,6 @@ from gridshield.delay import (
     MS,
     DelayComponents,
     DelayReport,
-    IncompleteTrace,
-    NoTripFound,
     measure,
     total,
     walk_hops,
@@ -156,7 +154,7 @@ class ScenarioResult:
                 "disabled_ports": {k: list(v) for k, v in sorted(self.disabled_ports.items())},
                 "breaker_trips": self.breaker_trips,
                 "trace_ok": self.trace_ok,
-                "delay": json.loads(self.delay.to_json()) if self.delay else None,
+                "delay": self.delay.as_dict() if self.delay else None,
             },
             indent=2,
         )
@@ -548,11 +546,7 @@ def score(log: EventLog) -> ScenarioResult:
     enabled_ids = tuple(p for p in sub.IDS_PORTS if states.get((sub.IDS, p), True))
     disabled_ports = _by_node(ref for ref, enabled in states.items() if not enabled)
     cutoff = max(disabled_at) + settle_us if disabled_at else None
-
-    try:
-        delay_report = measure(log)
-    except (NoTripFound, IncompleteTrace):
-        delay_report = None
+    delay_report = measure(log)
 
     trace_ok: bool | None = None
     if injected:

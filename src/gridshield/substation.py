@@ -181,20 +181,25 @@ def ids_flow_table(with_ids: bool) -> FlowTable:
     )
 
 
-# Hops of the measured sampled-value -> trip chain, in order, as
-# (node, port, "in"|"out") triples. The delay accounting walks these.
+# The measured sampled-value -> trip chain, in order, as (node, port,
+# "in"|"out", term) rows: the first four hops follow the triggering sample,
+# the last six the tripping GOOSE frame. A row's term is the delay component
+# of the interval that ends at its hop; the first interval starts at the
+# sample's tick. The breaker's own interval, from the delivery's arrival to
+# the trip, closes BREAKER_TERM.
 TRIP_PATH = (
-    (MU, MU_PORT, "out"),
-    (PROCESS_BUS, PBS_FROM_MU, "in"),
-    (PROCESS_BUS, PBS_PIED, "out"),
-    (PIED, PIED_SV_IN, "in"),
-    (PIED, PIED_STATION, "out"),
-    (STATION_BUS, SBS_PIED, "in"),
-    (STATION_BUS, SBS_TO_IDS, "out"),
-    (IDS, IDS_MAIN_FEED, "in"),
-    (IDS, IDS_DELIVERY, "out"),
-    (OMICRON, OMICRON_PORT, "in"),
+    (MU, MU_PORT, "out", "t_mu"),
+    (PROCESS_BUS, PBS_FROM_MU, "in", "t_sv"),
+    (PROCESS_BUS, PBS_PIED, "out", "t_sp"),
+    (PIED, PIED_SV_IN, "in", "t_sv"),
+    (PIED, PIED_STATION, "out", "t_pied"),
+    (STATION_BUS, SBS_PIED, "in", "t_gs"),
+    (STATION_BUS, SBS_TO_IDS, "out", "t_ss"),
+    (IDS, IDS_MAIN_FEED, "in", "t_gs"),
+    (IDS, IDS_DELIVERY, "out", "t_ids"),
+    (OMICRON, OMICRON_PORT, "in", "t_gs"),
 )
+BREAKER_TERM = "t_oc"
 
 # Hops of a main-feed GOOSE frame around the inspection loop: in on the
 # main feed, out to the station-bus switch, and back on the loop return.

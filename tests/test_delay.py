@@ -6,7 +6,8 @@ import dataclasses
 
 import pytest
 
-from gridshield.delay import DelayComponents, NoTripFound, measure, total, walk_hops
+from gridshield import substation as sub
+from gridshield.delay import COMPONENT_NAMES, DelayComponents, measure, total, walk_hops
 from gridshield.netsim import EventLog, SimEvent
 from gridshield.scenarios import load_scenario, run_scenario
 
@@ -67,12 +68,10 @@ class TestMeasure:
 
     def test_log_without_trip_raises(self):
         result = run_scenario(load_scenario("attack1"))
-        with pytest.raises(NoTripFound):
-            measure(result.log)
+        assert measure(result.log) is None
 
     def test_empty_log_raises(self):
-        with pytest.raises(NoTripFound):
-            measure(EventLog())
+        assert measure(EventLog()) is None
 
     def test_budget_checks(self, baseline_result, with_ids_result):
         base = measure(baseline_result.log)
@@ -86,6 +85,61 @@ class TestMeasure:
         a = measure(baseline_result.log).to_json()
         b = measure(baseline_result.log).to_json()
         assert a == b and '"total_us": 23000' in a
+
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_each_component_matches_another_split(self, with_ids):
+        """A split off the default moves every derived link latency."""
+        overrides = {"t_mu": 0, "t_sv": 3, "t_gs": 5, "with_ids": with_ids}
+        spec = load_scenario("baseline", overrides)
+        expected = dataclasses.asdict(spec.delays)
+        if not with_ids:
+            expected["t_ids"] = 0
+        assert measure(run_scenario(spec).log).components == expected
+
+
+# Hop times of baseline's chain at the default split: the trigger sample,
+# ticked at 2,000,000 us, then the trip frame, and the trip at 2,023,000 us.
+BASELINE_HOP_TIMES = (
+    2_003_000, 2_004_000, 2_005_000, 2_006_000,
+    2_016_000, 2_016_500, 2_017_500, 2_018_000, 2_018_000, 2_019_000,
+)
+
+
+def hop(row, time, digest, note=None):
+    node, port, direction = row[:3]
+    kind = "FrameDeparture" if direction == "out" else "FrameArrival"
+    return SimEvent(time, 0, kind, node, port, digest, note)
+
+
+def baseline_chain():
+    """The ten hops of baseline's trip chain and the trip, as its log holds them."""
+    events = [
+        hop(row, time, "sample" if i < 4 else "goose")
+        for i, (row, time) in enumerate(zip(sub.TRIP_PATH, BASELINE_HOP_TIMES))
+    ]
+    events[0] = events[0]._replace(note="tick_us=2000000")
+    events[4] = events[4]._replace(note="trip trigger=sample")
+    trip = SimEvent(2_023_000, 0, "BreakerTrip", sub.OMICRON, None, "goose", "breaker=open")
+    return events + [trip]
+
+
+class TestTripPath:
+    def test_terms_along_the_path_are_the_components(self):
+        terms = [row[3] for row in sub.TRIP_PATH] + [sub.BREAKER_TERM]
+        assert sorted(set(terms)) == sorted(COMPONENT_NAMES)
+
+    def test_the_chain_is_the_one_that_ends_at_the_trip(self):
+        """A copy of the trigger sample one second earlier, as when samples
+        repeat each second, does not move the fault sample."""
+        early = [
+            hop(row, time - 1_000_000, "sample")
+            for row, time in zip(sub.TRIP_PATH[:4], BASELINE_HOP_TIMES)
+        ]
+        early[0] = early[0]._replace(note="tick_us=1000000")
+        events = [ev._replace(seq=i) for i, ev in enumerate(early + baseline_chain())]
+        report = measure(events)
+        assert report.total_us == 23_000
+        assert report.fault_sample_us == 2_000_000
 
 
 def hop_event(seq, node, port, kind, digest="d1"):

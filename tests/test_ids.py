@@ -24,8 +24,6 @@ from gridshield.ids import (
     SEQ_REGRESSION,
     SEQ_SKIP,
     TTL_BOUND,
-    Inconclusive,
-    LocalizationVerdict,
     ObservationRecord,
     Origin,
     SubscriptionState,
@@ -33,7 +31,7 @@ from gridshield.ids import (
     localize,
     mitigate,
 )
-from gridshield.netsim import PortRef
+from gridshield.netsim import PortRef, note_fields
 from gridshield.scenarios import _build, load_scenario
 from gridshield.substation import (
     IDS,
@@ -248,9 +246,7 @@ class TestLocalize:
             obs(IDS_LOOP_RETURN, loop=False, time=11),
             obs(IDS_LOOP_RETURN, loop=True, time=17),
         ]
-        verdict = localize(records)
-        assert verdict.culprit is Origin.STATION_BUS_SWITCH
-        assert verdict.evidence == tuple(records)
+        assert localize(records) is Origin.STATION_BUS_SWITCH
 
     def test_foreign_identity_alone_on_main_feed_names_the_relay(self):
         """A main-feed sighting that breaks only the whitelist rule is
@@ -259,17 +255,14 @@ class TestLocalize:
         foreign = pied_frame(src=golden_goose_frame().dst, gocb_ref=OTHER_GOCB)
         _, alerts = inspect_frame(foreign, IDS_MAIN_FEED, state, 5)
         assert [a.rule_id for a in alerts] == [PUBLISHER_WHITELIST]
-        verdict = localize([obs(alerts[0].ingress_port, time=5)])
-        assert verdict.culprit is Origin.PIED
+        assert localize([obs(alerts[0].ingress_port, time=5)]) is Origin.PIED
 
     def test_relay_convicted_when_loops_all_echo(self):
         records = [
             obs(IDS_MAIN_FEED, time=10),
             obs(IDS_LOOP_RETURN, loop=True, time=16),
         ]
-        verdict = localize(records)
-        assert verdict.culprit is Origin.PIED
-        assert verdict.evidence == tuple(records)
+        assert localize(records) is Origin.PIED
 
     def test_empty_observations_is_a_precondition_violation(self):
         with pytest.raises(ValueError):
@@ -277,32 +270,22 @@ class TestLocalize:
 
     def test_direct_feed_only_evidence_is_inconclusive(self):
         records = [obs(IDS_PIED_FEED, time=3)]
-        with pytest.raises(Inconclusive):
-            localize(records)
+        assert localize(records) is None
 
     def test_echoes_only_evidence_is_inconclusive(self):
         records = [obs(IDS_LOOP_RETURN, loop=True, time=3)]
-        with pytest.raises(Inconclusive):
-            localize(records)
+        assert localize(records) is None
 
 
 def localize_by_rescan(observations):
     """Reference decision table: sort, then rescan every observation."""
     obs = tuple(sorted(observations, key=lambda o: o.time))
     if any(o.ingress_port == IDS_LOOP_RETURN and not o.loop for o in obs):
-        return LocalizationVerdict(Origin.STATION_BUS_SWITCH, obs)
+        return Origin.STATION_BUS_SWITCH
     loop_returns_all_echo = all(o.loop for o in obs if o.ingress_port == IDS_LOOP_RETURN)
     if obs[0].ingress_port == IDS_MAIN_FEED and loop_returns_all_echo:
-        return LocalizationVerdict(Origin.PIED, obs)
-    raise Inconclusive(len(obs))
-
-
-def decision(decide):
-    """A verdict, or the observation count an ``Inconclusive`` carried."""
-    try:
-        return decide()
-    except Inconclusive as exc:
-        return ("inconclusive", exc.count)
+        return Origin.PIED
+    return None
 
 
 observation_steps = st.lists(
@@ -326,16 +309,14 @@ class TestEvidence:
         for port, loop, step in steps:
             time += step
             records.append(obs(port, loop=loop, time=time))
-            assert decision(lambda: localize(records)) == decision(
-                lambda: localize_by_rescan(records)
-            )
+            assert localize(records) == localize_by_rescan(records)
 
     def test_localize_orders_by_time_before_deciding(self):
         records = [
             obs(IDS_LOOP_RETURN, loop=True, time=16),
             obs(IDS_MAIN_FEED, time=10),
         ]
-        assert localize(records).culprit is Origin.PIED
+        assert localize(records) is Origin.PIED
 
     @pytest.mark.parametrize("port", [0, 9, -1])
     def test_a_port_the_device_does_not_have_is_rejected(self, port):
@@ -438,7 +419,7 @@ class TestFirstSighting:
             obs(IDS_LOOP_RETURN, loop=False, time=51_000),
             obs(IDS_LOOP_RETURN, loop=True, time=56_000),
         ]
-        assert localize(device.observations).culprit is Origin.STATION_BUS_SWITCH
+        assert localize(device.observations) is Origin.STATION_BUS_SWITCH
 
     @pytest.mark.parametrize("port", [IDS_MAIN_FEED, IDS_LOOP_RETURN])
     def test_a_flood_of_identical_frames_on_one_port_trips_the_rate_rule(self, device, port):
@@ -601,10 +582,11 @@ class TestDeviceAtStormRate:
         assert device.state.publisher(GOCB_REF).last_st > 0  # it inspected
 
     def test_no_observation_is_kept_after_the_verdict(self, device):
-        assert device.verdict is not None
-        # the verdict may restate an origin, but holds every sighting
-        kept = [o[1:] for o in device.observations]
-        assert kept == [o[1:] for o in device.verdict.evidence]
+        assert device.culprit is not None
+        # the verdict was decided on every sighting kept, and none came later
+        verdict = next(ev for ev in device.net.log if ev.kind == "VerdictReached")
+        assert int(note_fields(verdict.note)["evidence"]) == len(device.observations)
+        assert all(o.time <= verdict.time for o in device.observations)
 
     def test_loop_memory_holds_only_the_last_window(self, device):
         # one first sighting per 2 ms publication, each remembered for
