@@ -4,14 +4,16 @@
 scenario, the JSON-lines event log (``events.jsonl``), the scored result
 (``result.json``) and the delay report (``delay_report.json``). With
 ``--jobs N`` the scenarios run in up to N worker processes, never more than
-there are scenarios; each worker writes its scenario's files and returns
-only the scored result, and every output byte is the same as with
-``--jobs 1``. The files are written into a staging directory beside the
-output directory and moved into place once every scenario has finished,
-so a run that exits 2 leaves none of them. ``gridshield replay``
-re-scores a saved log and must reproduce the live result; with ``--out``
-it writes the log bytes it read back as ``events.jsonl``. Both write and
-parse the log a bounded chunk at a time (see ``netsim.EventLog``).
+there are scenarios, and every output byte is the same as with
+``--jobs 1``. No run keeps a finished scenario's event log: once its
+files are written, only its scored result is kept, and only that travels
+back from a worker. The files are written into a staging directory beside
+the output directory and moved into place once every scenario has
+finished, so a run that exits 2 leaves none of them.
+``gridshield replay`` re-scores a saved log and must reproduce the live
+result; with ``--out`` it writes the log bytes it read back as
+``events.jsonl``. Both write and parse the log a bounded chunk at a time
+(see ``netsim.EventLog``).
 
 Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
@@ -151,8 +153,9 @@ def _run_one(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult
 
 
 def _run_in_worker(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
-    """``_run_one`` in a pool worker: the outputs are written there, so only
-    the scored result travels back, without its event log."""
+    """``_run_one``, keeping only the scored result: the log's files are
+    written, so the log itself is let go of, serially or in a pool worker,
+    where only the result travels back."""
     return dataclasses.replace(_run_one(spec, out_root, nested), log=EventLog())
 
 
@@ -170,7 +173,7 @@ def _run_staged(specs: list[ScenarioSpec], out_root: Path, jobs: int) -> list[Sc
                 futures = [pool.submit(_run_in_worker, spec, staging, nested) for spec in specs]
                 results = [f.result() for f in futures]
         else:
-            results = [_run_one(spec, staging, nested) for spec in specs]
+            results = [_run_in_worker(spec, staging, nested) for spec in specs]
         for path in sorted(staging.rglob("*")):
             if path.is_file():
                 dest = out_root / path.relative_to(staging)

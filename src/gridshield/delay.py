@@ -129,9 +129,10 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport | None:
     The GOOSE rows of ``substation.TRIP_PATH`` are walked back from the
     trip, and the sampled-value rows back from the relay's trip departure
     that walk found, so the chain is the one that ends at this trip
-    whatever digests repeat earlier in the log. Returns None when the log
-    holds no trip, the trip names no frame, or a hop or note of its chain
-    is missing.
+    whatever digests repeat earlier in the log. Whether the inspection
+    module ran is read from the run banner. Returns None when the log
+    holds no trip, the trip names no frame, or the banner or a hop or note
+    of its chain is missing.
     """
     events = list(log)
     end = next((i for i, ev in enumerate(events) if ev.kind == "BreakerTrip"), None)
@@ -143,6 +144,7 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport | None:
     if goose is None:
         return None
     try:
+        with_ids = note_fields(events[0].note, "run")["with_ids"] == "1"
         # the trip departure names its triggering sample, and the sample's
         # departure its tick
         trigger = note_fields(goose[-1].note, "trip")["trigger"]
@@ -158,7 +160,6 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport | None:
     for term, start, stop in zip(_TERMS, times, times[1:]):
         components[term] += stop - start
     total_us = trip.time - fault_sample
-    with_ids = components["t_ids"] > 0
     checks = {
         "additivity_exact": sum(components.values()) == total_us,
         "baseline_is_23ms": (not with_ids) and total_us == BASELINE_TOTAL_US,

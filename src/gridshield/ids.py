@@ -87,14 +87,6 @@ RATE_MAX_FRAMES = 10
 RATE_WINDOW_US = 100_000
 
 
-class Alert(NamedTuple):
-    time: SimTime
-    rule_id: str
-    gocb_ref: str
-    ingress_port: int
-    digest: str
-
-
 @dataclass
 class _PublisherState:
     """One publisher's sequencing position and its recent arrival times."""
@@ -161,22 +153,18 @@ _PIED_OCTETS = sub.PIED_MAC.octets
 
 
 def inspect(
-    frame: GooseFrame,
-    ingress: int,
-    state: SubscriptionState,
-    at: SimTime,
-    digest: str,
-) -> tuple[SubscriptionState, list[Alert]]:
-    """Run the five rules over one decoded frame; update state; return alerts.
+    frame: GooseFrame, state: SubscriptionState, at: SimTime
+) -> tuple[SubscriptionState, list[str]]:
+    """Run the five rules over one decoded frame arriving at ``at``; update
+    state; return it with the ids of the rules the frame breaks, in rule
+    order.
 
-    ``digest`` is the wire digest of the frame's bytes. Alerts come in rule
-    order. Each call is one arrival towards the rate rule (the device calls
-    it once per arrival, not per copy on another port); the sequencing
-    state advances unless a sequence, TTL or whitelist rule fired.
+    Each call is one arrival towards the rate rule (the device calls it
+    once per arrival, not per copy on another port); the sequencing state
+    advances unless a sequence, TTL or whitelist rule fired.
     """
     fired: list[str] = []
-    gocb_ref = frame.gocb_ref
-    pub = state.publisher(gocb_ref)
+    pub = state.publisher(frame.gocb_ref)
     last_st = pub.last_st
     if last_st > 0:
         st, sq, last_sq = frame.st_num, frame.sq_num, pub.last_sq
@@ -195,9 +183,7 @@ def inspect(
         pub.advance(frame)
     if pub.record_arrival(at) > state.rate_max_frames:
         fired.append(RATE_LIMIT)
-    if not fired:
-        return state, []
-    return state, [Alert(at, rule_id, gocb_ref, ingress, digest) for rule_id in fired]
+    return state, fired
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +324,7 @@ class IdsNode(SwitchNode):
             rec.ports.add(port)  # a copy: a publication reaches each port once
         else:
             # a first sighting, or a repeat that no copy explains: a new arrival
-            notes = self._inspect_frame(port, raw, at)
+            notes = self._inspect_frame(raw, at)
             ports = rec.ports if fresh else {port}
             loops = [] if rec is None else rec.loops
             rec = self._recent[digest] = _Recent(at, notes, ports, loops)
@@ -349,14 +335,14 @@ class IdsNode(SwitchNode):
             self.net.log_event("AlertRaised", self.node_id, port, digest, note)
         self._observe(port, echo, at)
 
-    def _inspect_frame(self, port: int, raw: RawFrame, at: SimTime) -> tuple[str, ...]:
+    def _inspect_frame(self, raw: RawFrame, at: SimTime) -> tuple[str, ...]:
         """Decode and inspect one arrival; return its alert notes."""
         try:
             frame = decode_goose(raw)
         except CodecError:
             return (f"rule={MALFORMED_RULE_ID} gocb=",)
-        _, alerts = inspect(frame, port, self.state, at, raw.digest)
-        return tuple(f"rule={a.rule_id} gocb={a.gocb_ref}" for a in alerts)
+        _, rule_ids = inspect(frame, self.state, at)
+        return tuple(f"rule={rule_id} gocb={frame.gocb_ref}" for rule_id in rule_ids)
 
     def _observe(self, port: int, loop: bool, at: SimTime) -> None:
         if self.culprit is not None:
@@ -389,4 +375,4 @@ class IdsNode(SwitchNode):
         )
         for port in mitigate(culprit):
             self.net.log_event("ControlMsg", port.node, port.port, None, note="port_mod disable")
-            self.net.set_port_state(port, False, at + sub.CONTROLLER_LATENCY_US)
+            self.net.disable_port(port, at + sub.CONTROLLER_LATENCY_US)

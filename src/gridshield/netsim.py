@@ -11,9 +11,10 @@ The engine logs an append-only :class:`EventLog` of observable events
 alerts, verdicts, breaker trips). Internal bookkeeping such as device
 timers is scheduled on the same queue but never logged.
 
-Port-state semantics: enable/disable takes effect when its queued change
-is processed; frames already in flight on a link are still delivered
-(links are wires, not buffers that can be flushed).
+Ports are only ever disabled, as the mitigation's port mod does: a
+disable takes effect when its queued change is processed, and frames
+already in flight on a link are still delivered (links are wires, not
+buffers that can be flushed).
 """
 
 from __future__ import annotations
@@ -135,16 +136,15 @@ class EventLog(list):
             stream.write(EventLog(self[start:start + step]).to_jsonl().encode())
 
     @classmethod
-    def from_jsonl(cls, data: str | bytes) -> EventLog:
-        """Parse ``to_jsonl`` output, as text or as UTF-8 bytes: one line per
-        event, each ending in a newline, no blank lines;
-        ``from_jsonl(text).to_jsonl() == text``.
+    def from_jsonl(cls, data: bytes) -> EventLog:
+        """Parse ``to_jsonl`` output as UTF-8 bytes: one line per event, each
+        ending in a newline, no blank lines;
+        ``from_jsonl(text.encode()).to_jsonl() == text``.
 
         The input is decoded and split about READ_CHUNK_BYTES at a time, at
         a newline, which never occurs inside a UTF-8 sequence. Equal strings
         share one object across the log."""
-        newline = "\n" if isinstance(data, str) else b"\n"
-        if data and data[-1:] != newline:
+        if data and data[-1:] != b"\n":
             raise ValueError("log does not end with a newline")
         log = cls()
         append = log.append
@@ -152,13 +152,11 @@ class EventLog(list):
         fullmatch = _LINE_RE.fullmatch
         start = 0
         while start < len(data):
-            end = data.find(newline, start + READ_CHUNK_BYTES - 1) + 1 or len(data)
-            chunk = data[start:end]
-            if not isinstance(chunk, str):
-                try:
-                    chunk = chunk.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"not UTF-8 at byte {start + exc.start}") from None
+            end = data.find(b"\n", start + READ_CHUNK_BYTES - 1) + 1 or len(data)
+            try:
+                chunk = data[start:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"not UTF-8 at byte {start + exc.start}") from None
             lines = chunk.split("\n")
             lines.pop()
             for line in lines:
@@ -238,20 +236,14 @@ class Network:
         if not 1 <= port.port <= self.nodes[port.node]:
             raise UnknownPort(f"{port} beyond the node's port count")
 
-    def set_port_state(self, port: PortRef, enabled: bool, at: SimTime) -> None:
-        """Schedule a port enable/disable; effective once processed."""
+    def disable_port(self, port: PortRef, at: SimTime) -> None:
+        """Schedule a port disable; effective once processed."""
         self.check_port(port)
-        self._schedule(at, self._apply_port_state, (port, enabled))
+        self._schedule(at, self._disable, (port,))
 
-    def _apply_port_state(self, port: PortRef, enabled: bool) -> None:
-        if enabled:
-            self._disabled.discard(port)
-        else:
-            self._disabled.add(port)
-        self.log_event(
-            "PortStateChange", port.node, port.port,
-            note="enabled" if enabled else "disabled",
-        )
+    def _disable(self, port: PortRef) -> None:
+        self._disabled.add(port)
+        self.log_event("PortStateChange", port.node, port.port, note="disabled")
 
     # -- frame movement ----------------------------------------------------
 

@@ -11,7 +11,7 @@ frame no row matches is dropped as ``no_forwarding_entry``.
 
 A switch's table is fixed when it is built; there is no controller
 channel. The only port-disable path is the inspector's mitigation
-(``ids.IdsNode``), which schedules ``Network.set_port_state``.
+(``ids.IdsNode``), which schedules ``Network.disable_port``.
 
 A :class:`SwitchNode` decides each flow once, as an OpenFlow switch's flow
 cache does. A decision depends only on the ingress port and the

@@ -263,7 +263,7 @@ def test_criterion_8_determinism_and_replay(tmp_path):
 
     live_dir = tmp_path / "live"
     assert cli_main(["run", "--scenario", "attack2", "--out", str(live_dir)]) == 0
-    saved = EventLog.from_jsonl((live_dir / "events.jsonl").read_text())
+    saved = EventLog.from_jsonl((live_dir / "events.jsonl").read_bytes())
     replayed = score(saved)
     live_result = (live_dir / "result.json").read_text()
     replay_ok = (

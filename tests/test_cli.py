@@ -101,6 +101,20 @@ class TestRun:
         report = json.loads((out / "delay_report.json").read_text())
         assert report["total_us"] == 23_000
 
+    def test_with_ids_at_zero_inspection_delay_reports_the_module(self, tmp_path):
+        """The module's term is 0 here, and the report says the module ran
+        because the run banner does."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--scenario", "baseline", "--override", "with_ids=true",
+            "--override", "t_ids=0", "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads((out / "delay_report.json").read_text())
+        assert report["with_ids"] is True and report["components_us"]["t_ids"] == 0
+        assert report["checks"]["baseline_is_23ms"] is False
+        assert json.loads((out / "result.json").read_text())["delay"] == report
+
     def test_unknown_scenario_name(self, tmp_path):
         assert run_cli("run", "--scenario", "attack9", "--out", str(tmp_path / "o")) == 2
 
@@ -437,7 +451,7 @@ class TestProtection:
         )
         result = json.loads((out / "result.json").read_text())
         assert result["verdict"]["culprit"] == "StationBusSwitch"
-        log = EventLog.from_jsonl((out / "events.jsonl").read_text())
+        log = EventLog.from_jsonl((out / "events.jsonl").read_bytes())
         verdicts = [ev.time for ev in log if ev.kind == "VerdictReached"]
         trips = [ev.time for ev in log if ev.kind == "BreakerTrip"]
         assert verdicts and verdicts[0] < 3_000_000
@@ -518,6 +532,13 @@ class TestJobs:
             assert_one_line_error(proc)
             assert str(out / sid) in proc.stderr
             assert not out.exists()
+
+    def test_a_serial_run_keeps_no_finished_log(self, tmp_path):
+        specs = [load_scenario(sid, {"duration_ms": 60}) for sid in ("baseline", "attack1")]
+        results = cli._run_staged(specs, tmp_path / "o", jobs=1)
+        assert [r.scenario for r in results] == ["baseline", "attack1"]
+        assert all(not r.log for r in results)
+        assert all((tmp_path / "o" / sid / "events.jsonl").stat().st_size for sid in ("baseline", "attack1"))
 
     def test_worker_returns_the_result_without_its_log(self, tmp_path):
         result = cli._run_in_worker(load_scenario("attack1"), tmp_path, False)
@@ -626,6 +647,24 @@ class TestReplay:
         assert_one_line_error(run_cli_process("replay", str(bad)))
 
     @pytest.mark.parametrize(
+        "edit",
+        [(b'"note":"disabled"', b'"note":"enabled"'), (b'"port":1,', b'"port":null,')],
+        ids=["enabled", "no_port"],
+    )
+    def test_a_port_state_change_other_than_a_disable_is_config_error(self, tmp_path, edit):
+        """Only a numbered port is ever disabled, so a log that says
+        otherwise was edited, and is refused rather than scored."""
+        live = tmp_path / "live"
+        assert run_cli("run", "--scenario", "attack1", "--out", str(live)) == 0
+        lines = (live / "events.jsonl").read_bytes().split(b"\n")
+        i = next(i for i, line in enumerate(lines) if b'"kind":"PortStateChange"' in line)
+        assert edit[0] in lines[i]
+        lines[i] = lines[i].replace(*edit)
+        bad = tmp_path / "edited.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        assert_one_line_error(run_cli_process("replay", str(bad)))
+
+    @pytest.mark.parametrize(
         "banner",
         [
             "run scenario=attack1 with_ids=1 expected_total_us=abc settle_us=1",
@@ -644,7 +683,7 @@ class TestReplay:
     def test_missing_trip_hop_fails_without_traceback(self, tmp_path):
         live = tmp_path / "live"
         assert run_cli("run", "--scenario", "baseline", "--out", str(live)) == 0
-        log = EventLog.from_jsonl((live / "events.jsonl").read_text())
+        log = EventLog.from_jsonl((live / "events.jsonl").read_bytes())
         trip = next(ev for ev in log if ev.kind == "BreakerTrip")
         kept = EventLog(
             ev for ev in log[:-1]
@@ -668,7 +707,7 @@ class TestReplay:
         chain is unmeasured, not a crash."""
         live = tmp_path / "live"
         assert run_cli("run", "--scenario", "baseline", "--out", str(live)) == 0
-        log = EventLog.from_jsonl((live / "events.jsonl").read_text())
+        log = EventLog.from_jsonl((live / "events.jsonl").read_bytes())
         trip = next(ev for ev in log if (ev.note or "").startswith("trip trigger="))
         trigger = trip.note.split("=")[1]
         edited = EventLog(

@@ -73,6 +73,9 @@ class TestMeasure:
     def test_empty_log_raises(self):
         assert measure(EventLog()) is None
 
+    def test_log_without_its_banner_is_unmeasured(self, baseline_result):
+        assert measure(baseline_result.log[1:]) is None
+
     def test_budget_checks(self, baseline_result, with_ids_result):
         base = measure(baseline_result.log)
         assert base.checks["baseline_is_23ms"]
@@ -102,6 +105,12 @@ class TestMeasure:
 BASELINE_HOP_TIMES = (
     2_003_000, 2_004_000, 2_005_000, 2_006_000,
     2_016_000, 2_016_500, 2_017_500, 2_018_000, 2_018_000, 2_019_000,
+)
+
+
+BASELINE_BANNER = SimEvent(
+    0, 0, "ControlMsg", sub.IDS, None, None,
+    "run scenario=baseline with_ids=0 expected_total_us=23000 settle_us=2000",
 )
 
 
@@ -136,7 +145,8 @@ class TestTripPath:
             for row, time in zip(sub.TRIP_PATH[:4], BASELINE_HOP_TIMES)
         ]
         early[0] = early[0]._replace(note="tick_us=1000000")
-        events = [ev._replace(seq=i) for i, ev in enumerate(early + baseline_chain())]
+        chain = [BASELINE_BANNER, *early, *baseline_chain()]
+        events = [ev._replace(seq=i) for i, ev in enumerate(chain)]
         report = measure(events)
         assert report.total_us == 23_000
         assert report.fault_sample_us == 2_000_000

@@ -234,7 +234,7 @@ class TestInject:
         net = build_topology(TopologySpec(nodes={"sw": 6}, links=()))
         cap = _Capture()
         net.register("sw", cap)
-        net.set_port_state(PortRef("sw", 6), False, at=0)
+        net.disable_port(PortRef("sw", 6), at=0)
         plan = InjectionPlan(
             port=PortRef("sw", 6),
             mode="ingress",
