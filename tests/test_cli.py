@@ -534,11 +534,12 @@ class TestJobs:
             assert not out.exists()
 
     def test_a_serial_run_keeps_no_finished_log(self, tmp_path):
-        specs = [load_scenario(sid, {"duration_ms": 60}) for sid in ("baseline", "attack1")]
+        ids = ["baseline", "attack1"]
+        specs = [load_scenario(sid, {"duration_ms": 60}) for sid in ids]
         results = cli._run_staged(specs, tmp_path / "o", jobs=1)
-        assert [r.scenario for r in results] == ["baseline", "attack1"]
+        assert [r.scenario for r in results] == ids
         assert all(not r.log for r in results)
-        assert all((tmp_path / "o" / sid / "events.jsonl").stat().st_size for sid in ("baseline", "attack1"))
+        assert all((tmp_path / "o" / sid / "events.jsonl").stat().st_size for sid in ids)
 
     def test_worker_returns_the_result_without_its_log(self, tmp_path):
         result = cli._run_in_worker(load_scenario("attack1"), tmp_path, False)
