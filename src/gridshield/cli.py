@@ -202,13 +202,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             if ids.count(sid) > 1:
                 raise ScenarioError(f"two scenarios would write {Path(args.out) / sid}")
         results = _run_staged(specs, Path(args.out), args.jobs)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
+        raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
     _print_summary(results)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SCENARIO_FAILED
 
@@ -219,27 +214,19 @@ def cmd_replay(args: argparse.Namespace) -> int:
         # bytes, so no newline is translated: the log is written back as read
         data = path.read_bytes()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         event_log = EventLog.from_jsonl(data)
     except ValueError as exc:
-        print(f"error: malformed log: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ScenarioError(f"malformed log: {exc}") from exc
     if not check_complete(event_log):
-        print("error: log is truncated or missing its completion record", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        result = score(event_log)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ScenarioError("log is truncated or missing its completion record")
+    result = score(event_log)
     if args.out:
         try:
             _write_outputs(result, data, Path(args.out))
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+            raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
     _print_summary([result])
     return EXIT_OK if result.passed else EXIT_SCENARIO_FAILED
 
@@ -280,13 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     level = os.environ.get("GRIDSHIELD_LOG", "WARNING")
-    # a known level name maps to its number, anything else to a string
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        print(f"error: GRIDSHIELD_LOG={level!r} is not a log level; "
-              "use DEBUG, INFO, WARNING or ERROR", file=sys.stderr)
+    try:
+        # a known level name maps to its number, anything else to a string
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ScenarioError(f"GRIDSHIELD_LOG={level!r} is not a log level; "
+                                "use DEBUG, INFO, WARNING or ERROR")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+        return args.func(args)
+    except ScenarioError as exc:  # every config or input error, one line
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -316,51 +316,30 @@ def _read_body(data: bytes, layout: tuple[tuple[int, int], ...]) -> list:
 # ---------------------------------------------------------------------------
 
 
-# The gocb_ref, dataset_ref and all_data of the last publication encoded,
-# with their TLV bytes before and after the fixed-width run. A publisher
-# passes the same three objects every time, so they are compared by
-# identity; only immutable values of the types a decode gives them (str, a
-# tuple of bools) are remembered. What it holds never changes what an encode
-# returns, only the work: a miss encodes the three afresh.
-_repeated: tuple = (None, None, None, b"", b"")
-
-
 def encode_goose(frame: GooseFrame) -> RawFrame:
-    global _repeated
     frame.validate()
-    gocb_ref, dataset_ref, points, head, tail = _repeated
-    exact = (  # whether the three have the decoded types
-        gocb_ref is frame.gocb_ref
-        and dataset_ref is frame.dataset_ref
-        and points is frame.all_data
+    points = frame.all_data
+    body = (
+        _tlv(_TAG_GOCB_REF, _encode_str(frame.gocb_ref))
+        + _GOOSE_FIXED.pack(
+            _TAG_TTL, 4, frame.time_allowed_to_live,
+            _TAG_ST_NUM, 4, frame.st_num,
+            _TAG_SQ_NUM, 4, frame.sq_num,
+            _TAG_TEST, 1, 1 if frame.test else 0,
+            _TAG_TIMESTAMP, 8, frame.timestamp,
+        )
+        + _tlv(_TAG_DATASET_REF, _encode_str(frame.dataset_ref))
+        + _tlv(_TAG_ALL_DATA, bytes(map(bool, points)))
     )
-    if not exact:
-        gocb_ref, dataset_ref, points = frame.gocb_ref, frame.dataset_ref, frame.all_data
-        head = _tlv(_TAG_GOCB_REF, _encode_str(gocb_ref))
-        tail = _tlv(_TAG_DATASET_REF, _encode_str(dataset_ref)) + _tlv(
-            _TAG_ALL_DATA, bytes(1 if p else 0 for p in points)
-        )
-        exact = (
-            type(gocb_ref) is str is type(dataset_ref)
-            and type(points) is tuple
-            and all(type(p) is bool for p in points)
-        )
-        if exact:
-            _repeated = (gocb_ref, dataset_ref, points, head, tail)
-    body = head + _GOOSE_FIXED.pack(
-        _TAG_TTL, 4, frame.time_allowed_to_live,
-        _TAG_ST_NUM, 4, frame.st_num,
-        _TAG_SQ_NUM, 4, frame.sq_num,
-        _TAG_TEST, 1, 1 if frame.test else 0,
-        _TAG_TIMESTAMP, 8, frame.timestamp,
-    ) + tail
     raw = _frame(frame.dst, frame.src, GOOSE_ETHERTYPE, frame.app_id, body)
     # Keep the frame as the bytes' decode only if it is that decode type by
     # type: an int point or test flag compares equal to its bool, yet is not
     # what a parse returns.
     if (
-        exact
-        and type(frame) is GooseFrame
+        type(frame) is GooseFrame
+        and type(frame.gocb_ref) is str is type(frame.dataset_ref)
+        and type(points) is tuple
+        and all(type(p) is bool for p in points)
         and type(frame.test) is bool
         and type(frame.app_id) is type(frame.time_allowed_to_live) is type(frame.st_num)
         is type(frame.sq_num) is type(frame.timestamp) is int

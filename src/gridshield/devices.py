@@ -61,11 +61,7 @@ class MuDevice:
         # (smp_cnt, currents) -> its encoded frame; at most
         # samples_per_second entries per waveform level
         self._frames: dict[tuple, RawFrame] = {}
-        net.register(sub.MU, self)
         net.call(0, self._tick)
-
-    def on_frame(self, port: int, raw: RawFrame, at: SimTime) -> None:
-        pass  # nothing talks to the merging unit
 
     def _tick(self) -> None:
         at = self.net.now

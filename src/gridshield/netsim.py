@@ -201,7 +201,6 @@ class Network:
         self._disabled: set[PortRef] = set()
         self._heap: list[tuple[SimTime, int, Callable[..., None], tuple]] = []
         self._sched = 0
-        self._log_seq = 0
         self.now: SimTime = 0
         self.log = EventLog()
 
@@ -311,8 +310,7 @@ class Network:
         note: str | None = None,
     ) -> SimEvent:
         assert kind in EVENT_KINDS, kind
-        ev = _new_tuple(SimEvent, (self.now, self._log_seq, kind, node, port, digest, note))
-        self._log_seq += 1
+        ev = _new_tuple(SimEvent, (self.now, len(self.log), kind, node, port, digest, note))
         self.log.append(ev)
         return ev
 

@@ -47,7 +47,7 @@ from gridshield.delay import (
     walk_hops,
 )
 from gridshield.devices import InjectionPlan, MuDevice, OmicronDevice, PiedDevice, inject
-from gridshield.ids import IdsNode, Origin, mitigate
+from gridshield.ids import LOOP_WINDOW_US, IdsNode, Origin, mitigate
 from gridshield.netsim import (
     EventLog,
     Network,
@@ -371,6 +371,14 @@ def _spec_from_tree(tree, overrides: dict) -> ScenarioSpec:
             raise ValueError(
                 f"the run schedules about {ticks} sample and publication ticks, "
                 f"above the cap of {MAX_SCHEDULED_TICKS}"
+            )
+        # the echo window is fixed: past it, the inspector would take its own
+        # echoes for frames that the switch put on the loop
+        loop_us = 2 * sub.LOOP_LEG_LATENCY + spec.delays.t_ss
+        if spec.with_ids and loop_us > LOOP_WINDOW_US:
+            raise ValueError(
+                f"delays_ms.t_ss: the inspection loop's round trip of {loop_us / MS:g} ms "
+                f"outlasts the inspector's {LOOP_WINDOW_US / MS:g} ms echo window"
             )
         # wiring, ports and schedules fail here, before anything runs or is written
         try:

@@ -208,6 +208,25 @@ class TestRun:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sid", ["attack1", "attack2"])
+    def test_a_loop_past_the_echo_window_is_config_error(self, tmp_path, capsys, sid):
+        """With the inspector active, a loop whose round trip (two 0.5 ms
+        legs and t_ss) outlasts LOOP_WINDOW_US would bring the device's own
+        echoes back as frames the switch put on the loop; the config is
+        refused by its t_ss, and nothing is written."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--scenario", sid, "--override", "t_ss=9.5",
+            "--override", "publish_interval_ms=2", "--override", "samples_per_second=100",
+            "--out", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "delays_ms.t_ss" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, key", [
         ("scenario: attack1\n", "", "scenario"),
         ("  t_mu: 3.0\n", "", "delays_ms.t_mu"),

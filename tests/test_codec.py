@@ -511,8 +511,9 @@ class TestEncodeKeepsItsFrame:
         assert encode_sv(sv)._decoded is sv
 
     def test_a_change_of_a_repeated_field_is_encoded_afresh(self):
-        """The encoder reuses the TLV bytes of the fields a publisher
-        repeats, but not for a new points tuple, gocb_ref or dataset_ref."""
+        """Along a publisher's chain, a changed points tuple, gocb_ref or
+        dataset_ref is encoded as a fresh encode would encode it: the
+        reference decoder reads every frame of the chain back."""
         frame = golden_goose_frame()
         chain = [frame]
         for i in range(3):

@@ -309,11 +309,13 @@ def test_detection_holds_at_every_publish_interval(sid, interval_ms):
 @pytest.mark.parametrize("overrides", [
     {"t_ids": 9, "publish_interval_ms": 2, "samples_per_second": 100},
     {"t_ss": 6, "publish_interval_ms": 3, "samples_per_second": 100},
-], ids=["t_ids=9", "t_ss=6"])
+    {"t_ss": 9, "publish_interval_ms": 2, "samples_per_second": 100},
+], ids=["t_ids=9", "t_ss=6", "t_ss=9"])
 def test_detection_holds_when_echoes_return_after_the_inspection_window(sid, overrides):
     """A slower inspector or switch brings each echo back more than
     LOOP_WINDOW_US after its publication was inspected; it is still a
-    copy, not a new arrival to count towards the rate rule."""
+    copy, not a new arrival to count towards the rate rule. At t_ss=9 the
+    loop's round trip equals the echo window, the longest a config may set."""
     assert_detected(sid, overrides)
 
 
