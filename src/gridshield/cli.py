@@ -2,12 +2,18 @@
 
 ``gridshield run`` executes one or more scenario fixtures and writes, per
 scenario, the JSON-lines event log (``events.jsonl``), the scored result
-(``result.json``) and the delay report (``delay_report.json``). With
-``--jobs N`` the scenarios run in up to N worker processes, never more than
-there are scenarios, and every output byte is the same as with
-``--jobs 1``. No run keeps a finished scenario's event log: once its
-files are written, only its scored result is kept, and only that travels
-back from a worker. The files are written into a staging directory beside
+(``result.json``) and the delay report (``delay_report.json``). One
+scenario runs in this process. Several run as forked branches of shared
+trunks, so ``run`` needs ``os.fork`` (POSIX) for them: scenarios whose
+configs are equal but for their name, duration and timed inputs (the
+toggle, silence, fault and injection times) are simulated once up to
+the first time their inputs differ, and that simulation is then forked
+once per scenario (``scenarios.Trunk``). A scenario that shares no trunk
+is forked to run alone. ``--jobs N`` bounds the processes that simulate
+at once, and every output byte is the same for every N. No run keeps a
+finished scenario's event log: once its files are written, only its
+scored result is kept, and only that travels back from a forked
+process. The files are written into a staging directory beside
 the output directory and moved into place once every scenario has
 finished, so a run that exits 2 leaves none of them.
 ``gridshield replay`` re-scores a saved log and must reproduce the live
@@ -19,8 +25,9 @@ Exit codes are the machine contract: 0 when every requested scenario
 passes, 1 when any fails, 2 on configuration or input errors, including
 an unknown ``GRIDSHIELD_LOG`` level, a usage error such as an unknown
 option, a missing subcommand or a ``--jobs`` below 1, a ``--scenario``
-that names no scenario, a list of scenarios two of which share an id (and
-so an output directory), and an ``--out`` that cannot be written; each
+that names no scenario or one that cannot be read, a list of scenarios
+two of which share an id (and so an output directory), and an ``--out``
+that cannot be written; each
 prints one ``error:`` line. Stdout is a
 human-readable summary and may change; a reader that closes it early
 loses the rest of the summary, not the exit code.
@@ -31,16 +38,18 @@ The ``GRIDSHIELD_LOG`` variable must name a log level
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import dataclasses
+import io
 import json
 import logging
 import os
 import shutil
 import sys
 import tempfile
+import traceback
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from gridshield.netsim import EventLog
 from gridshield.scenarios import (
@@ -48,10 +57,12 @@ from gridshield.scenarios import (
     ScenarioError,
     ScenarioResult,
     ScenarioSpec,
+    Trunk,
     check_complete,
     load_scenario,
     run_scenario,
     score,
+    trunks,
 )
 
 log = logging.getLogger("gridshield")
@@ -90,15 +101,25 @@ def _job_count(text: str) -> int:
     return jobs
 
 
-def _write_outputs(result: ScenarioResult, log: EventLog | bytes, out_dir: Path) -> None:
+def _write_outputs(
+    result: ScenarioResult,
+    log: EventLog | bytes,
+    out_dir: Path,
+    shared: bytes | memoryview = b"",
+    resume: int = 1,
+) -> None:
     """Write a run's files; ``log`` is the event log, or the bytes of a log
-    that was read, which are written back unchanged."""
+    that was read, which are written back unchanged. A branch passes its
+    trunk's text of events 1 to ``resume`` - 1 as ``shared``, formatted
+    once for every branch."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "events.jsonl", "wb") as stream:
         if isinstance(log, bytes):
             stream.write(log)
         else:
-            log.write_jsonl(stream)
+            stream.write(EventLog(log[:1]).to_jsonl().encode())  # the banner
+            stream.write(shared)
+            log.write_jsonl(stream, resume)
     (out_dir / "result.json").write_text(result.to_json() + "\n")
     if result.delay is not None:
         delay_text = result.delay.to_json() + "\n"
@@ -146,34 +167,172 @@ def _print_summary(results: list[ScenarioResult]) -> None:
 
 
 def _run_one(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
+    """Run one scenario alone and write its files; the result keeps no log."""
     result = run_scenario(spec)
-    out_dir = out_root / spec.id if nested else out_root
-    _write_outputs(result, result.log, out_dir)
-    return result
+    _write_outputs(result, result.log, out_root / spec.id if nested else out_root)
+    return replace(result, log=EventLog())
 
 
-def _run_in_worker(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult:
-    """``_run_one``, keeping only the scored result: the log's files are
-    written, so the log itself is let go of, serially or in a pool worker,
-    where only the result travels back."""
-    return dataclasses.replace(_run_one(spec, out_root, nested), log=EventLog())
+def _run_branch(
+    trunk: Trunk, spec: ScenarioSpec, out_root: Path, shared: memoryview, resume: int
+) -> ScenarioResult:
+    """``_run_one`` for a scenario that continues ``trunk``."""
+    result = trunk.branch(spec)
+    _write_outputs(result, result.log, out_root / spec.id, shared, resume)
+    return replace(result, log=EventLog())
+
+
+def _outcome(work: Callable[[], ScenarioResult]) -> ScenarioResult | Exception:
+    """The result of ``work``, or the error it raised that ``run`` reports
+    in one line, once every scenario is done."""
+    try:
+        return work()
+    except (ScenarioError, OSError) as exc:
+        return exc
+
+
+_TOKEN = b"+"  # a jobserver token, and a child's first byte once it holds one
+
+
+class _Runner:
+    """Runs a list of scenarios as forked branches of the trunks they share.
+
+    Scenarios that share no trunk are forked first, each to run alone.
+    Then each group's trunk runs here, is forked once per branch but the
+    last, and continues here as the last. A jobserver pipe, as GNU make's,
+    bounds what simulates at once: it starts with ``jobs`` - 1 tokens, a
+    child takes one before it simulates, and this process holds one of its
+    own until it has nothing left to run. A child sends its outcome, a
+    result without its log or an exception, through a pipe of its own,
+    and the token it took comes back once it has exited. Children never
+    hold the token pipe's write end, so if this process dies, the ones
+    still waiting for a token end without running. The CLI starts no
+    thread, so forking it is safe.
+    """
+
+    def __init__(self, specs: list[ScenarioSpec], out_root: Path) -> None:
+        self.specs = specs
+        self.out_root = out_root
+        self.outcomes: list[ScenarioResult | Exception | None] = [None] * len(specs)
+        self.children: dict[int, tuple[int, int]] = {}  # result pipe -> (spec index, pid)
+
+    def run(self, jobs: int) -> list[ScenarioResult]:
+        """Every scenario's result in spec order, or the first error in
+        spec order once all have finished."""
+        self.tokens_r, self.tokens_w = os.pipe()
+        try:
+            os.write(self.tokens_w, _TOKEN * (min(jobs, len(self.specs)) - 1))
+            groups = trunks(self.specs)
+            for group in groups:
+                if len(group) == 1:
+                    spec = self.specs[group[0]]
+                    self.fork(group[0], partial(_run_one, spec, self.out_root, True))
+            for group in groups:
+                if len(group) > 1:
+                    self.run_group(group)
+            os.write(self.tokens_w, _TOKEN)  # this process simulates no more
+            self.collect()
+        finally:
+            import signal
+
+            for read, (_index, pid) in self.children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+            os.close(self.tokens_r)
+            os.close(self.tokens_w)
+        for outcome in self.outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return self.outcomes
+
+    def run_group(self, group: list[int]) -> None:
+        trunk = Trunk([self.specs[index] for index in group])
+        trunk.run()
+        # every line but the banner, formatted once for all the branches
+        text = io.BytesIO()
+        trunk.net.log.write_jsonl(text, 1)
+        shared, resume = text.getbuffer(), len(trunk.net.log)
+
+        def branch(index: int) -> Callable[[], ScenarioResult]:
+            return partial(_run_branch, trunk, self.specs[index], self.out_root, shared, resume)
+
+        *forked, last = group
+        for index in forked:
+            self.fork(index, branch(index))
+        self.outcomes[last] = _outcome(branch(last))
+
+    def fork(self, index: int, work: Callable[[], ScenarioResult]) -> None:
+        import pickle  # here, not at module level: only a run of several scenarios forks
+
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.close(read)
+            os.close(write)
+            raise ScenarioError(f"cannot start scenario {self.specs[index].id}: {exc}") from exc
+        if pid == 0:
+            try:
+                os.close(read)
+                os.close(self.tokens_w)
+                if os.read(self.tokens_r, 1):  # empty once this process is gone
+                    os.write(write, _TOKEN)
+                    data = pickle.dumps(_outcome(work))
+                    with open(write, "wb", closefd=False) as pipe:
+                        pipe.write(data)
+            except Exception:  # a defect: show where, and end without a result
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(0)  # no cleanup or buffer of this process runs twice
+        os.close(write)
+        self.children[read] = (index, pid)
+
+    def collect(self) -> None:
+        """Read every child's outcome and reap it, handing its token on."""
+        import pickle
+        import selectors
+
+        received = {read: bytearray() for read in self.children}
+        with selectors.DefaultSelector() as selector:
+            for read in self.children:
+                selector.register(read, selectors.EVENT_READ)
+            while self.children:
+                for key, _events in selector.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        received[key.fd] += chunk
+                        continue
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    index, pid = self.children.pop(key.fd)
+                    _pid, status = os.waitpid(pid, 0)
+                    data = received.pop(key.fd)
+                    if data[:1] == _TOKEN:
+                        os.write(self.tokens_w, _TOKEN)
+                    try:
+                        self.outcomes[index] = pickle.loads(data[1:])
+                    except Exception:
+                        self.outcomes[index] = ScenarioError(
+                            f"scenario {self.specs[index].id} ended without a result "
+                            f"(exit status {os.waitstatus_to_exitcode(status)})"
+                        )
 
 
 def _run_staged(specs: list[ScenarioSpec], out_root: Path, jobs: int) -> list[ScenarioResult]:
     """Run every spec, then move the files they wrote into ``out_root``; a
-    scenario that fails leaves no file of any of them there."""
-    nested = len(specs) > 1
+    scenario that fails leaves no file of any of them there. One scenario
+    runs in this process; more run in forked ones (``_Runner``)."""
     out_root.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_root.name}.", dir=out_root.parent))
     try:
-        if jobs > 1 and nested:
-            # fork starts all max_workers at the first submit: one per scenario at most
-            workers = min(jobs, len(specs))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_in_worker, spec, staging, nested) for spec in specs]
-                results = [f.result() for f in futures]
+        if len(specs) == 1:
+            results = [_run_one(specs[0], staging, False)]
         else:
-            results = [_run_in_worker(spec, staging, nested) for spec in specs]
+            results = _Runner(specs, staging).run(jobs)
         for path in sorted(staging.rglob("*")):
             if path.is_file():
                 dest = out_root / path.relative_to(staging)
@@ -185,22 +344,22 @@ def _run_staged(specs: list[ScenarioSpec], out_root: Path, jobs: int) -> list[Sc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    overrides = dict(_parse_override(o) for o in args.override or [])
+    if args.scenario == "all":
+        names = list(SCENARIO_IDS)
+    else:
+        names = [s.strip() for s in (args.scenario or "").split(",") if s.strip()]
+    if not names:
+        raise ScenarioError(
+            "nothing to run; give --scenario an id, a comma list, 'all' or a YAML path"
+        )
+    # every spec loads before any scenario runs, so a config error writes nothing
+    specs = [load_scenario(name, overrides) for name in names]
+    ids = [spec.id for spec in specs]
+    for sid in ids:
+        if ids.count(sid) > 1:
+            raise ScenarioError(f"two scenarios would write {Path(args.out) / sid}")
     try:
-        overrides = dict(_parse_override(o) for o in args.override or [])
-        if args.scenario == "all":
-            names = list(SCENARIO_IDS)
-        else:
-            names = [s.strip() for s in (args.scenario or "").split(",") if s.strip()]
-        if not names:
-            raise ScenarioError(
-                "nothing to run; give --scenario an id, a comma list, 'all' or a YAML path"
-            )
-        # every spec loads before any scenario runs, so a config error writes nothing
-        specs = [load_scenario(name, overrides) for name in names]
-        ids = [spec.id for spec in specs]
-        for sid in ids:
-            if ids.count(sid) > 1:
-                raise ScenarioError(f"two scenarios would write {Path(args.out) / sid}")
         results = _run_staged(specs, Path(args.out), args.jobs)
     except OSError as exc:
         raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
@@ -253,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable (e.g. t_ids=0, with_ids=true)")
     run_p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
-                       help="run scenarios in up to N worker processes, at most one per "
-                       "scenario; outputs are byte-identical to --jobs 1")
+                       help="simulate at most N scenarios at once, in forked processes; "
+                       "outputs are byte-identical to --jobs 1")
     run_p.set_defaults(func=cmd_run)
 
     replay_p = sub.add_parser("replay", help="re-score a saved events.jsonl")

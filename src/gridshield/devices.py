@@ -46,7 +46,9 @@ class MuDevice:
     """Samples the waveform and streams sampled-value frames.
 
     The waveform is the nominal per-phase magnitudes, with phase A stepping
-    to the fault current (``substation.py``) from ``fault_at_us`` on.
+    to the fault current (``substation.py``) from ``fault_at_us`` on. Each
+    tick reads ``fault_at_us``, so it may be set on a running unit before
+    the first tick it changes.
     """
 
     def __init__(self, net: Network, *, samples_per_second: int, t_mu: SimTime,
@@ -95,7 +97,9 @@ class PiedDevice:
     the inspector's direct feed, at the same instant. A benign data change
     (the supervision point toggles) at ``toggle_point_at_us`` gives the
     stream a second state number; a compromised relay's legitimate
-    publications stop at ``silence_at_us``. None disables either.
+    publications stop at ``silence_at_us``. None disables either. Both are
+    inputs of the run, which ``toggle_at`` and ``silence_at`` also
+    schedule on a relay that is already running.
     """
 
     GOOSE_PORTS = (PortRef(sub.PIED, sub.PIED_STATION), PortRef(sub.PIED, sub.PIED_IDS_DIRECT))
@@ -113,9 +117,15 @@ class PiedDevice:
         net.register(sub.PIED, self)
         net.call(0, self._pump)
         if toggle_point_at_us is not None:
-            net.call(toggle_point_at_us, self._toggle_point)
+            self.toggle_at(toggle_point_at_us)
         if silence_at_us is not None:
-            net.call(silence_at_us, self._silence)
+            self.silence_at(silence_at_us)
+
+    def toggle_at(self, at: SimTime) -> None:
+        self.net.call(at, self._toggle_point)
+
+    def silence_at(self, at: SimTime) -> None:
+        self.net.call(at, self._silence)
 
     # -- reception -----------------------------------------------------------
 

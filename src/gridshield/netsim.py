@@ -2,9 +2,14 @@
 
 Nodes are named and carry numbered ports (1-based, matching front-panel
 numbering); point-to-point links join two ports with a fixed latency. A
-single global queue orders work by (time, insertion counter), so two runs
-of the same inputs produce byte-identical event logs. Times are integer
-microseconds throughout.
+single global queue orders work by time, so two runs of the same inputs
+produce byte-identical event logs. Within one microsecond, the run's
+*inputs* (work scheduled from outside ``run_until``, such as a device's
+first tick or an injection) come before every event the run scheduled
+itself, and each of the two keeps its insertion order. So an input added
+between two ``run_until`` calls lands where it would have landed had it
+been scheduled before the first. Times are integer microseconds
+throughout.
 
 The engine logs an append-only :class:`EventLog` of observable events
 (frame departures/arrivals, drops, control messages, port state changes,
@@ -129,11 +134,12 @@ class EventLog(list):
             for t, seq, kind, node, port, digest, note in self
         ])
 
-    def write_jsonl(self, stream: BinaryIO) -> None:
-        """Write ``to_jsonl()`` as bytes, WRITE_CHUNK_EVENTS events at a time."""
+    def write_jsonl(self, stream: BinaryIO, start: int = 0) -> None:
+        """Write ``to_jsonl()`` of the events from ``start`` on as bytes,
+        WRITE_CHUNK_EVENTS events at a time."""
         step = WRITE_CHUNK_EVENTS
-        for start in range(0, len(self), step):
-            stream.write(EventLog(self[start:start + step]).to_jsonl().encode())
+        for first in range(start, len(self), step):
+            stream.write(EventLog(self[first:first + step]).to_jsonl().encode())
 
     @classmethod
     def from_jsonl(cls, data: bytes) -> EventLog:
@@ -200,7 +206,10 @@ class Network:
         self.links: dict[PortRef, tuple[PortRef, SimTime]] = {}
         self._disabled: set[PortRef] = set()
         self._heap: list[tuple[SimTime, int, Callable[..., None], tuple]] = []
-        self._sched = 0
+        # the insertion counter _schedule uses, and the other one: inputs
+        # count up from far below every count of the run's own events
+        self._sched = -(1 << 62)
+        self._other_sched = 0
         self.now: SimTime = 0
         self.log = EventLog()
 
@@ -318,10 +327,15 @@ class Network:
         """Process every queued item with time <= t_end, in (time, seq) order."""
         heap = self._heap
         heappop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            at, _seq, fn, args = heappop(heap)
-            self.now = at
-            fn(*args)
+        # while it runs, what is scheduled is the run's own events
+        self._sched, self._other_sched = self._other_sched, self._sched
+        try:
+            while heap and heap[0][0] <= t_end:
+                at, _seq, fn, args = heappop(heap)
+                self.now = at
+                fn(*args)
+        finally:
+            self._sched, self._other_sched = self._other_sched, self._sched
         self.now = max(self.now, t_end)
         return self.log
 

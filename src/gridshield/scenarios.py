@@ -178,7 +178,11 @@ def load_scenario(name_or_path: str, overrides: dict | None = None) -> ScenarioS
         text = _builtin_config_text(name_or_path)
     else:
         path = Path(name_or_path)
-        if not path.is_file():
+        try:
+            found = path.is_file()
+        except OSError as exc:  # a name the system cannot look up, such as one too long
+            raise ScenarioError(f"cannot read scenario {name_or_path!r}: {exc.strerror}") from exc
+        if not found:
             raise ScenarioError(f"unknown scenario {name_or_path!r}")
         try:
             text = path.read_text(encoding="utf-8")
@@ -418,65 +422,151 @@ def _injection(got: dict) -> InjectionPlan | None:
 # ---------------------------------------------------------------------------
 
 
+# The spec fields that only time a run's inputs, name it or end it. Specs
+# equal in every other field can share a trunk (``trunks``).
+_TIMED = ("id", "duration_us", "toggle_point_at_us", "silence_at_us", "fault_at_us", "injection")
+
+
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Build the network, run the traffic, and score the log."""
-    net = _build(spec)
-    try:
-        net.run_until(spec.duration_us)
-    except (TopologyError, CodecError) as exc:
-        # what the load-time build cannot see: a forward to an unlinked port,
-        # or a delay so large that a frame's timestamp leaves its field
-        raise ScenarioError(f"scenario {spec.id} cannot run: {exc}") from exc
-    net.log_event(
-        "ControlMsg", sub.IDS, None, None, note=f"run_complete events={len(net.log) + 1}"
+    trunk = Trunk([spec])
+    trunk.run()
+    return trunk.branch(spec)
+
+
+def trunks(specs: list[ScenarioSpec]) -> list[list[int]]:
+    """The indices of ``specs`` grouped by the trunk they can share: specs
+    equal in every field but the ``_TIMED`` ones, in order of first
+    appearance."""
+    groups: dict[ScenarioSpec, list[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(replace(spec, **dict.fromkeys(_TIMED)), []).append(index)
+    return list(groups.values())
+
+
+def _inputs(spec: ScenarioSpec) -> list[tuple[int, object]]:
+    """The run's timed inputs after its first tick and first publication,
+    in the order the build schedules them, as ``(time, what)``: the toggle,
+    the silence, and each injection with its plan (the plan's own times
+    left out, so that equal injections compare equal)."""
+    inputs: list[tuple[int, object]] = []
+    if spec.toggle_point_at_us is not None:
+        inputs.append((spec.toggle_point_at_us, "toggle"))
+    if spec.silence_at_us is not None:
+        inputs.append((spec.silence_at_us, "silence"))
+    if spec.injection is not None:
+        plan = replace(spec.injection, times_us=())
+        inputs += [(at, plan) for at in spec.injection.times_us]
+    return inputs
+
+
+def _schedule(net: Network, inputs: list[tuple[int, object]]) -> None:
+    relay = net.handlers[sub.PIED]
+    for at, what in inputs:
+        if what == "toggle":
+            relay.toggle_at(at)
+        elif what == "silence":
+            relay.silence_at(at)
+        else:
+            inject(net, replace(what, times_us=(at,)))
+
+
+def _banner(spec: ScenarioSpec) -> str:
+    return (
+        f"run scenario={spec.id} with_ids={int(spec.with_ids)} "
+        f"expected_total_us={spec.expected_total_us()} settle_us={spec.settle_us()}"
     )
-    return score(net.log)
+
+
+class Trunk:
+    """The part of a run that a group of specs from ``trunks`` shares.
+
+    The trunk is built with the first spec's banner, the longest prefix of
+    the specs' ``_inputs`` that they all share, and their common fault
+    time, if they have one. ``run`` takes it up to the microsecond before
+    ``diverge_us``, the first of: the time of any input after that prefix,
+    any fault time when the specs' fault times differ (the merging unit
+    reads it at every tick), and the end of the shortest run.
+
+    ``branch`` then makes it one spec's run: it puts in that spec's banner,
+    fault time and remaining inputs, and the engine orders those as if they
+    had been scheduled at the build (``netsim``). So a branch's log is the
+    spec's log run alone, byte for byte. A trunk branches once in a
+    process; forking it branches it again.
+    """
+
+    def __init__(self, specs: list[ScenarioSpec]) -> None:
+        inputs = [_inputs(spec) for spec in specs]
+        shared = 0
+        for column in zip(*inputs):
+            if column.count(column[0]) < len(column):
+                break
+            shared += 1
+        faults = {spec.fault_at_us for spec in specs}
+        ends = [spec.duration_us for spec in specs]
+        ends += [at for other in inputs for at, _what in other[shared:]]
+        if len(faults) > 1:
+            ends += [at for at in faults if at is not None]
+        self.diverge_us = min(ends)
+        self._shared = shared
+        self._failure: Exception | None = None
+
+        spec = specs[0]
+        self.net = net = build_topology(spec.topology())
+        net.log_event("ControlMsg", sub.IDS, None, None, note=_banner(spec))
+        SwitchNode(net, sub.PROCESS_BUS, sub.process_bus_flow_table(), spec.delays.t_sp)
+        SwitchNode(net, sub.STATION_BUS, sub.station_bus_flow_table(), spec.delays.t_ss)
+        if spec.with_ids:
+            IdsNode(
+                net,
+                sub.ids_flow_table(with_ids=True),
+                processing_delay=spec.delays.t_ids,
+                decision_window_us=spec.decision_window_us,
+                heartbeat_us=spec.publish_interval_us,
+            )
+        else:
+            SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)
+        self._mu = MuDevice(
+            net,
+            samples_per_second=spec.samples_per_second,
+            t_mu=spec.delays.t_mu,
+            fault_at_us=faults.pop() if len(faults) == 1 else None,
+        )
+        PiedDevice(net, publish_interval_us=spec.publish_interval_us, t_pied=spec.delays.t_pied)
+        OmicronDevice(net, spec.delays.t_oc)
+        _schedule(net, inputs[0][:shared])
+
+    def run(self) -> None:
+        """Run up to the microsecond before the specs diverge; an error that
+        stops it is kept for each branch to report as its own."""
+        try:
+            self.net.run_until(self.diverge_us - 1)
+        except (TopologyError, CodecError) as exc:
+            self._failure = exc
+
+    def branch(self, spec: ScenarioSpec) -> ScenarioResult:
+        """Continue the trunk as ``spec``'s run to its end, and score it."""
+        net = self.net
+        try:
+            if self._failure is not None:
+                raise self._failure
+            net.log[0] = net.log[0]._replace(note=_banner(spec))
+            self._mu.fault_at_us = spec.fault_at_us
+            _schedule(net, _inputs(spec)[self._shared:])
+            net.run_until(spec.duration_us)
+        except (TopologyError, CodecError) as exc:
+            # what the load-time build cannot see: a forward to an unlinked
+            # port, or a delay so large that a frame's timestamp leaves its field
+            raise ScenarioError(f"scenario {spec.id} cannot run: {exc}") from exc
+        net.log_event(
+            "ControlMsg", sub.IDS, None, None, note=f"run_complete events={len(net.log) + 1}"
+        )
+        return score(net.log)
 
 
 def _build(spec: ScenarioSpec) -> Network:
     """Wire the network, its devices and the injections, ready to run."""
-    net = build_topology(spec.topology())
-    net.log_event(
-        "ControlMsg",
-        sub.IDS,
-        None,
-        None,
-        note=(
-            f"run scenario={spec.id} with_ids={int(spec.with_ids)} "
-            f"expected_total_us={spec.expected_total_us()} settle_us={spec.settle_us()}"
-        ),
-    )
-
-    SwitchNode(net, sub.PROCESS_BUS, sub.process_bus_flow_table(), spec.delays.t_sp)
-    SwitchNode(net, sub.STATION_BUS, sub.station_bus_flow_table(), spec.delays.t_ss)
-    if spec.with_ids:
-        IdsNode(
-            net,
-            sub.ids_flow_table(with_ids=True),
-            processing_delay=spec.delays.t_ids,
-            decision_window_us=spec.decision_window_us,
-            heartbeat_us=spec.publish_interval_us,
-        )
-    else:
-        SwitchNode(net, sub.IDS, sub.ids_flow_table(with_ids=False), 0)
-
-    MuDevice(
-        net,
-        samples_per_second=spec.samples_per_second,
-        t_mu=spec.delays.t_mu,
-        fault_at_us=spec.fault_at_us,
-    )
-    PiedDevice(
-        net,
-        publish_interval_us=spec.publish_interval_us,
-        t_pied=spec.delays.t_pied,
-        toggle_point_at_us=spec.toggle_point_at_us,
-        silence_at_us=spec.silence_at_us,
-    )
-    OmicronDevice(net, spec.delays.t_oc)
-    if spec.injection is not None:
-        inject(net, spec.injection)
-    return net
+    return Trunk([spec]).net
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import copy
+import errno
 import io
+import itertools
 import json
 import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -28,10 +31,12 @@ from gridshield.scenarios import (
     _OVERRIDE_KEYS,
     _SCHEMA,
     ScenarioError,
+    Trunk,
     _ms,
     _times,
     _timestamp,
     load_scenario,
+    trunks,
 )
 
 SRC = Path(gridshield.__file__).resolve().parents[1]
@@ -117,6 +122,19 @@ class TestRun:
 
     def test_unknown_scenario_name(self, tmp_path):
         assert run_cli("run", "--scenario", "attack9", "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("names", ["x" * 5_000, "baseline," + "y" * 300 + ".yaml"],
+                             ids=["a_name_too_long", "a_list_with_a_path_too_long"])
+    def test_a_name_the_system_cannot_look_up_is_named(self, tmp_path, capsys, names):
+        """Looking such a name up raises: the scenario cannot be read, which
+        is no failure to write the output directory."""
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", names, "--out", str(out)) == 2
+        unreadable = names.split(",")[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read scenario {unreadable!r}: {os.strerror(errno.ENAMETOOLONG)}"
+        ]
+        assert not out.exists()
 
     def test_bad_override_is_config_error(self, tmp_path):
         code = run_cli(
@@ -424,8 +442,9 @@ class TestRun:
     ):
         """A station-bus table that forwards the relay's frames to port 5,
         which exists but has no link, loads; the first frame forwarded there
-        stops the run, which is reported as one error line. Pool workers
-        are forked from this process, so they run the patched table too."""
+        stops the run, which is reported as one error line. The scenarios
+        run in processes forked from this one, so they run the patched
+        table too."""
         from gridshield import substation as sub
         from gridshield.sdn import FlowEntry
 
@@ -482,25 +501,101 @@ class TestProtection:
 
 
 class TestJobs:
-    def test_pool_is_capped_at_the_number_of_scenarios(self, tmp_path, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_at_most_n_scenarios_simulate_at_once(self, tmp_path, monkeypatch, jobs):
+        """Every stretch of simulation, in this process or a forked one, is
+        made to last 0.2 s and is logged with its start and end. Under
+        ``--jobs N`` at most N of them overlap, and under two jobs two do."""
+        spans = tmp_path / "spans"
+        run_until = netsim.Network.run_until
 
-        class InlineExecutor(concurrent.futures.Executor):
-            """Records its size and runs each call inline, starting no process."""
+        def slow_run_until(net, t_end):
+            start = time.monotonic()
+            time.sleep(0.2)
+            log = run_until(net, t_end)
+            with open(spans, "a") as stream:  # one short append: not interleaved
+                stream.write(f"{start} {time.monotonic()}\n")
+            return log
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        monkeypatch.setattr(netsim.Network, "run_until", slow_run_until)
+        code = run_cli(
+            "run", "--scenario", "all", "--override", "duration_ms=60", "--jobs", str(jobs),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code in (0, 1)
+        # +1 at each start and -1 at each end; an end sorts first at a tie
+        edges = sorted(
+            (float(at), step)
+            for line in spans.read_text().splitlines()
+            for at, step in zip(line.split(), (1, -1))
+        )
+        assert len(edges) == 2 * 5  # the trunk, two branches and baseline's two stretches
+        assert max(itertools.accumulate(step for _at, step in edges)) == jobs
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_a_single_scenario_forks_nothing(self, tmp_path, monkeypatch, jobs):
+        forked = []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or 0)
         out = tmp_path / "o"
-        assert run_cli("run", "--scenario", "all", "--jobs", "64", "--out", str(out)) == 0
-        assert sizes == [3]
+        assert run_cli("run", "--scenario", "attack1", "--jobs", jobs, "--out", str(out)) == 0
+        assert not forked and (out / "events.jsonl").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_child_that_dies_without_a_result_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        """baseline and attack1 share no trunk, so each runs alone in a
+        forked child, which here is killed before it sends a result. Its
+        token comes back, so the other still runs; the run exits 2 with
+        the first scenario's error and writes nothing."""
+        monkeypatch.setattr(cli, "_run_one", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        out = tmp_path / "o"
+        code = run_cli("run", "--scenario", "baseline,attack1", "--jobs", jobs, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: scenario baseline ended without a result (exit status {-signal.SIGKILL})"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("order", ["faulted_first", "faulted_last"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_branch_that_cannot_run_stops_the_run(
+        self, tmp_path, capsys, monkeypatch, jobs, order
+    ):
+        """attack1, and attack2 with a fault at 3000 ms, share a trunk up to
+        attack1's first injection. Only attack2's relay trips, and its trip
+        timestamp leaves the frame's field. Whether that branch runs in a
+        forked child or in this process, the run exits 2 with one error
+        line, writes no file and leaves no process."""
+        from gridshield.scenarios import _builtin_config_text
+
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        faulted = tmp_path / "faulted.yaml"
+        faulted.write_text(
+            _builtin_config_text("attack2") + "\nwaveform:\n  fault_at_ms: 3000\n"
+        )
+        names = [str(faulted), "attack1"][:: 1 if order == "faulted_first" else -1]
+        code = run_cli(
+            "run", "--scenario", ",".join(names), "--override", "t_pied=1e30",
+            "--jobs", jobs, "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: scenario attack2 cannot run: ")
+        assert list(tmp_path.iterdir()) == [faulted]
+        assert len(forked) == 1
+        for pid in forked:
+            with pytest.raises(ProcessLookupError):  # exited and reaped
+                os.kill(pid, 0)
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
         out = tmp_path / "o"
@@ -561,7 +656,9 @@ class TestJobs:
         assert all((tmp_path / "o" / sid / "events.jsonl").stat().st_size for sid in ids)
 
     def test_worker_returns_the_result_without_its_log(self, tmp_path):
-        result = cli._run_in_worker(load_scenario("attack1"), tmp_path, False)
+        """A run keeps only the scored result once its files are written,
+        and that is what a forked child sends back through its pipe."""
+        result = cli._run_one(load_scenario("attack1"), tmp_path, False)
         assert result.passed and not result.log
         assert (tmp_path / "events.jsonl").stat().st_size > 1 << 20
         assert len(pickle.dumps(result)) < 64 * 1024
@@ -986,3 +1083,133 @@ class TestConfigFuzz:
             lines = stderr.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert stdout.getvalue() == "" and not out.exists()
+
+
+# Times drawn for shared trunks, in ms: tick instants at 100 samples/s,
+# publication instants at each drawn interval, and a few between them.
+TRUNK_TIMES_MS = (0, 2, 10, 20, 40, 50, 60, 100, 120, 150, 0.5, 33.3, 100.001)
+
+
+def trunk_tree(base: str, sid: str, interval_ms: float, duration_ms: float,
+               toggle_ms, silence_ms, fault_ms, times_ms: list) -> dict:
+    """The shipped ``base`` attack at 100 samples/s, named ``sid``, with
+    the given publish interval and timed inputs; None drops an input."""
+    import yaml
+
+    tree = yaml.safe_load((SRC / "gridshield" / "configs" / f"{base}.yaml").read_text())
+    tree["scenario"] = sid
+    tree["duration_ms"] = duration_ms
+    tree["mu"]["samples_per_second"] = 100
+    tree["pied"].update(publish_interval_ms=interval_ms, toggle_point_at_ms=toggle_ms,
+                        silence_at_ms=silence_ms)
+    tree["waveform"] = {"fault_at_ms": fault_ms}
+    tree["injection"]["times_ms"] = times_ms
+    return tree
+
+
+def run_quietly(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return run_cli(*argv)
+
+
+def assert_shared_runs_match_alone(trees: list[dict], work: Path) -> list:
+    """Run the configs together with one and two jobs, and each alone: every
+    file a scenario writes together is the file it writes alone. Returns
+    the configs' specs."""
+    import yaml
+
+    shutil.rmtree(work, ignore_errors=True)
+    paths = []
+    for index, tree in enumerate(trees):  # a directory each, as a user may keep them
+        path = work / f"config{index}" / "scenario.yaml"
+        path.parent.mkdir(parents=True)
+        path.write_text(yaml.safe_dump(tree))
+        paths.append(str(path))
+    alone_codes = [
+        run_quietly("run", "--scenario", path, "--out", str(work / "alone" / tree["scenario"]))
+        for tree, path in zip(trees, paths)
+    ]
+    assert set(alone_codes) <= {0, 1}
+    for jobs in ("1", "2"):
+        out = work / f"jobs{jobs}"
+        code = run_quietly("run", "--scenario", ",".join(paths), "--jobs", jobs, "--out", str(out))
+        assert code == max(alone_codes)
+        for tree in trees:
+            sid = tree["scenario"]
+            for name in ("events.jsonl", "result.json", "delay_report.json"):
+                alone = (work / "alone" / sid / name).read_bytes()
+                assert (out / sid / name).read_bytes() == alone, (jobs, sid, name)
+    return [load_scenario(path) for path in paths]
+
+
+def storm_pair_trees(**edits) -> list[dict]:
+    """The goose_storm configs of seed 11 (toggle at 1926 ms, burst from
+    4143 ms), with ``edits`` to ``trunk_tree``'s settings of both."""
+    both = dict(interval_ms=2, duration_ms=6000, toggle_ms=1926, fault_ms=None,
+                times_ms=[4143, 4145, 4147, 4149, 4151]) | edits
+    return [
+        trunk_tree("attack1", "attack1", silence_ms=None, **both),
+        trunk_tree("attack2", "attack2", silence_ms=3500, **both),
+    ]
+
+
+class TestSharedTrunks:
+    """Scenarios that share a trunk write the bytes each writes alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_set_of_configs_writes_what_each_writes_alone(self, fuzz_dir, draw):
+        draw = draw.draw
+        interval_ms = draw(st.sampled_from((2, 10, 1000)))
+        time_ms = st.sampled_from(TRUNK_TIMES_MS) | st.integers(0, 160)
+        maybe = st.none() | time_ms
+        sids = draw(st.permutations(("attack1", "attack2", "baseline")))[:draw(st.integers(2, 3))]
+        trees = [
+            trunk_tree(
+                draw(st.sampled_from(("attack1", "attack2"))), sid, interval_ms,
+                duration_ms=draw(st.sampled_from((40, 100, 150, 160))),
+                toggle_ms=draw(maybe), silence_ms=draw(maybe), fault_ms=draw(maybe),
+                times_ms=draw(st.lists(time_ms, min_size=1, max_size=4)),
+            )
+            for sid in sids
+        ]
+        # equal inputs make long shared prefixes: give the others the first's
+        for section, key in (("pied", "toggle_point_at_ms"), ("pied", "silence_at_ms"),
+                             ("waveform", "fault_at_ms"), ("injection", "times_ms")):
+            if draw(st.booleans()):
+                for tree in trees[1:]:
+                    tree[section][key] = trees[0][section][key]
+        assert_shared_runs_match_alone(trees, fuzz_dir / "trunks")
+
+    def test_the_seed_11_storm_pair(self, fuzz_dir):
+        specs = assert_shared_runs_match_alone(storm_pair_trees(), fuzz_dir / "storm")
+        assert trunks(specs) == [[0, 1]]
+        assert Trunk(specs).diverge_us == 3_500_000  # attack2's silence
+
+    def test_a_silence_at_a_publication_instant(self, fuzz_dir):
+        """attack2's silence is added at the fork, in the microsecond of a
+        publication that the running relay scheduled; it must come first,
+        as it does when the silence is scheduled at the build."""
+        work = fuzz_dir / "silence"
+        specs = assert_shared_runs_match_alone(storm_pair_trees(duration_ms=3600), work)
+        assert Trunk(specs).diverge_us == 3_500_000
+
+        def relay_departures(sid):
+            log = EventLog.from_jsonl((work / "alone" / sid / "events.jsonl").read_bytes())
+            return [ev for ev in log if ev.time == 3_500_000 and ev.kind == "FrameDeparture"
+                    and ev.node == sub.PIED]
+
+        assert relay_departures("attack1") and not relay_departures("attack2")
+
+    def test_a_branch_that_ends_before_the_others_diverge(self, fuzz_dir):
+        trees = storm_pair_trees(interval_ms=10)
+        trees[0]["duration_ms"] = 1000
+        specs = assert_shared_runs_match_alone(trees, fuzz_dir / "short")
+        assert Trunk(specs).diverge_us == 1_000_000
+
+    def test_two_configs_equal_but_for_their_name_and_directory(self, fuzz_dir):
+        both = dict(interval_ms=10, duration_ms=2500, toggle_ms=1500, silence_ms=None,
+                    fault_ms=None, times_ms=[2300, 2302, 2304, 2306, 2308])
+        trees = [trunk_tree("attack1", sid, **both) for sid in ("attack1", "attack2")]
+        specs = assert_shared_runs_match_alone(trees, fuzz_dir / "twins")
+        assert Trunk(specs).diverge_us == 2_500_000  # nothing differs before the end

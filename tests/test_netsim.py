@@ -186,6 +186,24 @@ class TestRunUntil:
 
         assert build_and_run() == build_and_run()
 
+    def test_an_input_added_between_runs_lands_as_if_scheduled_first(self):
+        """b's send is an input: in the microsecond of the arrival that the
+        run itself scheduled, it comes first, whether it was scheduled
+        before the run started or between two ``run_until`` calls."""
+        def run(split: bool):
+            net = two_node_net(latency=100)
+            net.send(PortRef("a", 1), FRAME, at=0)  # its arrival at b, at 100, is the run's
+            if split:
+                net.run_until(50)
+            net.send(PortRef("b", 1), FRAME2, at=100)
+            return net.run_until(1_000)
+
+        log = run(split=True)
+        assert [(ev.kind, ev.node) for ev in log if ev.time == 100] == [
+            ("FrameDeparture", "b"), ("FrameArrival", "b")
+        ]
+        assert log.to_jsonl() == run(split=False).to_jsonl()
+
 
 class TestPortState:
     def test_disable_then_inject_yields_no_arrivals(self):
