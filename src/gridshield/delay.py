@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from gridshield import substation as sub
-from gridshield.netsim import EventLog, SimEvent, SimTime, note_fields
+from gridshield.netsim import SimEvent, SimTime, note_fields
 
 MS = 1_000  # microseconds per millisecond
 
@@ -123,7 +123,7 @@ def walk_hops(
     return found
 
 
-def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport | None:
+def measure(log: Sequence[SimEvent]) -> DelayReport | None:
     """Attribute every interval of the first breaker trip's chain to its term.
 
     The GOOSE rows of ``substation.TRIP_PATH`` are walked back from the
@@ -134,17 +134,16 @@ def measure(log: EventLog | Iterable[SimEvent]) -> DelayReport | None:
     holds no trip, the trip names no frame, or the banner or a hop or note
     of its chain is missing.
     """
-    events = list(log)
-    end = next((i for i, ev in enumerate(events) if ev.kind == "BreakerTrip"), None)
-    if end is None or events[end].digest is None:
+    end = next((i for i, ev in enumerate(log) if ev.kind == "BreakerTrip"), None)
+    if end is None or log[end].digest is None:
         return None
-    trip = events[end]
-    earlier = reversed(events[:end])  # both walks go back from the trip, in turn
+    trip = log[end]
+    earlier = (log[i] for i in range(end - 1, -1, -1))  # both walks go back from the trip
     goose = walk_hops(earlier, trip.digest, reversed(sub.TRIP_PATH[4:]))
     if goose is None:
         return None
     try:
-        with_ids = note_fields(events[0].note, "run")["with_ids"] == "1"
+        with_ids = note_fields(log[0].note, "run")["with_ids"] == "1"
         # the trip departure names its triggering sample, and the sample's
         # departure its tick
         trigger = note_fields(goose[-1].note, "trip")["trigger"]

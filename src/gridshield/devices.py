@@ -95,18 +95,15 @@ class PiedDevice:
     point 1 a supervision flag used for benign state changes. Every
     publication leaves both GOOSE ports, toward the station-bus switch and
     the inspector's direct feed, at the same instant. A benign data change
-    (the supervision point toggles) at ``toggle_point_at_us`` gives the
-    stream a second state number; a compromised relay's legitimate
-    publications stop at ``silence_at_us``. None disables either. Both are
-    inputs of the run, which ``toggle_at`` and ``silence_at`` also
-    schedule on a relay that is already running.
+    (the supervision point toggles) gives the stream a second state
+    number, and a compromised relay's legitimate publications stop. Both
+    are inputs of the run: ``toggle_at`` and ``silence_at`` schedule them,
+    on a new relay or on one that is already running.
     """
 
     GOOSE_PORTS = (PortRef(sub.PIED, sub.PIED_STATION), PortRef(sub.PIED, sub.PIED_IDS_DIRECT))
 
-    def __init__(self, net: Network, *, publish_interval_us: SimTime, t_pied: SimTime,
-                 toggle_point_at_us: SimTime | None = None,
-                 silence_at_us: SimTime | None = None):
+    def __init__(self, net: Network, *, publish_interval_us: SimTime, t_pied: SimTime):
         self.net = net
         self.publish_interval_us = publish_interval_us
         self.t_pied = t_pied
@@ -116,10 +113,6 @@ class PiedDevice:
         self._silenced = False
         net.register(sub.PIED, self)
         net.call(0, self._pump)
-        if toggle_point_at_us is not None:
-            self.toggle_at(toggle_point_at_us)
-        if silence_at_us is not None:
-            self.silence_at(silence_at_us)
 
     def toggle_at(self, at: SimTime) -> None:
         self.net.call(at, self._toggle_point)
@@ -219,23 +212,22 @@ class OmicronDevice:
 
 @dataclass(frozen=True)
 class InjectionPlan:
-    """Ground-truth attack schedule for one scenario."""
+    """What an attack injects and where. When is an input of the run,
+    scheduled with one ``inject`` call per time."""
 
     port: PortRef
     mode: str  # "ingress" into a switch pipeline, "egress" from a device port
     template: GooseFrame
-    times_us: tuple[SimTime, ...]
 
     def __post_init__(self) -> None:
         if self.mode not in ("ingress", "egress"):
             raise ValueError(f"unknown injection mode {self.mode!r}")
 
 
-def inject(net: Network, plan: InjectionPlan) -> None:
-    """Schedule every injection of the plan, marked in the log."""
+def inject(net: Network, plan: InjectionPlan, at: SimTime) -> None:
+    """Schedule one injection of the plan at ``at``, marked in the log."""
     raw = encode_goose(plan.template)
-    for at in plan.times_us:
-        if plan.mode == "ingress":
-            net.inject_ingress(plan.port, raw, at, note="injected")
-        else:
-            net.send(plan.port, raw, at, note="injected")
+    if plan.mode == "ingress":
+        net.inject_ingress(plan.port, raw, at, note="injected")
+    else:
+        net.send(plan.port, raw, at, note="injected")

@@ -317,11 +317,10 @@ class Network:
         port: int | None = None,
         digest: str | None = None,
         note: str | None = None,
-    ) -> SimEvent:
+    ) -> None:
         assert kind in EVENT_KINDS, kind
         ev = _new_tuple(SimEvent, (self.now, len(self.log), kind, node, port, digest, note))
         self.log.append(ev)
-        return ev
 
     def run_until(self, t_end: SimTime) -> EventLog:
         """Process every queued item with time <= t_end, in (time, seq) order."""

@@ -29,6 +29,7 @@ detect truncation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import islice
@@ -104,6 +105,7 @@ class ScenarioSpec:
     silence_at_us: int | None
     fault_at_us: int | None
     injection: InjectionPlan | None
+    injection_times_us: tuple[int, ...] = ()
 
     def topology(self) -> TopologySpec:
         return sub.default_topology(self.delays)
@@ -274,6 +276,14 @@ def _one_of(*choices: str):
     return read
 
 
+def _name(value, where: str) -> str:
+    """A scenario name, safe as one directory component: lowercase letters,
+    digits and underscores."""
+    if type(value) is not str or not re.fullmatch(r"[a-z0-9_]+", value):
+        raise ValueError(f"{where} must be lowercase letters, digits and underscores, not {value!r}")
+    return value
+
+
 def _mac(value, where: str) -> MacAddress:
     """A MAC address string, such as ``01:0C:CD:01:00:01``."""
     try:
@@ -291,7 +301,7 @@ _REQUIRED = object()  # the default of a key that every config sets
 # read in this order once every mapping's keys are checked, and the first
 # fault found is reported.
 _SCHEMA = {
-    ("scenario",): ("id", _one_of(*SCENARIO_IDS), _REQUIRED),
+    ("scenario",): ("id", _name, _REQUIRED),
     ("duration_ms",): ("duration_us", _ms, _REQUIRED),
     ("with_ids",): ("with_ids", _typed(bool), _REQUIRED),
     **{("delays_ms", name): (name, _ms, _REQUIRED) for name in COMPONENT_NAMES},
@@ -308,7 +318,7 @@ _SCHEMA = {
     ("injection", "template", "timestamp_ms"): ("timestamp", _timestamp, 0),
     ("injection", "template", "trip"): ("trip", _typed(bool), False),
     ("injection", "node"): ("node", _one_of(*_CULPRIT_AT), _REQUIRED),
-    ("injection", "times_ms"): ("times_us", _times, _REQUIRED),
+    ("injection", "times_ms"): ("injection_times_us", _times, _REQUIRED),
     ("injection", "port"): ("port", _typed(int), _REQUIRED),
     ("injection", "mode"): ("mode", _one_of("ingress", "egress"), _REQUIRED),
 }
@@ -413,7 +423,6 @@ def _injection(got: dict) -> InjectionPlan | None:
         port=PortRef(got.pop("node"), got.pop("port")),
         mode=got.pop("mode"),
         template=template,
-        times_us=got.pop("times_us"),
     )
 
 
@@ -424,7 +433,8 @@ def _injection(got: dict) -> InjectionPlan | None:
 
 # The spec fields that only time a run's inputs, name it or end it. Specs
 # equal in every other field can share a trunk (``trunks``).
-_TIMED = ("id", "duration_us", "toggle_point_at_us", "silence_at_us", "fault_at_us", "injection")
+_TIMED = ("id", "duration_us", "toggle_point_at_us", "silence_at_us", "fault_at_us",
+          "injection", "injection_times_us")
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -447,16 +457,13 @@ def trunks(specs: list[ScenarioSpec]) -> list[list[int]]:
 def _inputs(spec: ScenarioSpec) -> list[tuple[int, object]]:
     """The run's timed inputs after its first tick and first publication,
     in the order the build schedules them, as ``(time, what)``: the toggle,
-    the silence, and each injection with its plan (the plan's own times
-    left out, so that equal injections compare equal)."""
+    the silence, and the injection plan at each injection time."""
     inputs: list[tuple[int, object]] = []
     if spec.toggle_point_at_us is not None:
         inputs.append((spec.toggle_point_at_us, "toggle"))
     if spec.silence_at_us is not None:
         inputs.append((spec.silence_at_us, "silence"))
-    if spec.injection is not None:
-        plan = replace(spec.injection, times_us=())
-        inputs += [(at, plan) for at in spec.injection.times_us]
+    inputs += [(at, spec.injection) for at in spec.injection_times_us]
     return inputs
 
 
@@ -468,7 +475,7 @@ def _schedule(net: Network, inputs: list[tuple[int, object]]) -> None:
         elif what == "silence":
             relay.silence_at(at)
         else:
-            inject(net, replace(what, times_us=(at,)))
+            inject(net, what, at)
 
 
 def _banner(spec: ScenarioSpec) -> str:

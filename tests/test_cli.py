@@ -59,7 +59,8 @@ def run_cli_process(*argv, **env_vars) -> subprocess.CompletedProcess:
 def schema_refusals():
     """For every config key, a value of the wrong type (a boolean, or a
     string where a boolean belongs) and, for each time, a negative one;
-    then the injection's numbers that its frame or the wiring cannot hold."""
+    then names that are no safe directory component, and the injection's
+    numbers that its frame or the wiring cannot hold."""
     for path, (_name, read, _default) in _SCHEMA.items():
         where = ".".join(path)
         try:
@@ -72,6 +73,7 @@ def schema_refusals():
             negative = [2300, -1] if read is _times else -1
             yield pytest.param(path, negative, id=f"{where}={negative!r}")
     for path, value in (
+        *((("scenario",), name) for name in ("", "a/b", "..", "Attack1")),
         (("injection", "port"), 9),
         (("injection", "template", "st_num"), 0),
         (("injection", "template", "sq_num"), 99_999_999_999),
@@ -620,9 +622,9 @@ class TestJobs:
     def test_unknown_name_in_a_list_runs_nothing(self, tmp_path, jobs):
         from gridshield.scenarios import _builtin_config_text
 
-        # a file that loads but declares an unknown scenario id counts too
+        # a file that declares a scenario name the reader refuses counts too
         foo = tmp_path / "foo.yaml"
-        foo.write_text(_builtin_config_text("attack1").replace("scenario: attack1", "scenario: foo"))
+        foo.write_text(_builtin_config_text("attack1").replace("scenario: attack1", "scenario: Foo"))
         for second in ("nope", str(foo)):
             out = tmp_path / "o"
             proc = run_cli_process(
@@ -1213,3 +1215,17 @@ class TestSharedTrunks:
         trees = [trunk_tree("attack1", sid, **both) for sid in ("attack1", "attack2")]
         specs = assert_shared_runs_match_alone(trees, fuzz_dir / "twins")
         assert Trunk(specs).diverge_us == 2_500_000  # nothing differs before the end
+
+    def test_two_copies_of_attack1_under_new_names(self, fuzz_dir):
+        """A scenario is named by its config: two copies of attack1 that
+        inject at different times run in one command, sharing a trunk."""
+        both = dict(interval_ms=10, duration_ms=2500, toggle_ms=1500, silence_ms=None,
+                    fault_ms=None)
+        trees = [
+            trunk_tree("attack1", "attack1_early", times_ms=[1800, 1802], **both),
+            trunk_tree("attack1", "attack1_late", times_ms=[2300, 2302], **both),
+        ]
+        specs = assert_shared_runs_match_alone(trees, fuzz_dir / "renamed")
+        assert [spec.id for spec in specs] == ["attack1_early", "attack1_late"]
+        assert trunks(specs) == [[0, 1]]
+        assert Trunk(specs).diverge_us == 1_800_000

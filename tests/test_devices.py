@@ -101,12 +101,16 @@ class TestMuDevice:
 
 
 class TestPiedDevice:
-    def _run(self, fault_at_us=None, until=2_000_000, **pied_times):
+    def _run(self, fault_at_us=None, until=2_000_000, toggle_at=None, silence_at=None):
         net = mini_process_bus()
         cap = _Capture()
         net.register("sink", cap)
         MuDevice(net, samples_per_second=1_000, t_mu=3_000, fault_at_us=fault_at_us)
-        pied = PiedDevice(net, publish_interval_us=1_000_000, t_pied=10_000, **pied_times)
+        pied = PiedDevice(net, publish_interval_us=1_000_000, t_pied=10_000)
+        if toggle_at is not None:
+            pied.toggle_at(toggle_at)
+        if silence_at is not None:
+            pied.silence_at(silence_at)
         log = net.run_until(until)
         return net, cap, pied, log
 
@@ -140,16 +144,33 @@ class TestPiedDevice:
         assert len({f.st_num for f in decoded}) == 1
 
     def test_toggle_changes_state_number_not_trip(self):
-        _, cap, _, _ = self._run(until=3_000_000, toggle_point_at_us=1_500_000)
+        _, cap, _, _ = self._run(until=3_000_000, toggle_at=1_500_000)
         decoded = [decode_goose(raw) for port, raw, _ in cap.frames if port == 1]
         assert {f.st_num for f in decoded} == {1, 2}
         toggled = [f for f in decoded if f.st_num == 2]
         assert toggled[0].sq_num == 0 and toggled[0].all_data == (False, True)
 
     def test_silence_stops_publications(self):
-        _, cap, _, _ = self._run(until=5_000_000, silence_at_us=1_500_000)
+        _, cap, _, _ = self._run(until=5_000_000, silence_at=1_500_000)
         last_pub = max(at for _, _, at in cap.frames)
         assert last_pub < 1_500_000
+
+    @pytest.mark.parametrize("toggle, silence", [(1_500_000, 2_500_000), (1_000_000, 2_000_000)])
+    def test_inputs_given_to_a_running_relay_land_as_if_given_first(self, toggle, silence):
+        """A trunk's branch gives the relay its toggle and silence after it
+        has run. The relay then sends the frames, at the times, that it
+        sends when given them before its first tick, also when the inputs
+        fall on its publication instants."""
+        _, first, _, first_log = self._run(until=4_000_000, toggle_at=toggle, silence_at=silence)
+        net, cap, pied, _ = self._run(until=toggle - 1)
+        pied.toggle_at(toggle)
+        pied.silence_at(silence)
+        log = net.run_until(4_000_000)
+        assert cap.frames == first.frames
+        assert log == first_log
+        decoded = [decode_goose(raw) for port, raw, _ in cap.frames if port == 1]
+        assert {f.st_num for f in decoded} == {1, 2}
+        assert max(at for _, _, at in cap.frames) < silence
 
 
 class TestOmicronDevice:
@@ -204,9 +225,9 @@ class TestInject:
             port=PortRef("sw", 6),
             mode="ingress",
             template=golden_goose_frame(),
-            times_us=(1_000, 2_000, 3_000),
         )
-        inject(net, plan)
+        for at in (1_000, 2_000, 3_000):
+            inject(net, plan, at)
         log = net.run_until(10_000)
         injected = [ev for ev in events_of_kind(log, "FrameArrival") if ev.note == "injected"]
         assert [ev.time for ev in injected] == [1_000, 2_000, 3_000]
@@ -222,9 +243,8 @@ class TestInject:
             port=PortRef("pied", 2),
             mode="egress",
             template=golden_goose_frame(),
-            times_us=(1_000,),
         )
-        inject(net, plan)
+        inject(net, plan, 1_000)
         log = net.run_until(10_000)
         deps = [ev for ev in events_of_kind(log, "FrameDeparture") if ev.note == "injected"]
         assert deps and deps[0].time == 1_000
@@ -239,9 +259,8 @@ class TestInject:
             port=PortRef("sw", 6),
             mode="ingress",
             template=golden_goose_frame(),
-            times_us=(1_000,),
         )
-        inject(net, plan)
+        inject(net, plan, 1_000)
         log = net.run_until(10_000)
         assert not events_of_kind(log, "FrameArrival")
         assert not cap.frames

@@ -93,10 +93,7 @@ class TestAttack1:
         # one injection only, so hops cannot be borrowed across instances
         import dataclasses
 
-        spec = load_scenario("attack1")
-        spec = dataclasses.replace(
-            spec, injection=dataclasses.replace(spec.injection, times_us=(2_300_000,))
-        )
+        spec = dataclasses.replace(load_scenario("attack1"), injection_times_us=(2_300_000,))
         result = run_scenario(spec)
         assert verify_forwarding_trace(result.log, sub.MONITOR_LOOP)
         permuted = (sub.MONITOR_LOOP[1], sub.MONITOR_LOOP[0]) + sub.MONITOR_LOOP[2:]
