@@ -31,8 +31,10 @@ that cannot be written; each
 prints one ``error:`` line. Stdout is a
 human-readable summary and may change; a reader that closes it early
 loses the rest of the summary, not the exit code.
-The ``GRIDSHIELD_LOG`` variable must name a log level
-(DEBUG/INFO/WARNING/ERROR); nothing logs through it yet.
+The ``GRIDSHIELD_LOG`` variable must name one of the stdlib ``logging``
+module's level names (CRITICAL, FATAL, ERROR, WARN, WARNING, INFO, DEBUG
+or NOTSET) in any case; nothing logs through it, so the module is never
+imported.
 """
 
 from __future__ import annotations
@@ -40,13 +42,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import logging
 import os
 import shutil
 import sys
 import tempfile
-import traceback
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NoReturn
@@ -65,11 +64,12 @@ from gridshield.scenarios import (
     trunks,
 )
 
-log = logging.getLogger("gridshield")
-
 EXIT_OK = 0
 EXIT_SCENARIO_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+
+# the level names ``logging.getLevelName`` maps to a number
+_LOG_LEVELS = ("CRITICAL", "FATAL", "ERROR", "WARN", "WARNING", "INFO", "DEBUG", "NOTSET")
 
 
 def _parse_override(text: str):
@@ -170,7 +170,7 @@ def _run_one(spec: ScenarioSpec, out_root: Path, nested: bool) -> ScenarioResult
     """Run one scenario alone and write its files; the result keeps no log."""
     result = run_scenario(spec)
     _write_outputs(result, result.log, out_root / spec.id if nested else out_root)
-    return replace(result, log=EventLog())
+    return result._replace(log=EventLog())
 
 
 def _run_branch(
@@ -179,7 +179,7 @@ def _run_branch(
     """``_run_one`` for a scenario that continues ``trunk``."""
     result = trunk.branch(spec)
     _write_outputs(result, result.log, out_root / spec.id, shared, resume)
-    return replace(result, log=EventLog())
+    return result._replace(log=EventLog())
 
 
 def _outcome(work: Callable[[], ScenarioResult]) -> ScenarioResult | Exception:
@@ -284,6 +284,8 @@ class _Runner:
                     with open(write, "wb", closefd=False) as pipe:
                         pipe.write(data)
             except Exception:  # a defect: show where, and end without a result
+                import traceback
+
                 traceback.print_exc()
                 sys.stderr.flush()
             finally:
@@ -427,11 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     level = os.environ.get("GRIDSHIELD_LOG", "WARNING")
     try:
-        # a known level name maps to its number, anything else to a string
-        if not isinstance(logging.getLevelName(level.upper()), int):
+        if level.upper() not in _LOG_LEVELS:
             raise ScenarioError(f"GRIDSHIELD_LOG={level!r} is not a log level; "
                                 "use DEBUG, INFO, WARNING or ERROR")
-        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ScenarioError as exc:  # every config or input error, one line
         print(f"error: {exc}", file=sys.stderr)

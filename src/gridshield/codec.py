@@ -30,7 +30,7 @@ otherwise the sequence number counts retransmissions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 try:
     # hashlib.blake2b itself; importing hashlib would also map OpenSSL
@@ -85,15 +85,21 @@ class InvariantViolation(CodecError):
     pass
 
 
-@dataclass(frozen=True)
-class MacAddress:
-    """A 48-bit hardware address; carrier of publisher/switch identity."""
-
+class _Octets(NamedTuple):
     octets: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.octets) != 6:
-            raise InvariantViolation(f"MAC needs 6 octets, got {len(self.octets)}")
+
+class MacAddress(_Octets):
+    """A 48-bit hardware address; carrier of publisher/switch identity."""
+
+    __slots__ = ()
+
+    def __new__(cls, octets: bytes) -> MacAddress:
+        if len(octets) != 6:
+            raise InvariantViolation(f"MAC needs 6 octets, got {len(octets)}")
+        return super().__new__(cls, octets)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so ``_replace`` checks too
 
     @classmethod
     def parse(cls, text: str) -> MacAddress:
@@ -109,8 +115,7 @@ class MacAddress:
         return ":".join(f"{b:02X}" for b in self.octets)
 
 
-@dataclass(frozen=True)
-class GooseFrame:
+class GooseFrame(NamedTuple):
     """One decoded GOOSE publication.
 
     ``all_data`` is an ordered tuple of boolean points; point 0 is the
@@ -150,8 +155,7 @@ class GooseFrame:
         return self.all_data[0]
 
 
-@dataclass(frozen=True)
-class SvFrame:
+class SvFrame(NamedTuple):
     """One simplified sampled-value publication (three phases of I and V)."""
 
     dst: MacAddress
@@ -176,9 +180,12 @@ class SvFrame:
                     raise InvariantViolation(f"{label} {v} outside i32")
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # past RawFrame's refusal, as only this module does
+
+
 class RawFrame:
-    """An encoded frame as it travels the simulated wire.
+    """An encoded frame as it travels the simulated wire; read-only, and
+    equal to another RawFrame of the same bytes.
 
     ``digest`` is a stable short digest of the bytes, used to track copies
     in the log; it is computed once, when the frame is made. The bytes never
@@ -189,12 +196,27 @@ class RawFrame:
     the ethertype is checked.
     """
 
-    data: bytes
-    digest: str = field(init=False, repr=False, compare=False)
-    _decoded = None  # not a field: set once by a successful decode
+    __slots__ = ("data", "digest", "_decoded")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digest", blake2b(self.data, digest_size=8).hexdigest())
+    def __init__(self, data: bytes) -> None:
+        _set(self, "data", data)
+        _set(self, "digest", blake2b(data, digest_size=8).hexdigest())
+        _set(self, "_decoded", None)  # set once by a successful decode
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"RawFrame is read-only: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"RawFrame is read-only: cannot delete {name}")
+
+    def __eq__(self, other) -> bool:
+        return self.data == other.data if type(other) is RawFrame else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.data)
+
+    def __repr__(self) -> str:
+        return f"RawFrame(data={self.data!r})"
 
     def __len__(self) -> int:
         return len(self.data)
@@ -345,7 +367,7 @@ def encode_goose(frame: GooseFrame) -> RawFrame:
         is type(frame.sq_num) is type(frame.timestamp) is int
         and type(frame.dst.octets) is type(frame.src.octets) is bytes
     ):
-        object.__setattr__(raw, "_decoded", frame)
+        _set(raw, "_decoded", frame)
     return raw
 
 
@@ -373,7 +395,7 @@ def decode_goose(raw: RawFrame) -> GooseFrame:
         all_data=tuple(b == 1 for b in points),
     )
     frame.validate()
-    object.__setattr__(raw, "_decoded", frame)
+    _set(raw, "_decoded", frame)
     return frame
 
 
@@ -400,7 +422,7 @@ def encode_sv(frame: SvFrame, smp_cnt_modulus: int | None = None) -> RawFrame:
         and all(type(v) is int for v in frame.currents + frame.voltages)
         and type(frame.dst.octets) is type(frame.src.octets) is bytes
     ):
-        object.__setattr__(raw, "_decoded", frame)
+        _set(raw, "_decoded", frame)
     return raw
 
 
@@ -420,7 +442,7 @@ def decode_sv(raw: RawFrame) -> SvFrame:
         voltages=_I32X3.unpack(voltages),
     )
     # no validate(): a u16 count and i32 phases are in range by their width
-    object.__setattr__(raw, "_decoded", frame)
+    _set(raw, "_decoded", frame)
     return frame
 
 

@@ -27,8 +27,7 @@ in the shipped scenario configs:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from gridshield import substation as sub
 from gridshield.netsim import SimEvent, SimTime, note_fields
@@ -40,13 +39,8 @@ WITH_IDS_CAP_US = 27_000
 IDS_ADDED_CAP_US = 4_000
 QUARTER_CYCLE_60HZ_US = 4_167
 
-COMPONENT_NAMES = ("t_mu", "t_sv", "t_sp", "t_pied", "t_ss", "t_gs", "t_oc", "t_ids")
 
-
-@dataclass(frozen=True)
-class DelayComponents:
-    """The eight component delays, in microseconds."""
-
+class _Delays(NamedTuple):
     t_mu: SimTime = 3 * MS
     t_sv: SimTime = 2 * MS
     t_sp: SimTime = 1 * MS
@@ -56,10 +50,23 @@ class DelayComponents:
     t_oc: SimTime = 4 * MS
     t_ids: SimTime = 4 * MS
 
-    def __post_init__(self) -> None:
-        for name in COMPONENT_NAMES:
-            if getattr(self, name) < 0:
+
+class DelayComponents(_Delays):
+    """The eight component delays, in microseconds, none negative."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DelayComponents:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so ``_replace`` checks too
+
+
+COMPONENT_NAMES = DelayComponents._fields
 
 
 def total(c: DelayComponents, with_ids: bool) -> SimTime:
@@ -68,8 +75,7 @@ def total(c: DelayComponents, with_ids: bool) -> SimTime:
     return base + (c.t_ids if with_ids else 0)
 
 
-@dataclass(frozen=True)
-class DelayReport:
+class DelayReport(NamedTuple):
     """Per-component delays measured from one fault-to-trip chain."""
 
     components: dict[str, SimTime]
@@ -77,7 +83,7 @@ class DelayReport:
     fault_sample_us: SimTime
     breaker_trip_us: SimTime
     with_ids: bool
-    checks: dict[str, bool] = field(default_factory=dict)
+    checks: dict[str, bool]
 
     def as_dict(self) -> dict:
         return {

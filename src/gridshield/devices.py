@@ -25,7 +25,7 @@ compromised relay transmitting on its interface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from gridshield import substation as sub
 from gridshield.codec import (
@@ -153,7 +153,7 @@ class PiedDevice:
             trip_point, flag_point = points
             points = (trip_point or trip, flag_point != toggle)
         if prev is None:
-            frame = replace(sub.RELAY_PUBLICATION, timestamp=at, all_data=points)
+            frame = sub.RELAY_PUBLICATION._replace(timestamp=at, all_data=points)
         else:
             frame = next_publication(prev, state_changed, now=at, all_data=points)
         self.current = frame
@@ -210,18 +210,24 @@ class OmicronDevice:
         self.net.log_event("BreakerTrip", sub.OMICRON, None, digest, note="breaker=open")
 
 
-@dataclass(frozen=True)
-class InjectionPlan:
-    """What an attack injects and where. When is an input of the run,
-    scheduled with one ``inject`` call per time."""
-
+class _Plan(NamedTuple):
     port: PortRef
     mode: str  # "ingress" into a switch pipeline, "egress" from a device port
     template: GooseFrame
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("ingress", "egress"):
-            raise ValueError(f"unknown injection mode {self.mode!r}")
+
+class InjectionPlan(_Plan):
+    """What an attack injects and where. When is an input of the run,
+    scheduled with one ``inject`` call per time."""
+
+    __slots__ = ()
+
+    def __new__(cls, port: PortRef, mode: str, template: GooseFrame) -> InjectionPlan:
+        if mode not in ("ingress", "egress"):
+            raise ValueError(f"unknown injection mode {mode!r}")
+        return super().__new__(cls, port, mode, template)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so ``_replace`` checks too
 
 
 def inject(net: Network, plan: InjectionPlan, at: SimTime) -> None:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from gridshield import substation as sub
@@ -87,13 +86,15 @@ RATE_MAX_FRAMES = 10
 RATE_WINDOW_US = 100_000
 
 
-@dataclass
 class _PublisherState:
     """One publisher's sequencing position and its recent arrival times."""
 
-    last_st: int = 0  # 0 until a clean frame is seen
-    last_sq: int = 0
-    arrivals: deque = field(default_factory=deque)  # times, for the rate rule
+    __slots__ = ("last_st", "last_sq", "arrivals")
+
+    def __init__(self) -> None:
+        self.last_st = 0  # 0 until a clean frame is seen
+        self.last_sq = 0
+        self.arrivals: deque[SimTime] = deque()  # times, for the rate rule
 
     def record_arrival(self, at: SimTime) -> int:
         """Count a publication; return those within RATE_WINDOW_US of it."""
@@ -237,14 +238,18 @@ def mitigate(culprit: Origin) -> list[PortRef]:
 LOOP_WINDOW_US = 10_000
 
 
-@dataclass(slots=True)
 class _Recent:
     """What the device remembers of a digest."""
 
-    inspected: SimTime  # when it was last inspected
-    notes: tuple[str, ...]  # that inspection's alert notes, in rule order
-    ports: set[int]  # the monitored ports that have seen it since
-    loops: list[SimTime]  # its departures round the loop, inside the window
+    __slots__ = ("inspected", "notes", "ports", "loops")
+
+    def __init__(
+        self, inspected: SimTime, notes: tuple[str, ...], ports: set[int], loops: list[SimTime]
+    ) -> None:
+        self.inspected = inspected  # when it was last inspected
+        self.notes = notes  # that inspection's alert notes, in rule order
+        self.ports = ports  # the monitored ports that have seen it since
+        self.loops = loops  # its departures round the loop, inside the window
 
 
 class IdsNode(SwitchNode):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Protocol
 
@@ -185,8 +184,7 @@ class EventLog(list):
         return log
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(NamedTuple):
     """Declarative description of nodes, port counts, and wired links."""
 
     nodes: dict[str, int]

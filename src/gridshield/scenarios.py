@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
-from importlib import resources
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 from gridshield import substation as sub
 from gridshield.codec import MAX_U32, MAX_U64, CodecError, MacAddress
@@ -84,8 +83,7 @@ class ScenarioError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     """Everything one run needs; shipped as YAML, overridable per key.
 
     The wiring, flow tables and device identities always come from
@@ -117,8 +115,10 @@ class ScenarioSpec:
         return max(lat for *_ignored, lat in self.topology().links)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
+    """A run's score, and the log it was scored from; a run that has written
+    its files keeps an empty log in its place."""
+
     scenario: str
     passed: bool
     reasons: tuple[str, ...]
@@ -132,7 +132,7 @@ class ScenarioResult:
     breaker_trips: int
     trace_ok: bool | None
     delay: DelayReport | None
-    log: EventLog = field(repr=False, compare=False)
+    log: EventLog
 
     @property
     def recall(self) -> float:
@@ -168,6 +168,10 @@ class ScenarioResult:
 
 
 def _builtin_config_text(scenario_id: str) -> str:
+    # here, not at module level: replay reads no config, and from Python
+    # 3.12 on importlib.resources loads inspect
+    from importlib import resources
+
     ref = resources.files("gridshield.configs").joinpath(f"{scenario_id}.yaml")
     return ref.read_text()
 
@@ -277,10 +281,13 @@ def _one_of(*choices: str):
 
 
 def _name(value, where: str) -> str:
-    """A scenario name, safe as one directory component: lowercase letters,
-    digits and underscores."""
-    if type(value) is not str or not re.fullmatch(r"[a-z0-9_]+", value):
-        raise ValueError(f"{where} must be lowercase letters, digits and underscores, not {value!r}")
+    """A scenario name, safe as one directory component: 1 to 64 lowercase
+    letters, digits and underscores, well inside the one-component limit of
+    common file systems (255 bytes; 143 under eCryptfs)."""
+    if type(value) is not str or not re.fullmatch(r"[a-z0-9_]{1,64}", value):
+        raise ValueError(
+            f"{where} must be 1 to 64 lowercase letters, digits and underscores, not {value!r}"
+        )
     return value
 
 
@@ -410,8 +417,7 @@ def _injection(got: dict) -> InjectionPlan | None:
     if "node" not in got:
         return None
     src = got.pop("src")
-    template = replace(
-        sub.RELAY_PUBLICATION,
+    template = sub.RELAY_PUBLICATION._replace(
         src=sub.PIED_MAC if src is None else src,
         gocb_ref=got.pop("gocb_ref"),
         st_num=got.pop("st_num"),
@@ -450,7 +456,7 @@ def trunks(specs: list[ScenarioSpec]) -> list[list[int]]:
     appearance."""
     groups: dict[ScenarioSpec, list[int]] = {}
     for index, spec in enumerate(specs):
-        groups.setdefault(replace(spec, **dict.fromkeys(_TIMED)), []).append(index)
+        groups.setdefault(spec._replace(**dict.fromkeys(_TIMED)), []).append(index)
     return list(groups.values())
 
 

@@ -73,7 +73,7 @@ def schema_refusals():
             negative = [2300, -1] if read is _times else -1
             yield pytest.param(path, negative, id=f"{where}={negative!r}")
     for path, value in (
-        *((("scenario",), name) for name in ("", "a/b", "..", "Attack1")),
+        *((("scenario",), name) for name in ("", "a/b", "..", "Attack1", "a" * 65)),
         (("injection", "port"), 9),
         (("injection", "template", "st_num"), 0),
         (("injection", "template", "sq_num"), 99_999_999_999),
@@ -687,9 +687,11 @@ class TestJobs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    def test_importing_the_cli_leaves_the_yaml_parser_unloaded(self):
-        """``replay`` reads no YAML; ``load_scenario`` imports the parser."""
-        code = "import gridshield.cli, sys; print('yaml' in sys.modules)"
+    @pytest.mark.parametrize("module", ["yaml", "dataclasses", "inspect", "logging"])
+    def test_importing_the_cli_leaves_the_module_unloaded(self, module):
+        """``replay`` reads no YAML (``load_scenario`` imports the parser),
+        the records are NamedTuples, and nothing logs."""
+        code = f"import gridshield.cli, sys; print({module!r} in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,

@@ -8,7 +8,6 @@ the hand assembly comparison and the frozen file comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 import struct
@@ -203,25 +202,25 @@ class TestDecodeErrors:
 class TestEncodeErrors:
     def test_st_num_zero_rejected(self):
         frame = golden_goose_frame()
-        bad = GooseFrame(**{**frame.__dict__, "st_num": 0})
+        bad = frame._replace(st_num=0)
         with pytest.raises(InvariantViolation):
             encode_goose(bad)
 
     def test_zero_ttl_rejected(self):
         frame = golden_goose_frame()
-        bad = GooseFrame(**{**frame.__dict__, "time_allowed_to_live": 0})
+        bad = frame._replace(time_allowed_to_live=0)
         with pytest.raises(InvariantViolation):
             encode_goose(bad)
 
     def test_empty_all_data_rejected(self):
         frame = golden_goose_frame()
-        bad = GooseFrame(**{**frame.__dict__, "all_data": ()})
+        bad = frame._replace(all_data=())
         with pytest.raises(InvariantViolation):
             encode_goose(bad)
 
     def test_smp_cnt_beyond_modulus_rejected(self):
         frame = golden_sv_frame()
-        bad = SvFrame(**{**frame.__dict__, "smp_cnt": 1000})
+        bad = frame._replace(smp_cnt=1000)
         with pytest.raises(InvariantViolation):
             encode_sv(bad, smp_cnt_modulus=1000)
         # without a modulus the same value is fine
@@ -261,6 +260,48 @@ sv_frames = st.builds(
     currents=st.tuples(*[st.integers(-(2**31), 2**31 - 1)] * 3),
     voltages=st.tuples(*[st.integers(-(2**31), 2**31 - 1)] * 3),
 )
+
+
+class TestRecords:
+    """The frame records keep their checks, and none can be changed in place."""
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_a_mac_address_needs_six_octets(self, length):
+        with pytest.raises(InvariantViolation):
+            MacAddress(bytes(length))
+        with pytest.raises(InvariantViolation):
+            PIED_MAC._replace(octets=bytes(length))
+
+    @pytest.mark.parametrize("field", ["data", "digest"])
+    def test_a_raw_frame_is_read_only(self, field):
+        raw = RawFrame(hand_assembled_goose_bytes())
+        value = getattr(raw, field)
+        with pytest.raises(AttributeError):
+            setattr(raw, field, value[:1])
+        with pytest.raises(AttributeError):
+            delattr(raw, field)
+        assert getattr(raw, field) == value
+
+    def test_raw_frames_are_equal_by_their_bytes(self):
+        raw = encode_goose(golden_goose_frame())
+        again = RawFrame(hand_assembled_goose_bytes())
+        assert raw == again and hash(raw) == hash(again) and raw is not again
+        assert raw != RawFrame(hand_assembled_sv_bytes())
+        assert raw != raw.data
+
+    @pytest.mark.parametrize("frame", [golden_goose_frame(), golden_sv_frame(), PIED_MAC],
+                             ids=["goose", "sv", "mac"])
+    def test_a_field_cannot_be_assigned(self, frame):
+        for field in frame._fields:
+            with pytest.raises(AttributeError):
+                setattr(frame, field, getattr(frame, field))
+
+    def test_replace_leaves_the_original_unchanged(self):
+        frame = golden_goose_frame()
+        changed = frame._replace(st_num=frame.st_num + 1, all_data=(True,))
+        assert frame == golden_goose_frame()
+        assert (changed.st_num, changed.all_data) == (frame.st_num + 1, (True,))
+        assert changed._replace(st_num=frame.st_num, all_data=frame.all_data) == frame
 
 
 class TestRoundtripProperties:
@@ -439,8 +480,6 @@ def typed(value):
     """``value`` with the type of each of its parts beside it, so that two
     frames compare equal only if they agree field by field and type by type
     (``True == 1``, but a parse never returns an int point)."""
-    if dataclasses.is_dataclass(value):
-        return type(value), tuple(typed(getattr(value, f.name)) for f in dataclasses.fields(value))
     if isinstance(value, (tuple, list, bytearray)):
         return type(value), tuple(typed(v) for v in value)
     return type(value), value
@@ -473,8 +512,8 @@ def retypings(frame):
     """One pytest param per field of ``frame``, and per tuple field's items:
     (the field, a function that retypes its value)."""
     out = [
-        pytest.param(f.name, RETYPE[type(getattr(frame, f.name))], id=f.name)
-        for f in dataclasses.fields(frame)
+        pytest.param(name, RETYPE[type(getattr(frame, name))], id=name)
+        for name in frame._fields
     ]
     out += [
         pytest.param(name, lambda items, to=to: tuple(map(to, items)), id=f"{name}_items")
@@ -493,7 +532,7 @@ class TestEncodeKeepsItsFrame:
     @settings(max_examples=40)
     @given(frame=goose_frames)
     def test_the_kept_goose_frame_is_the_parse_of_its_bytes(self, field, retype, frame):
-        for f in (frame, dataclasses.replace(frame, **{field: retype(getattr(frame, field))})):
+        for f in (frame, frame._replace(**{field: retype(getattr(frame, field))})):
             raw = encode_goose(f)
             assert typed(decode_goose(raw)) == typed(parse_goose(raw))
 
@@ -501,7 +540,7 @@ class TestEncodeKeepsItsFrame:
     @settings(max_examples=40)
     @given(frame=sv_frames)
     def test_the_kept_sv_frame_is_the_parse_of_its_bytes(self, field, retype, frame):
-        for f in (frame, dataclasses.replace(frame, **{field: retype(getattr(frame, field))})):
+        for f in (frame, frame._replace(**{field: retype(getattr(frame, field))})):
             raw = encode_sv(f)
             assert typed(decode_sv(raw)) == typed(parse_sv(raw))
 
@@ -519,8 +558,8 @@ class TestEncodeKeepsItsFrame:
         for i in range(3):
             chain.append(next_publication(chain[-1], state_changed=False, now=i))
         chain.append(next_publication(chain[-1], True, now=9, all_data=(False,)))
-        chain.append(GooseFrame(**{**chain[-1].__dict__, "gocb_ref": "X/LLN0$GO$gcb2"}))
-        chain.append(GooseFrame(**{**chain[-1].__dict__, "dataset_ref": "X/LLN0$ds2"}))
+        chain.append(chain[-1]._replace(gocb_ref="X/LLN0$GO$gcb2"))
+        chain.append(chain[-1]._replace(dataset_ref="X/LLN0$ds2"))
         for f in chain:
             assert reference_codec.decode_goose(encode_goose(f)) == f
 
@@ -532,18 +571,18 @@ class TestEncodeKeepsItsFrame:
 
 class TestNextPublication:
     def test_retransmission_increments_sq(self):
-        prev = GooseFrame(**{**golden_goose_frame().__dict__, "st_num": 5, "sq_num": 3})
+        prev = golden_goose_frame()._replace(st_num=5, sq_num=3)
         out = next_publication(prev, state_changed=False, now=10)
         assert (out.st_num, out.sq_num, out.timestamp) == (5, 4, 10)
 
     def test_state_change_resets_sq(self):
-        prev = GooseFrame(**{**golden_goose_frame().__dict__, "st_num": 5, "sq_num": 3})
+        prev = golden_goose_frame()._replace(st_num=5, sq_num=3)
         out = next_publication(prev, state_changed=True, now=11)
         assert (out.st_num, out.sq_num, out.timestamp) == (6, 0, 11)
 
     def test_n_retransmissions_reach_sq_n(self):
         # loop oracle: apply the step n times, sq must land exactly on n
-        frame = GooseFrame(**{**golden_goose_frame().__dict__, "sq_num": 0})
+        frame = golden_goose_frame()._replace(sq_num=0)
         n = 137
         for i in range(n):
             frame = next_publication(frame, state_changed=False, now=i)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from gridshield import substation as sub
@@ -31,6 +29,14 @@ class TestTotal:
         with pytest.raises(ValueError):
             DelayComponents(t_mu=-1)
 
+    @pytest.mark.parametrize("name", COMPONENT_NAMES)
+    def test_every_term_is_checked_when_made_or_replaced(self, name):
+        with pytest.raises(ValueError, match=name):
+            DelayComponents(**{name: -1})
+        with pytest.raises(ValueError, match=name):
+            DelayComponents()._replace(**{name: -1})
+        assert getattr(DelayComponents()._replace(**{name: 0}), name) == 0
+
 
 @pytest.fixture(scope="module")
 def baseline_result():
@@ -51,7 +57,7 @@ class TestMeasure:
     def test_each_component_matches_configuration(self, baseline_result):
         spec = load_scenario("baseline")
         report = measure(baseline_result.log)
-        expected = dataclasses.asdict(spec.delays)
+        expected = spec.delays._asdict()
         expected["t_ids"] = 0  # module transparent in the baseline
         assert report.components == expected
 
@@ -94,7 +100,7 @@ class TestMeasure:
         """A split off the default moves every derived link latency."""
         overrides = {"t_mu": 0, "t_sv": 3, "t_gs": 5, "with_ids": with_ids}
         spec = load_scenario("baseline", overrides)
-        expected = dataclasses.asdict(spec.delays)
+        expected = spec.delays._asdict()
         if not with_ids:
             expected["t_ids"] = 0
         assert measure(run_scenario(spec).log).components == expected

@@ -181,10 +181,7 @@ class TestOmicronDevice:
         return net
 
     def _trip_raw(self):
-        frame = golden_goose_frame()
-        from gridshield.codec import GooseFrame
-
-        return encode_goose(GooseFrame(**{**frame.__dict__, "all_data": (True,)}))
+        return encode_goose(golden_goose_frame()._replace(all_data=(True,)))
 
     def test_trip_frame_opens_breaker_after_internal_delay(self):
         net = self._net()
@@ -196,11 +193,9 @@ class TestOmicronDevice:
         assert trips[0].time == 500 + 4_000
 
     def test_non_trip_frame_ignored(self):
-        from gridshield.codec import GooseFrame
-
         net = self._net()
         om = OmicronDevice(net, t_oc=4_000)
-        heartbeat = GooseFrame(**{**golden_goose_frame().__dict__, "all_data": (False,)})
+        heartbeat = golden_goose_frame()._replace(all_data=(False,))
         net.send(PortRef("src", 1), encode_goose(heartbeat), at=0)
         net.run_until(100_000)
         assert not om.breaker_open
@@ -249,6 +244,15 @@ class TestInject:
         deps = [ev for ev in events_of_kind(log, "FrameDeparture") if ev.note == "injected"]
         assert deps and deps[0].time == 1_000
         assert cap.frames and cap.frames[0][2] == 1_500
+
+    @pytest.mark.parametrize("mode", ["both", "Ingress", ""])
+    def test_a_plan_injects_on_ingress_or_egress_only(self, mode):
+        plan = InjectionPlan(PortRef("sw", 6), "ingress", golden_goose_frame())
+        with pytest.raises(ValueError, match="injection mode"):
+            InjectionPlan(PortRef("sw", 6), mode, golden_goose_frame())
+        with pytest.raises(ValueError, match="injection mode"):
+            plan._replace(mode=mode)
+        assert plan._replace(mode="egress").mode == "egress" and plan.mode == "ingress"
 
     def test_injection_on_disabled_port_reaches_nothing(self):
         net = build_topology(TopologySpec(nodes={"sw": 6}, links=()))

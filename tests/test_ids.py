@@ -54,7 +54,7 @@ HEARTBEAT_US = 1_000_000  # the shipped scenarios' publish interval
 
 def pied_frame(**overrides) -> GooseFrame:
     frame = golden_goose_frame()
-    values = {**frame.__dict__, "src": PIED_MAC, "gocb_ref": GOCB_REF, "st_num": 1, "sq_num": 0}
+    values = {**frame._asdict(), "src": PIED_MAC, "gocb_ref": GOCB_REF, "st_num": 1, "sq_num": 0}
     values.update(overrides)
     return GooseFrame(**values)
 

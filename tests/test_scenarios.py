@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import operator
 import re
@@ -91,9 +90,7 @@ class TestAttack1:
 
     def test_permuted_trace_rejected(self):
         # one injection only, so hops cannot be borrowed across instances
-        import dataclasses
-
-        spec = dataclasses.replace(load_scenario("attack1"), injection_times_us=(2_300_000,))
+        spec = load_scenario("attack1")._replace(injection_times_us=(2_300_000,))
         result = run_scenario(spec)
         assert verify_forwarding_trace(result.log, sub.MONITOR_LOOP)
         permuted = (sub.MONITOR_LOOP[1], sub.MONITOR_LOOP[0]) + sub.MONITOR_LOOP[2:]
@@ -401,10 +398,10 @@ class TestLoading:
         base = load_scenario("baseline")
         assert operator.attrgetter(field_name)(base) != want
         if field_name.startswith("delays."):
-            delays = dataclasses.replace(base.delays, **{key: want})
-            expected = dataclasses.replace(base, delays=delays)
+            delays = base.delays._replace(**{key: want})
+            expected = base._replace(delays=delays)
         else:
-            expected = dataclasses.replace(base, **{field_name: want})
+            expected = base._replace(**{field_name: want})
         assert load_scenario("baseline", {key: value}) == expected
 
     def test_override_changes_the_spec(self):

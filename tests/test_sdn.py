@@ -4,7 +4,6 @@ decision of the panel's tables."""
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 
 import pytest
@@ -255,7 +254,7 @@ class TestFlowCache:
         calls = []
         monkeypatch.setattr(sdn, "match_frame", lambda *a: calls.append(a) or match_frame(*a))
         net, _ = switch_net((FlowEntry(6, None, (5,)),))
-        other_src = encode_goose(dataclasses.replace(golden_goose_frame(), src=OTHER_MAC, app_id=2))
+        other_src = encode_goose(golden_goose_frame()._replace(src=OTHER_MAC, app_id=2))
         for t in range(0, 5_000, 500):
             net.inject_ingress(PortRef("sw", 6), other_src if t % 1_000 else GOOSE_RAW, at=t)
         net.inject_ingress(PortRef("sw", 3), GOOSE_RAW, at=5_000)
